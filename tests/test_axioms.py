@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -218,3 +219,57 @@ class TestReportPlumbing:
         table = t.format_report_table(reports)
         assert "FAIL" in table
         assert "witness:" in table
+
+
+RECORDED = json.loads(
+    (Path(__file__).parent / "failing_reports.json").read_text(encoding="utf-8")
+)
+HALF_RAMP = t.rising_ramp(F(1, 2))
+ZERO_STAR = t.ScalarConnective("zero", lambda x, y: F(0), "t-norm")
+PROBE_BATTERIES = {
+    "first": (lambda f, g: f, "tr-norm"),
+    "reflect": (lambda f, g: t.reflect(f), "tr-conorm"),
+    "ramp": (lambda f, g: HALF_RAMP, "tr-norm"),
+    "full": (lambda f, g: t.FULL, "tr-conorm"),
+    "pmax": (t.pointwise_max, "tr-norm"),
+}
+
+
+class TestFailingReportContract:
+    """Axiom id, verdict, trial count, witness and detail of checks built to
+    fail, against the reports in failing_reports.json.
+
+    O6 and O7 count their pairs up to the failing one; forced-properties adds
+    its boundary trials to its commutativity trials."""
+
+    @pytest.mark.parametrize("name", sorted(PROBE_BATTERIES))
+    def test_battery(self, name):
+        fn, kind = PROBE_BATTERIES[name]
+        reports = t.check_tr_axioms(
+            t.TruthValueOp(name, fn),
+            kind,
+            t.GeneratorConfig(seed=0),
+            pairs=8,
+            triples=6,
+            neutral_trials=6,
+            monotone_trials=8,
+            closure_denominator=4,
+        )
+        assert [r.to_json_dict() for r in reports] == RECORDED[name]
+
+    def test_separation_with_a_zero_inner_connective(self):
+        report = t.replicate_separation([t.MINIMUM, ZERO_STAR], t.GridSpec(5))
+        assert report.to_json_dict() == RECORDED["separation"]
+
+    def test_neutrality_gap_with_a_zero_inner_connective(self):
+        report = t.replicate_notnorm_conorm_gap(
+            t.MAXIMUM, [ZERO_STAR, t.MINIMUM], t.GridSpec(4)
+        )
+        assert report.to_json_dict() == RECORDED["gap"]
+
+    @pytest.mark.parametrize(
+        "name, star", [("forced-proj", t.PROJECTION), ("forced-max", t.MAXIMUM)]
+    )
+    def test_forced_properties(self, name, star):
+        report = t.verify_star_forced_properties(star, t.GridSpec(8))
+        assert report.to_json_dict() == RECORDED[name]

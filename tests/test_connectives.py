@@ -133,3 +133,57 @@ class TestBoundaryCharacterization:
         report = t.check_boundary_characterization(fake, FIVE_POINT)
         assert not report.passed
         assert report.witness == {"x": "0", "y": "0", "value": "1"}
+
+
+class TestFailingReportContract:
+    """First counterexample, trial count and witness of each failing check.
+
+    T3 counts only the triples with x <= y, so its trial count is not the
+    position of the witness in the full product."""
+
+    MEAN = t.ScalarConnective("mean", lambda x, y: (x + y) / 2, "t-norm")
+    GAP = t.ScalarConnective("gap", lambda x, y: abs(x - y), "t-conorm")
+
+    def test_mean_fails_associativity_and_neutrality(self):
+        reports = t.check_connective_axioms(self.MEAN, FIVE_POINT)
+        assert [r.to_json_dict() for r in reports] == [
+            {"axiom": "T1", "status": "pass", "trials": 25},
+            {
+                "axiom": "T2",
+                "status": "fail",
+                "trials": 2,
+                "witness": {"x": "0", "y": "0", "z": "1/4", "lhs": "1/8", "rhs": "1/16"},
+            },
+            {"axiom": "T3", "status": "pass", "trials": 75},
+            {
+                "axiom": "T4",
+                "status": "fail",
+                "trials": 1,
+                "witness": {"x": "0", "lhs": "1/2", "rhs": "0"},
+            },
+        ]
+        report = t.check_boundary_characterization(self.MEAN, FIVE_POINT)
+        assert report == t.AxiomReport("boundary", True, 25)
+
+    def test_gap_fails_associativity_monotonicity_and_boundary(self):
+        reports = t.check_connective_axioms(self.GAP, FIVE_POINT)
+        assert [r.to_json_dict() for r in reports] == [
+            {"axiom": "T1", "status": "pass", "trials": 25},
+            {
+                "axiom": "T2",
+                "status": "fail",
+                "trials": 33,
+                "witness": {"x": "1/4", "y": "1/4", "z": "1/2", "lhs": "1/2", "rhs": "0"},
+            },
+            {
+                "axiom": "T3",
+                "status": "fail",
+                "trials": 7,
+                "witness": {"x": "0", "y": "1/4", "z": "1/4", "lhs": "1/4", "rhs": "0"},
+            },
+            {"axiom": "T4'", "status": "pass", "trials": 5},
+        ]
+        report = t.check_boundary_characterization(self.GAP, FIVE_POINT)
+        assert report == t.AxiomReport(
+            "boundary", False, 7, {"x": "1/4", "y": "1/4", "value": "0"}
+        )
