@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +41,7 @@ from .piecewise import (
     unit_spike,
 )
 from .rationals import ONE, ZERO
-from .report import AxiomReport
+from .report import AxiomReport, falsify
 from .star import TruthValueOp, star
 
 TR_NORM = "tr-norm"
@@ -336,25 +337,20 @@ def _fn_witness(inputs: Sequence[PiecewiseFn], lhs: PiecewiseFn, rhs: PiecewiseF
 
 def _check_equation(
     axiom: str,
-    op: TruthValueOp,
     cases: Iterable[tuple[PiecewiseFn, ...]],
     lhs_fn: Callable[..., PiecewiseFn],
     rhs_fn: Callable[..., PiecewiseFn],
 ) -> AxiomReport:
-    trials = 0
-    for args in cases:
-        trials += 1
-        lhs = lhs_fn(*args)
-        rhs = rhs_fn(*args)
-        if not equals(lhs, rhs):
+    def holds(*args: PiecewiseFn) -> bool:
+        return equals(lhs_fn(*args), rhs_fn(*args))
 
-            def still_fails(trial_args: tuple[PiecewiseFn, ...]) -> bool:
-                return not equals(lhs_fn(*trial_args), rhs_fn(*trial_args))
-
-            shrunk = shrink_witness(args, still_fails)
-            witness = _fn_witness(shrunk, lhs_fn(*shrunk), rhs_fn(*shrunk))
-            return AxiomReport(axiom, False, trials, witness)
-    return AxiomReport(axiom, True, trials)
+    return falsify(
+        axiom,
+        cases,
+        holds,
+        lambda *args: _fn_witness(args, lhs_fn(*args), rhs_fn(*args)),
+        lambda args: shrink_witness(args, lambda trial: not holds(*trial)),
+    )
 
 
 def check_tr_axioms(
@@ -373,7 +369,7 @@ def check_tr_axioms(
     Commutativity/associativity/neutrality run on seeded random samples with
     canonical-form equality; monotonicity runs on constructed comparable
     pairs; the indicator axioms run exhaustively over the k/closure_denominator
-    parameter lattice.
+    parameter lattice. O6 and O7 count their pairs up to the failing one.
     """
     if kind == TR_NORM:
         neutral, neutral_axiom = TOP, "O3"
@@ -387,118 +383,91 @@ def check_tr_axioms(
         raise ValidationError(f"kind must be {TR_NORM!r} or {TR_CONORM!r}")
 
     rng = Random(config.seed)
-    reports = []
 
-    draw_pairs = [
-        (_draw_lattice(rng, config), _draw_lattice(rng, config)) for _ in range(pairs)
-    ]
-    reports.append(
-        _check_equation(
-            "O1", op, draw_pairs, lambda f, g: op(f, g), lambda f, g: op(g, f)
-        )
-    )
+    def draw(count: int) -> tuple[PiecewiseFn, ...]:
+        return tuple(_draw_lattice(rng, config) for _ in range(count))
 
-    draw_triples = [
-        tuple(_draw_lattice(rng, config) for _ in range(3)) for _ in range(triples)
-    ]
-    reports.append(
-        _check_equation(
-            "O2",
-            op,
-            draw_triples,
-            lambda f, g, h: op(op(f, g), h),
-            lambda f, g, h: op(f, op(g, h)),
-        )
-    )
+    def monotone(f: PiecewiseFn, g: PiecewiseFn, h: PiecewiseFn) -> bool:
+        return leq_sub(op(f, h), op(g, h))
 
-    singles = [(_draw_lattice(rng, config),) for _ in range(neutral_trials)]
-    reports.append(
-        _check_equation(
-            neutral_axiom, op, singles, lambda f: op(f, neutral), lambda f: f
-        )
-    )
-
-    trials = 0
-    witness = None
-    for _ in range(monotone_trials):
-        f, g = comparable_pair(rng, config)
-        h = _draw_lattice(rng, config)
-        trials += 1
-        if not leq_sub(op(f, h), op(g, h)):
-
-            def still_fails(args: tuple[PiecewiseFn, ...]) -> bool:
-                tf, tg, th = args
-                return leq_sub(tf, tg) and not leq_sub(op(tf, th), op(tg, th))
-
-            shrunk = shrink_witness((f, g, h), still_fails)
-            witness = {
-                "inputs": [to_json_dict(x) for x in shrunk],
-                "lhs": to_json_dict(canonicalize(op(shrunk[0], shrunk[2]))),
-                "rhs": to_json_dict(canonicalize(op(shrunk[1], shrunk[2]))),
-            }
-            break
-    reports.append(AxiomReport("O4", witness is None, trials, witness))
+    def spike_product(x1: Fraction, x2: Fraction) -> PiecewiseFn:
+        return op(unit_spike(x1), unit_spike(x2))
 
     den = closure_denominator
     lattice_pts = [Fraction(k, den) for k in range(den + 1)]
-    boundary_cases = [
-        (a, b) for a in lattice_pts for b in lattice_pts if a <= b
+    # the interval indicators, each with its endpoints, built once for O5 and O7
+    intervals = [
+        ((a, b), indicator(a, b)) for a in lattice_pts for b in lattice_pts if a <= b
     ]
-    trials = 0
-    witness = None
-    for a, b in boundary_cases:
-        trials += 1
-        got = op(FULL, indicator(a, b))
-        expected = boundary_expected(a, b)
-        if not equals(got, expected):
-            witness = {
-                "a": str(a),
-                "b": str(b),
-                "lhs": to_json_dict(canonicalize(got)),
-                "rhs": to_json_dict(expected),
-            }
-            break
-    reports.append(AxiomReport(boundary_axiom, witness is None, trials, witness))
-
-    trials = 0
-    witness = None
-    for x1 in lattice_pts:
-        for x2 in lattice_pts:
-            trials += 1
-            got = op(unit_spike(x1), unit_spike(x2))
-            if not is_point_indicator(got):
-                witness = {
-                    "x1": str(x1),
-                    "x2": str(x2),
-                    "result": to_json_dict(canonicalize(got)),
-                }
-                break
-        if witness:
-            break
-    reports.append(AxiomReport("O6", witness is None, trials, witness))
-
-    intervals = boundary_cases
-    trials = 0
-    witness = None
-    for a1, b1 in intervals:
-        for a2, b2 in intervals:
-            trials += 1
-            got = op(indicator(a1, b1), indicator(a2, b2))
-            if not is_interval_indicator(got):
-                witness = {
-                    "interval1": [str(a1), str(b1)],
-                    "interval2": [str(a2), str(b2)],
-                    "result": to_json_dict(canonicalize(got)),
-                }
-                break
-        if witness:
-            break
-    reports.append(AxiomReport("O7", witness is None, trials, witness))
-    return reports
+    # the checks run in list order, which is also the order of the seeded draws
+    return [
+        _check_equation(
+            "O1", [draw(2) for _ in range(pairs)], op, lambda f, g: op(g, f)
+        ),
+        _check_equation(
+            "O2",
+            [draw(3) for _ in range(triples)],
+            lambda f, g, h: op(op(f, g), h),
+            lambda f, g, h: op(f, op(g, h)),
+        ),
+        _check_equation(
+            neutral_axiom,
+            [draw(1) for _ in range(neutral_trials)],
+            lambda f: op(f, neutral),
+            lambda f: f,
+        ),
+        falsify(
+            "O4",
+            ((*comparable_pair(rng, config), *draw(1)) for _ in range(monotone_trials)),
+            monotone,
+            lambda f, g, h: _fn_witness((f, g, h), op(f, h), op(g, h)),
+            lambda args: shrink_witness(
+                args, lambda trial: leq_sub(trial[0], trial[1]) and not monotone(*trial)
+            ),
+        ),
+        falsify(
+            boundary_axiom,
+            intervals,
+            lambda ab, ind: equals(op(FULL, ind), boundary_expected(*ab)),
+            lambda ab, ind: {
+                "a": str(ab[0]),
+                "b": str(ab[1]),
+                "lhs": to_json_dict(canonicalize(op(FULL, ind))),
+                "rhs": to_json_dict(boundary_expected(*ab)),
+            },
+        ),
+        falsify(
+            "O6",
+            iter_product(lattice_pts, repeat=2),
+            lambda x1, x2: is_point_indicator(spike_product(x1, x2)),
+            lambda x1, x2: {
+                "x1": str(x1),
+                "x2": str(x2),
+                "result": to_json_dict(canonicalize(spike_product(x1, x2))),
+            },
+        ),
+        falsify(
+            "O7",
+            iter_product(intervals, repeat=2),
+            lambda p, q: is_interval_indicator(op(p[1], q[1])),
+            lambda p, q: {
+                "interval1": [str(x) for x in p[0]],
+                "interval2": [str(x) for x in q[0]],
+                "result": to_json_dict(canonicalize(op(p[1], q[1]))),
+            },
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # replications of the separation results
+
+
+def _rows_report(axiom: str, rows: list[dict], key: str, detail: str) -> AxiomReport:
+    """One trial per row; a failure's witness lists the rows whose ``key`` is false."""
+    failing = [r for r in rows if not r[key]]
+    witness = {"rows": failing} if failing else None
+    return AxiomReport(axiom, not failing, len(rows), witness, detail=detail)
 
 
 def separation_rows(
@@ -534,15 +503,11 @@ def replicate_separation(
     at 4/5, while the convolution oracle certifies a lower bound of at least
     1/2 there for every admissible inner connective: a strict gap.
     """
-    rows = separation_rows(star_choices, grid)
-    failing = [r for r in rows if not r["separated"]]
-    witness = {"rows": failing} if failing else None
-    return AxiomReport(
+    return _rows_report(
         "separation",
-        not failing,
-        len(rows),
-        witness,
-        detail="exact value 0 at 4/5 vs oracle lower bound >= 1/2",
+        separation_rows(star_choices, grid),
+        "separated",
+        "exact value 0 at 4/5 vs oracle lower bound >= 1/2",
     )
 
 
@@ -595,13 +560,9 @@ def replicate_notnorm_conorm_gap(
 ) -> AxiomReport:
     """The join-form convolution fails t-norm neutrality; the meet form fails
     the t-conorm's."""
-    rows = neutrality_gap_rows(tconorm, star_choices, grid)
-    failing = [r for r in rows if not r["gap_confirmed"]]
-    witness = {"rows": failing} if failing else None
-    return AxiomReport(
+    return _rows_report(
         "neutrality-gap",
-        not failing,
-        len(rows),
-        witness,
-        detail="unit spikes are not neutral for the convolution forms",
+        neutrality_gap_rows(tconorm, star_choices, grid),
+        "gap_confirmed",
+        "unit spikes are not neutral for the convolution forms",
     )

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .errors import DomainError, ValidationError
 from .rationals import ONE, ZERO, to_unit
-from .report import AxiomReport
+from .report import AxiomReport, falsify
 
 T_NORM = "t-norm"
 T_CONORM = "t-conorm"
@@ -107,8 +107,8 @@ def dual_connective(op: ScalarConnective) -> ScalarConnective:
     )
 
 
-def _scalar_witness(pairs: dict) -> dict:
-    return {k: str(v) for k, v in pairs.items()}
+def _scalar_witness(**values) -> dict:
+    return {k: str(v) for k, v in values.items()}
 
 
 def check_connective_axioms(
@@ -117,59 +117,41 @@ def check_connective_axioms(
     """Exhaustive commutativity/associativity/monotonicity/neutrality check.
 
     ``sample`` must contain 0 and 1. The first violating tuple per axiom is
-    reported (tuples enumerated in sorted-lexicographic order).
+    reported (tuples enumerated in sorted-lexicographic order). Monotonicity
+    counts only the triples with x <= y as trials.
     """
     pts = sorted(to_unit(x) for x in sample)
     if not pts or ZERO not in pts or ONE not in pts:
         raise DomainError("sample must be nonempty and contain 0 and 1")
-    reports = []
-
-    trials = 0
-    witness = None
-    for x, y in iter_product(pts, repeat=2):
-        trials += 1
-        if op(x, y) != op(y, x):
-            witness = _scalar_witness(
-                {"x": x, "y": y, "lhs": op(x, y), "rhs": op(y, x)}
-            )
-            break
-    reports.append(AxiomReport("T1", witness is None, trials, witness))
-
-    trials = 0
-    witness = None
-    for x, y, z in iter_product(pts, repeat=3):
-        trials += 1
-        if op(op(x, y), z) != op(x, op(y, z)):
-            witness = _scalar_witness(
-                {"x": x, "y": y, "z": z, "lhs": op(op(x, y), z), "rhs": op(x, op(y, z))}
-            )
-            break
-    reports.append(AxiomReport("T2", witness is None, trials, witness))
-
-    trials = 0
-    witness = None
-    for x, y, z in iter_product(pts, repeat=3):
-        if x > y:
-            continue
-        trials += 1
-        if op(x, z) > op(y, z) or op(z, x) > op(z, y):
-            witness = _scalar_witness(
-                {"x": x, "y": y, "z": z, "lhs": op(x, z), "rhs": op(y, z)}
-            )
-            break
-    reports.append(AxiomReport("T3", witness is None, trials, witness))
-
     neutral = ZERO if op.profile == T_CONORM else ONE
-    axiom = "T4'" if op.profile == T_CONORM else "T4"
-    trials = 0
-    witness = None
-    for x in pts:
-        trials += 1
-        if op(neutral, x) != x or op(x, neutral) != x:
-            witness = _scalar_witness({"x": x, "lhs": op(neutral, x), "rhs": x})
-            break
-    reports.append(AxiomReport(axiom, witness is None, trials, witness))
-    return reports
+    return [
+        falsify(
+            "T1",
+            iter_product(pts, repeat=2),
+            lambda x, y: op(x, y) == op(y, x),
+            lambda x, y: _scalar_witness(x=x, y=y, lhs=op(x, y), rhs=op(y, x)),
+        ),
+        falsify(
+            "T2",
+            iter_product(pts, repeat=3),
+            lambda x, y, z: op(op(x, y), z) == op(x, op(y, z)),
+            lambda x, y, z: _scalar_witness(
+                x=x, y=y, z=z, lhs=op(op(x, y), z), rhs=op(x, op(y, z))
+            ),
+        ),
+        falsify(
+            "T3",
+            ((x, y, z) for x, y, z in iter_product(pts, repeat=3) if x <= y),
+            lambda x, y, z: op(x, z) <= op(y, z) and op(z, x) <= op(z, y),
+            lambda x, y, z: _scalar_witness(x=x, y=y, z=z, lhs=op(x, z), rhs=op(y, z)),
+        ),
+        falsify(
+            "T4'" if op.profile == T_CONORM else "T4",
+            ((x,) for x in pts),
+            lambda x: op(neutral, x) == x and op(x, neutral) == x,
+            lambda x: _scalar_witness(x=x, lhs=op(neutral, x), rhs=x),
+        ),
+    ]
 
 
 def check_boundary_characterization(
@@ -184,13 +166,9 @@ def check_boundary_characterization(
         raise DomainError("profile must be t-norm or t-conorm")
     pts = sorted(to_unit(x) for x in sample)
     extreme = ONE if op.profile == T_NORM else ZERO
-    trials = 0
-    witness = None
-    for x, y in iter_product(pts, repeat=2):
-        trials += 1
-        hit = op(x, y) == extreme
-        expected = x == extreme and y == extreme
-        if hit != expected:
-            witness = _scalar_witness({"x": x, "y": y, "value": op(x, y)})
-            break
-    return AxiomReport("boundary", witness is None, trials, witness)
+    return falsify(
+        "boundary",
+        iter_product(pts, repeat=2),
+        lambda x, y: (op(x, y) == extreme) == (x == extreme and y == extreme),
+        lambda x, y: _scalar_witness(x=x, y=y, value=op(x, y)),
+    )

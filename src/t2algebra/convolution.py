@@ -22,17 +22,14 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .connectives import MINIMUM, ScalarConnective, T_CONORM, T_NORM
 from .errors import DomainError, ValidationError
 from .piecewise import PiecewiseFn, evaluate, falling_ramp, to_json_dict, unit_spike
 from .rationals import ONE, ZERO, format_rational, to_rational
-from .report import AxiomReport
-
-_EXACT_MEET = "min"
-_EXACT_JOIN = "max"
+from .report import AxiomReport, falsify
 
 
 @dataclass(frozen=True)
@@ -95,22 +92,8 @@ def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
     return [evaluate(f, x) for x in pts]
 
 
-def _exact_meet_value(fv, gv, star, k) -> Fraction:
-    best = None
-    for j in range(k, len(fv)):
-        for cand in (star(fv[k], gv[j]), star(fv[j], gv[k])):
-            if best is None or cand > best:
-                best = cand
-    return best
-
-
-def _exact_join_value(fv, gv, star, k) -> Fraction:
-    best = None
-    for j in range(0, k + 1):
-        for cand in (star(fv[k], gv[j]), star(fv[j], gv[k])):
-            if best is None or cand > best:
-                best = cand
-    return best
+def _exact_value(fv, gv, star, k, js) -> Fraction:
+    return max(v for j in js for v in (star(fv[k], gv[j]), star(fv[j], gv[k])))
 
 
 def _banded(f, g, star, combiner, grid: GridSpec) -> GridFn:
@@ -136,6 +119,33 @@ def _banded(f, g, star, combiner, grid: GridSpec) -> GridFn:
     return GridFn(n, tuple(best))
 
 
+# per form: the profile its combiner must declare, the combiner whose solution
+# set is computed exactly, and the indices j with combiner(x_k, x_j) = x_k on
+# the grid x_0..x_n
+_FORMS = {
+    "meet": (T_NORM, "min", lambda k, n: range(k, n + 1)),
+    "join": (T_CONORM, "max", lambda k, n: range(k + 1)),
+}
+
+
+def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
+    """The whole grid of a convolution form, or its value at x alone."""
+    profile, exact, partners = _FORMS[form]
+    if combiner.profile != profile:
+        raise DomainError(f"combiner {combiner.name!r} is not declared a {profile}")
+    n = grid.resolution
+    ks = range(n + 1) if x is None else [grid.index_of(x)]
+    if combiner.name == exact:
+        pts = grid.points()
+        fv = _grid_values(f, pts)
+        gv = _grid_values(g, pts)
+        values = [_exact_value(fv, gv, star, k, partners(k, n)) for k in ks]
+    else:
+        banded = _banded(f, g, star, combiner, grid).values
+        values = [banded[k] for k in ks]
+    return GridFn(n, tuple(values)) if x is None else values[0]
+
+
 def convolve_meet(
     f: PiecewiseFn,
     g: PiecewiseFn,
@@ -144,17 +154,7 @@ def convolve_meet(
     grid: GridSpec,
 ) -> GridFn:
     """Grid evaluation of the meet-form convolution sup{f(y)*g(z) | y△z = x}."""
-    if tnorm.profile != T_NORM:
-        raise DomainError(f"combiner {tnorm.name!r} is not declared a t-norm")
-    pts = grid.points()
-    if tnorm.name == _EXACT_MEET:
-        fv = _grid_values(f, pts)
-        gv = _grid_values(g, pts)
-        values = tuple(
-            _exact_meet_value(fv, gv, star, k) for k in range(len(pts))
-        )
-        return GridFn(grid.resolution, values)
-    return _banded(f, g, star, tnorm, grid)
+    return _convolve("meet", f, g, star, tnorm, grid)
 
 
 def convolve_join(
@@ -165,43 +165,17 @@ def convolve_join(
     grid: GridSpec,
 ) -> GridFn:
     """Grid evaluation of the join-form convolution sup{f(y)*g(z) | y▽z = x}."""
-    if tconorm.profile != T_CONORM:
-        raise DomainError(f"combiner {tconorm.name!r} is not declared a t-conorm")
-    pts = grid.points()
-    if tconorm.name == _EXACT_JOIN:
-        fv = _grid_values(f, pts)
-        gv = _grid_values(g, pts)
-        values = tuple(
-            _exact_join_value(fv, gv, star, k) for k in range(len(pts))
-        )
-        return GridFn(grid.resolution, values)
-    return _banded(f, g, star, tconorm, grid)
+    return _convolve("join", f, g, star, tconorm, grid)
 
 
 def convolve_meet_at(f, g, star, tnorm, grid: GridSpec, x) -> Fraction | None:
     """Single grid point of the meet-form convolution (x must lie on the grid)."""
-    if tnorm.profile != T_NORM:
-        raise DomainError(f"combiner {tnorm.name!r} is not declared a t-norm")
-    k = grid.index_of(x)
-    pts = grid.points()
-    if tnorm.name == _EXACT_MEET:
-        fv = _grid_values(f, pts)
-        gv = _grid_values(g, pts)
-        return _exact_meet_value(fv, gv, star, k)
-    return _banded(f, g, star, tnorm, grid).values[k]
+    return _convolve("meet", f, g, star, tnorm, grid, x)
 
 
 def convolve_join_at(f, g, star, tconorm, grid: GridSpec, x) -> Fraction | None:
     """Single grid point of the join-form convolution (x must lie on the grid)."""
-    if tconorm.profile != T_CONORM:
-        raise DomainError(f"combiner {tconorm.name!r} is not declared a t-conorm")
-    k = grid.index_of(x)
-    pts = grid.points()
-    if tconorm.name == _EXACT_JOIN:
-        fv = _grid_values(f, pts)
-        gv = _grid_values(g, pts)
-        return _exact_join_value(fv, gv, star, k)
-    return _banded(f, g, star, tconorm, grid).values[k]
+    return _convolve("join", f, g, star, tconorm, grid, x)
 
 
 # ---------------------------------------------------------------------------
@@ -213,75 +187,59 @@ def convolve_join_at(f, g, star, tconorm, grid: GridSpec, x) -> Fraction | None:
 _COMMUTATIVITY_PAIR = (Fraction(1, 5), Fraction(4, 5))
 
 
-def _affine_pair_product(star, grid, u, v) -> Fraction:
-    return convolve_meet_at(
-        falling_ramp(u), falling_ramp(v), star, MINIMUM, grid, ONE
-    )
-
-
 def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> AxiomReport:
     """Check the boundary values and commutativity forced on the inner connective.
 
     Failures carry the witnessing identity: indicator pairs pushed through
     the oracle for boundary values, the canonical decreasing affine pair for
-    commutativity.
+    commutativity. The trials of both checks add up in one report.
     """
-    trials = 0
+
+    def ramp_product(u: Fraction, v: Fraction) -> Fraction:
+        f, g = falling_ramp(u), falling_ramp(v)
+        return convolve_meet_at(f, g, star, MINIMUM, grid, ONE)
+
+    def spike_product(x: Fraction, y: Fraction) -> Fraction | None:
+        f, g = unit_spike(x), unit_spike(y)
+        return convolve_meet_at(f, g, star, MINIMUM, grid, ONE)
+
     sample = [_COMMUTATIVITY_PAIR]
     eighths = [Fraction(k, 8) for k in range(9)]
     sample.extend((u, v) for u in eighths for v in eighths if u < v)
-    for u, v in sample:
-        trials += 1
-        lhs = _affine_pair_product(star, grid, u, v)
-        rhs = _affine_pair_product(star, grid, v, u)
-        if lhs != rhs:
-            witness = {
-                "check": "commutativity",
-                "u": str(u),
-                "v": str(v),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "fixtures": [
-                    to_json_dict(falling_ramp(u)),
-                    to_json_dict(falling_ramp(v)),
-                ],
-            }
-            return AxiomReport(
-                "forced-properties",
-                False,
-                trials,
-                witness,
-                detail=f"meet-form convolution not commutative at u={u}, v={v}",
-            )
-
-    boundary_cases = (
-        (ZERO, ZERO, ZERO),
-        (ZERO, ONE, ZERO),
-        (ONE, ZERO, ZERO),
-        (ONE, ONE, ONE),
+    commutes = falsify(
+        "forced-properties",
+        sample,
+        lambda u, v: ramp_product(u, v) == ramp_product(v, u),
+        lambda u, v: {
+            "check": "commutativity",
+            "u": str(u),
+            "v": str(v),
+            "lhs": str(ramp_product(u, v)),
+            "rhs": str(ramp_product(v, u)),
+            "fixtures": [to_json_dict(falling_ramp(u)), to_json_dict(falling_ramp(v))],
+        },
     )
-    for x, y, expected in boundary_cases:
-        trials += 1
-        got = convolve_meet_at(
-            unit_spike(x), unit_spike(y), star, MINIMUM, grid, ONE
-        )
-        if got != expected:
-            witness = {
-                "check": "boundary",
-                "x": str(x),
-                "y": str(y),
-                "lhs": str(got),
-                "rhs": str(expected),
-                "fixtures": [
-                    to_json_dict(unit_spike(x)),
-                    to_json_dict(unit_spike(y)),
-                ],
-            }
-            return AxiomReport(
-                "forced-properties",
-                False,
-                trials,
-                witness,
-                detail=f"boundary value {x}*{y} = {got}, expected {expected}",
-            )
-    return AxiomReport("forced-properties", True, trials)
+    if not commutes.passed:
+        w = commutes.witness
+        detail = f"meet-form convolution not commutative at u={w['u']}, v={w['v']}"
+        return replace(commutes, detail=detail)
+
+    boundary = falsify(
+        "forced-properties",
+        ((ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ZERO, ZERO), (ONE, ONE, ONE)),
+        lambda x, y, expected: spike_product(x, y) == expected,
+        lambda x, y, expected: {
+            "check": "boundary",
+            "x": str(x),
+            "y": str(y),
+            "lhs": str(spike_product(x, y)),
+            "rhs": str(expected),
+            "fixtures": [to_json_dict(unit_spike(x)), to_json_dict(unit_spike(y))],
+        },
+    )
+    trials = commutes.trials + boundary.trials
+    if not boundary.passed:
+        w = boundary.witness
+        detail = f"boundary value {w['x']}*{w['y']} = {w['lhs']}, expected {w['rhs']}"
+        return replace(boundary, trials=trials, detail=detail)
+    return replace(boundary, trials=trials)

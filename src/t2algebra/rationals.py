@@ -16,7 +16,17 @@ from .errors import ValidationError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Rational = Fraction
+# CPython's default limit on the digits of an int converted to or from str
+_MAX_DIGITS = 4300
+
+
+def _digit_bound(text: str) -> int:
+    """Bounds the digits of the numerator and denominator Fraction(text) builds."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        return len(mantissa) + abs(int(exponent or 0))
+    except ValueError:  # a malformed exponent, which Fraction rejects
+        return len(mantissa)
 
 
 def to_rational(value) -> Fraction:
@@ -27,6 +37,8 @@ def to_rational(value) -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and _digit_bound(value) >= _MAX_DIGITS:
+        raise ValidationError(f"rational too large: {_MAX_DIGITS} digits or more")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)

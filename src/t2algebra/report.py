@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -13,8 +14,11 @@ class AxiomReport:
     ``axiom`` is the axiom identifier (O1..O7, O3', O5', T1..T4, T4', or a
     descriptive id for auxiliary checks). A failing report always carries a
     ``witness`` dict whose entries are JSON-serializable and sufficient to
-    replay the failure: function inputs appear in the exact-function JSON
-    schema, scalars as rational strings, and both computed sides are included.
+    replay the failure: functions appear in the exact-function JSON schema,
+    scalars as rational strings. Besides its inputs, the witness of an
+    equation or inequality holds both computed sides (``lhs`` and ``rhs``),
+    that of O6 or O7 the one ``result``, that of ``boundary`` the ``value``,
+    and that of ``separation`` or ``neutrality-gap`` the failing ``rows``.
     """
 
     axiom: str
@@ -34,6 +38,30 @@ class AxiomReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def falsify(
+    axiom: str,
+    cases: Iterable[tuple],
+    holds: Callable[..., bool],
+    witness: Callable[..., dict],
+    shrink: Callable[[tuple], tuple] | None = None,
+) -> AxiomReport:
+    """Check ``holds(*case)`` on each case in order, stopping at the first
+    counterexample.
+
+    A report counts the cases tried, the failing one included. On failure
+    the case is first passed through ``shrink``, if given, and the report's
+    witness is ``witness(*case)`` of the case that results.
+    """
+    trials = 0
+    for case in cases:
+        trials += 1
+        if not holds(*case):
+            if shrink is not None:
+                case = shrink(case)
+            return AxiomReport(axiom, False, trials, witness(*case))
+    return AxiomReport(axiom, True, trials)
 
 
 def reports_to_json(reports: list[AxiomReport], indent: int = 2) -> str:

@@ -51,8 +51,8 @@ class TruthValueOp:
         return self.fn(f, g)
 
 
-def _require_lattice(f: PiecewiseFn, what: str) -> None:
-    if not in_lattice(f):
+def _require_lattice(what: str, *fns: PiecewiseFn) -> None:
+    if not all(in_lattice(f) for f in fns):
         raise DomainError(f"{what} requires normal convex inputs")
 
 
@@ -92,8 +92,12 @@ def _splice(head, eta: Fraction, xi: Fraction, tail_value: Fraction) -> Piecewis
 
 def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Threshold product of two normal convex functions."""
-    _require_lattice(f, "star")
-    _require_lattice(g, "star")
+    _require_lattice("star", f, g)
+    return _product(f, g)
+
+
+def _product(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
+    """star without its input check: f and g must be normal and convex."""
     if equals(f, TOP):
         return canonicalize(g)
     if equals(g, TOP):
@@ -115,8 +119,7 @@ def star_envelopes(
     Defined away from the neutral element only. Must agree exactly with
     re-running the envelope operators on the product itself.
     """
-    _require_lattice(f, "star_envelopes")
-    _require_lattice(g, "star_envelopes")
+    _require_lattice("star_envelopes", f, g)
     if equals(f, TOP) or equals(g, TOP):
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
     t = thresholds(f, g)
@@ -131,9 +134,9 @@ def star_envelopes(
 
 def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Dual of the threshold product: reflect inputs, multiply, reflect back."""
-    _require_lattice(f, "costar")
-    _require_lattice(g, "costar")
-    return reflect(star(reflect(f), reflect(g)))
+    _require_lattice("costar", f, g)
+    # reflection keeps f and g normal and convex: no second check is needed
+    return reflect(_product(reflect(f), reflect(g)))
 
 
 def dualize(op: TruthValueOp) -> TruthValueOp:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,17 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "star", str(bad), files["full"]])
         assert code == 3
         assert "invalid input" in err
+
+    def test_oversized_rational_is_validation_error(self, capsys, tmp_path):
+        doc = t.to_json_dict(t.indicator(F(1, 5), F(3, 5)))
+        doc["breakpoints"][0]["v"] = "1e-200000"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["eval", "neg", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input:")
+        assert err.count("\n") == 1
 
     def test_missing_file_is_validation_error(self, capsys, files):
         code, _, _ = run(capsys, ["eval", "neg", "/nonexistent/f.json"])
