@@ -618,7 +618,7 @@ def dumps(f: PiecewiseFn, indent: int | None = None) -> str:
 def loads(text: str) -> PiecewiseFn:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int literal over the digit limit
         raise ValidationError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
 

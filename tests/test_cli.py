@@ -101,11 +101,14 @@ class TestEval:
         assert code == 3
         assert "invalid input" in err
 
-    def test_oversized_rational_is_validation_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "huge", ['"1e-200000"', "1" * 5000], ids=["exponent", "int-literal"]
+    )
+    def test_oversized_rational_is_validation_error(self, capsys, tmp_path, huge):
         doc = t.to_json_dict(t.indicator(F(1, 5), F(3, 5)))
-        doc["breakpoints"][0]["v"] = "1e-200000"
+        doc["breakpoints"][0]["v"] = "HUGE"
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"HUGE"', huge))
         code, out, err = run(capsys, ["eval", "neg", str(path)])
         assert code == 3
         assert out == ""
