@@ -6,6 +6,7 @@ Exit codes are a stable contract:
   2  usage error (unknown command, op, or flag combination)
   3  validation error (malformed or out-of-contract input)
   4  I/O error
+  5  internal error (an unexpected failure, reported in one line)
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ EXIT_AXIOM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
+
+# Upper bounds on the size flags, checked before any work starts, so that a
+# mistyped number cannot run for hours or exhaust memory.
+# --grid: a grid convolution takes time quadratic in the resolution (about
+# 1 s for a banded one at the default 200), so 2,000 already takes minutes.
+MAX_GRID = 2000
+# --samples: one exact rational and one CSV row are held per sample.
+MAX_SAMPLES = 100_000
+# --trials: the battery draws and keeps up to this many function pairs and
+# triples, and its run time grows with it (seconds at the default 200).
+MAX_TRIALS = 10_000
+_SIZE_BOUNDS = {"grid": MAX_GRID, "samples": MAX_SAMPLES, "trials": MAX_TRIALS}
 
 _UNARY_OPS = {
     "neg": reflect,
@@ -79,6 +93,13 @@ def _parse_conv_name(name: str):
     combiner = connective_by_name(parts[1])
     star_conn = connective_by_name(parts[2])
     return parts[0], combiner, star_conn
+
+
+def _check_sizes(args) -> None:
+    for flag, bound in _SIZE_BOUNDS.items():
+        value = getattr(args, flag, None)
+        if value is not None and value > bound:
+            raise _UsageError(f"--{flag} is at most {bound}, got {value}")
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -223,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -233,6 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a defect: no traceback reaches the user
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -107,11 +107,11 @@ class PiecewiseFn:
             if not _in_unit(q):
                 raise ValidationError(f"value {q} outside [0, 1]")
         for i, piece in enumerate(pieces):
-            for x in (breaks[i], breaks[i + 1]):
-                if not _affine_in_unit(piece, x):
+            for k in (i, i + 1):
+                if not _affine_in_unit(piece, breaks[k]):
+                    # named by index: the value may be too long to print
                     raise ValidationError(
-                        f"piece {i} reaches {_affine_at(piece, x)} at {x}, "
-                        "outside [0, 1]"
+                        f"piece {i} reaches outside [0, 1] at breakpoint {k}"
                     )
         key = []
         for q in breaks:
@@ -146,7 +146,7 @@ class PiecewiseFn:
         """Affine piece of the open interval strictly containing x."""
         i = bisect_left(self.breakpoints, x)
         if i < len(self.breakpoints) and self.breakpoints[i] == x:
-            raise ValueError(f"{x} is a breakpoint, not interior to a piece")
+            raise DomainError(f"{x} is a breakpoint, not interior to a piece")
         return self.pieces[i - 1]
 
     def left_limit(self, i: int) -> Fraction:
@@ -390,6 +390,45 @@ def reflect(f: PiecewiseFn) -> PiecewiseFn:
 # envelopes (running suprema)
 
 
+def _running_sup(f: PiecewiseFn, rightward: bool):
+    """Breakpoints, values and pieces of the running supremum of f, walked
+    from 0 (rightward) or from 1, in ascending order and not yet canonical.
+
+    Each interval is entered at its near end and left at its far end; a
+    piece that rises toward the far end is kept from where it passes the
+    running supremum on, and one-sided limits count toward the supremum.
+    """
+    fb, fv, fp = f.breakpoints, f.values, f.pieces
+    start, near, far, rising = (0, 0, 1, 1) if rightward else (-1, 1, 0, -1)
+    order = range(len(fp)) if rightward else reversed(range(len(fp)))
+    running = fv[start]
+    breaks, values = [fb[start]], [running]
+    pieces: list[Affine] = []
+    for i in order:
+        s, c = fp[i]
+        near_lim = s * fb[i + near] + c
+        far_lim = s * fb[i + far] + c
+        if s._numerator * rising > 0:
+            if near_lim >= running:
+                pieces.append((s, c))
+            elif far_lim <= running:
+                pieces.append((ZERO, running))
+            else:
+                crossing = (running - c) / s
+                pieces.append((ZERO, running))
+                breaks.append(crossing)
+                values.append(running)
+                pieces.append((s, c))
+        else:
+            pieces.append((ZERO, max(running, near_lim)))
+        running = max(running, near_lim, far_lim, fv[i + far])
+        breaks.append(fb[i + far])
+        values.append(running)
+    if rightward:
+        return breaks, values, pieces
+    return breaks[::-1], values[::-1], pieces[::-1]
+
+
 @lru_cache(maxsize=_CACHE)
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
     """Running supremum from the left: x -> sup{f(y) | y <= x}.
@@ -397,65 +436,13 @@ def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
     Increasing, idempotent, and exact: one-sided limits of pieces count
     toward the supremum even where the bound is not attained.
     """
-    breaks = [f.breakpoints[0]]
-    values = [f.values[0]]
-    pieces: list[Affine] = []
-    running = f.values[0]
-    for i, (s, c) in enumerate(f.pieces):
-        a, b = f.breakpoints[i], f.breakpoints[i + 1]
-        lo_lim = s * a + c
-        hi_lim = s * b + c
-        if s.numerator > 0:
-            if lo_lim >= running:
-                pieces.append((s, c))
-            elif hi_lim <= running:
-                pieces.append((ZERO, running))
-            else:
-                crossing = (running - c) / s
-                pieces.append((ZERO, running))
-                breaks.append(crossing)
-                values.append(running)
-                pieces.append((s, c))
-        else:
-            pieces.append((ZERO, max(running, lo_lim)))
-        running = max(running, lo_lim, hi_lim, f.values[i + 1])
-        breaks.append(b)
-        values.append(running)
-    return _build_canonical(breaks, values, pieces)
+    return _build_canonical(*_running_sup(f, rightward=True))
 
 
 @lru_cache(maxsize=_CACHE)
 def envelope_right(f: PiecewiseFn) -> PiecewiseFn:
     """Running supremum from the right: x -> sup{f(y) | y >= x}. Decreasing."""
-    breaks = [f.breakpoints[-1]]
-    values = [f.values[-1]]
-    pieces: list[Affine] = []
-    running = f.values[-1]
-    for i in range(len(f.pieces) - 1, -1, -1):
-        s, c = f.pieces[i]
-        a, b = f.breakpoints[i], f.breakpoints[i + 1]
-        lo_lim = s * a + c
-        hi_lim = s * b + c
-        if s.numerator < 0:
-            if hi_lim >= running:
-                pieces.append((s, c))
-            elif lo_lim <= running:
-                pieces.append((ZERO, running))
-            else:
-                crossing = (running - c) / s
-                pieces.append((ZERO, running))
-                breaks.append(crossing)
-                values.append(running)
-                pieces.append((s, c))
-        else:
-            pieces.append((ZERO, max(running, hi_lim)))
-        running = max(running, lo_lim, hi_lim, f.values[i])
-        breaks.append(a)
-        values.append(running)
-    breaks.reverse()
-    values.reverse()
-    pieces.reverse()
-    return _build_canonical(breaks, values, pieces)
+    return _build_canonical(*_running_sup(f, rightward=False))
 
 
 def envelope_left_strict(f: PiecewiseFn) -> PiecewiseFn:
@@ -478,17 +465,10 @@ def envelope_right_strict(f: PiecewiseFn) -> PiecewiseFn:
     return _build_canonical(g.breakpoints, values, g.pieces)
 
 
-@lru_cache(maxsize=_CACHE)
 def sup_value(f: PiecewiseFn) -> Fraction:
-    """Exact supremum over [0, 1], attained or approached."""
-    best = max(f.values)
-    for i, piece in enumerate(f.pieces):
-        best = max(
-            best,
-            _affine_at(piece, f.breakpoints[i]),
-            _affine_at(piece, f.breakpoints[i + 1]),
-        )
-    return best
+    """Exact supremum over [0, 1], attained or approached: the value the left
+    envelope ends on."""
+    return envelope_left(f).values[-1]
 
 
 def is_normal(f: PiecewiseFn) -> bool:
@@ -534,23 +514,17 @@ class EnvelopeThresholds:
     xi: Fraction
 
 
-def _first_at_one(h: PiecewiseFn) -> Fraction:
-    # inf of {x | h(x) = 1} for an increasing h that reaches 1; the inf of a
-    # piece that sits at 1 on an open interval is the interval's left end.
-    for i in range(len(h.breakpoints)):
-        if h.values[i] == ONE:
-            return h.breakpoints[i]
-        if i < len(h.pieces) and h.pieces[i] == (ZERO, ONE):
-            return h.breakpoints[i]
-    raise DomainError("function never reaches 1: not normal")
-
-
-def _last_at_one(h: PiecewiseFn) -> Fraction:
-    # sup of {x | h(x) = 1} for a decreasing h that starts at 1.
-    for i in range(len(h.breakpoints) - 1, -1, -1):
-        if h.values[i] == ONE:
-            return h.breakpoints[i]
-        if i > 0 and h.pieces[i - 1] == (ZERO, ONE):
+def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
+    # The first breakpoint, walking from 0 (rightward) or from 1, at which
+    # the monotone envelope h is 1 or is 1 just beyond: the inf (rightward)
+    # or sup of {x | h(x) = 1}, whose end may sit at a piece's open end.
+    last = len(h.pieces)
+    for k in range(last + 1):
+        i = k if rightward else last - k
+        beyond = i if rightward else i - 1
+        if h.values[i] == ONE or (
+            0 <= beyond < last and h.pieces[beyond] == (ZERO, ONE)
+        ):
             return h.breakpoints[i]
     raise DomainError("function never reaches 1: not normal")
 
@@ -560,7 +534,7 @@ def left_threshold(f: PiecewiseFn) -> Fraction:
     """inf{x | left envelope of f reaches 1}; requires f normal."""
     if not is_normal(f):
         raise DomainError("left_threshold requires a normal function")
-    return _first_at_one(envelope_left(f))
+    return _one_level_end(envelope_left(f), rightward=True)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -568,7 +542,7 @@ def right_threshold(f: PiecewiseFn) -> Fraction:
     """sup{x | right envelope of f reaches 1}; requires f normal."""
     if not is_normal(f):
         raise DomainError("right_threshold requires a normal function")
-    return _last_at_one(envelope_right(f))
+    return _one_level_end(envelope_right(f), rightward=False)
 
 
 def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:

@@ -112,6 +112,25 @@ def oracle_envelope_right_strict(f: PiecewiseFn, x: Fraction) -> Fraction:
     return exact_sup(f, x, ONE, include_lo=False)
 
 
+def oracle_level_one_ends(f: PiecewiseFn) -> tuple[Fraction, Fraction] | None:
+    """Least and greatest breakpoints at which f's value or a one-sided piece
+    limit is 1, read straight off the representation; None if there are none.
+
+    For a normal f these are the inf and the sup of where its left and right
+    envelopes reach 1: an affine piece bounded by 1 can only touch 1 at an
+    end of its interval, unless it is 1 throughout.
+    """
+    bks, last = f.breakpoints, len(f.pieces)
+    ends = [
+        b
+        for i, b in enumerate(bks)
+        if f.values[i] == ONE
+        or (i > 0 and f.pieces[i - 1][0] * b + f.pieces[i - 1][1] == ONE)
+        or (i < last and f.pieces[i][0] * b + f.pieces[i][1] == ONE)
+    ]
+    return (ends[0], ends[-1]) if ends else None
+
+
 def oracle_meet_value(f: PiecewiseFn, g: PiecewiseFn, x: Fraction) -> Fraction:
     """sup{f(y)^g(z) | min(y,z)=x} via the solution-set split {y=x,z>=x} u {z=x,y>=x}."""
     return max(

@@ -4,9 +4,14 @@ from fractions import Fraction
 import pytest
 
 import t2algebra as t
-from t2algebra.cli import main
+from t2algebra.cli import MAX_GRID, MAX_SAMPLES, MAX_TRIALS, main
 
 F = Fraction
+
+# two 2,200-digit integers, each well under the input digit bound; the
+# numbers built from both reach about 4,400 digits, past str()'s limit
+P = 10**2199 + 7
+Q = 6 * 10**2199 + 1
 
 
 @pytest.fixture
@@ -102,17 +107,50 @@ class TestEval:
         assert "invalid input" in err
 
     @pytest.mark.parametrize(
-        "huge", ['"1e-200000"', "1" * 5000], ids=["exponent", "int-literal"]
+        "huge",
+        [
+            {"v": '"1e-200000"'},
+            {"v": "1" * 5000},
+            # the first piece is 1/Q at 0 and 1/Q - 1/(5P) < 0 at 1/5
+            {"slope": f'"-1/{P}"', "intercept": f'"1/{Q}"'},
+        ],
+        ids=["exponent", "int-literal", "piece-leaves-range"],
     )
     def test_oversized_rational_is_validation_error(self, capsys, tmp_path, huge):
         doc = t.to_json_dict(t.indicator(F(1, 5), F(3, 5)))
-        doc["breakpoints"][0]["v"] = "HUGE"
+        slots = {"v": doc["breakpoints"][0], "slope": doc["pieces"][0]}
+        slots["intercept"] = slots["slope"]
+        for key in huge:
+            slots[key][key] = f"HUGE-{key}"
+        text = json.dumps(doc)
+        for key, literal in huge.items():
+            text = text.replace(f'"HUGE-{key}"', literal)
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc).replace('"HUGE"', huge))
+        path.write_text(text)
         code, out, err = run(capsys, ["eval", "neg", str(path)])
         assert code == 3
         assert out == ""
         assert err.startswith("invalid input:")
+        assert err.count("\n") == 1
+
+    def test_unprintable_result_is_internal_error(self, capsys, tmp_path):
+        # valid inputs, each one affine piece over [0, 1] with short values at
+        # the ends; their join breaks at the crossing of the two pieces, a
+        # point of about 4,400 digits that cannot be written out
+        ends = (F(0), F(1))
+        fns = {
+            "f": t.PiecewiseFn(ends, ends, ((F(1, P), F(1, P + Q + 2)),)),
+            "g": t.PiecewiseFn(ends, ends, ((F(-1, Q), F(1, Q)),)),
+        }
+        paths = []
+        for name, fn in fns.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(t.dumps(fn))
+            paths.append(str(path))
+        code, out, err = run(capsys, ["eval", "join", *paths])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("internal error:")
         assert err.count("\n") == 1
 
     def test_missing_file_is_validation_error(self, capsys, files):
@@ -269,6 +307,31 @@ class TestSeparationCommand:
         _, first, _ = run(capsys, ["separation", "--grid", "50"])
         _, second, _ = run(capsys, ["separation", "--grid", "50"])
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "eval",
+            "conv-meet:min:min",
+            "/nonexistent/f.json",
+            "/nonexistent/g.json",
+            "--grid",
+            str(MAX_GRID + 1),
+        ],
+        ["separation", "--grid", str(MAX_GRID + 1)],
+        ["eval", "neg", "/nonexistent/f.json", "--samples", str(MAX_SAMPLES + 1)],
+        ["axioms", "star", "tr-norm", "--trials", str(MAX_TRIALS + 1)],
+    ],
+    ids=["eval-grid", "separation-grid", "samples", "trials"],
+)
+def test_size_flag_over_its_bound_is_usage_error(capsys, argv):
+    # rejected before any file is read or any function is built
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "at most" in err
 
 
 def test_usage_error_for_unknown_command(capsys):

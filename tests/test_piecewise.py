@@ -11,10 +11,12 @@ from t2algebra import DomainError, ValidationError
 from conftest import lattice_fns, piecewise_fns, unit_fracs
 from oracles import (
     exact_sup,
+    exact_sup_full_scan,
     oracle_envelope_left,
     oracle_envelope_left_strict,
     oracle_envelope_right,
     oracle_envelope_right_strict,
+    oracle_level_one_ends,
     probe_points,
     quasiconcave_violation,
     reference_combine,
@@ -51,6 +53,12 @@ class TestEvaluate:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             t.evaluate(t.constant(0), F(3, 2))
+
+    def test_piece_containing_rejects_a_breakpoint(self):
+        f = t.indicator(F(1, 5), F(3, 5))
+        assert f.piece_containing(F(2, 5)) == (0, 1)
+        with pytest.raises(DomainError, match="is a breakpoint"):
+            f.piece_containing(F(1, 5))
 
 
 class TestCanonicalize:
@@ -330,6 +338,10 @@ class TestSupNormalConvex:
         assert t.sup_value(t.rising_ramp(F(1, 2))) == 1
         assert t.sup_value(t.constant(F(3, 10))) == F(3, 10)
 
+    @given(piecewise_fns())
+    def test_sup_matches_full_scan(self, f):
+        assert t.sup_value(f) == exact_sup_full_scan(f, F(0), F(1))
+
     def test_sup_counts_unattained_limits(self):
         # climbs to 1 at the right endpoint but drops at the point itself
         f = t.PiecewiseFn((F(0), F(1)), (F(0), F(1, 4)), ((F(1), F(0)),))
@@ -390,6 +402,19 @@ class TestThresholds:
     def test_requires_normal_inputs(self):
         with pytest.raises(DomainError):
             t.thresholds(t.constant(F(1, 2)), t.constant(1))
+
+    # arbitrary functions add level sets that are open at an end and
+    # functions that never reach 1
+    @given(st.one_of(lattice_fns(), piecewise_fns()))
+    def test_thresholds_are_the_level_one_ends(self, f):
+        ends = oracle_level_one_ends(f)
+        if ends is None:
+            with pytest.raises(DomainError, match="requires a normal function"):
+                t.left_threshold(f)
+            with pytest.raises(DomainError, match="requires a normal function"):
+                t.right_threshold(f)
+        else:
+            assert (t.left_threshold(f), t.right_threshold(f)) == ends
 
     @given(lattice_fns(), lattice_fns())
     def test_eta_never_exceeds_xi(self, f, g):
@@ -468,6 +493,20 @@ class TestJsonRoundTrip:
     def test_round_trip_arbitrary(self, f):
         g = t.canonicalize(f)
         assert t.loads(t.dumps(g)) == g
+
+    @pytest.mark.parametrize("name", ["meet", "join", "star", "costar"])
+    @given(f=lattice_fns(), g=lattice_fns())
+    def test_binary_results_are_canonical_and_round_trip(self, name, f, g):
+        result = getattr(t, name)(f, g)
+        assert t.canonicalize(result) == result
+        assert t.loads(t.dumps(result)) == result
+
+    @pytest.mark.parametrize("name", ["reflect", "envelope_left", "envelope_right"])
+    @given(f=lattice_fns())
+    def test_unary_results_are_canonical_and_round_trip(self, name, f):
+        result = getattr(t, name)(f)
+        assert t.canonicalize(result) == result
+        assert t.loads(t.dumps(result)) == result
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
