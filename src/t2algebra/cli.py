@@ -42,8 +42,9 @@ EXIT_INTERNAL = 5
 
 # Upper bounds on the size flags, checked before any work starts, so that a
 # mistyped number cannot run for hours or exhaust memory.
-# --grid: a grid convolution takes time quadratic in the resolution (about
-# 1 s for a banded one at the default 200), so 2,000 already takes minutes.
+# --grid: an exact (min/max) grid convolution takes time linear in the
+# resolution, a banded one quadratic (up to about 1 s at the default 200),
+# so a banded one at 2,000 already takes minutes.
 MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000

@@ -16,18 +16,49 @@ bound for the true supremum (every reported pair is a genuine admissible
 pair up to the band). Lower bounds are first-class here: the separation
 arguments this oracle backs only ever need one admissible pair with a large
 value.
+
+Fast paths. When the inner connective is one of the library's own t-norms
+or t-conorms (``builtin_connectives()``, matched by identity), it is
+nondecreasing in each argument (T3), so a supremum of x * y over a set of
+y is x * (the largest y). Grid values are attained maxima, so this is an
+equality, not a bound, and both fast paths return exactly what the per-pair
+paths return:
+
+- exact path (min/max combiner), O(n): the value at x_k is
+  max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
+  j <= k for the join form; both maxima come from one running-max sweep;
+- banded path, one * per row and reached grid point instead of one per
+  pair: row i contributes f_i * (the largest g_j over the partners j whose
+  band holds x_k).
+
+Every other inner connective, including a user-built one that declares a
+t-norm or t-conorm profile, takes the per-pair paths: a declared profile is
+not checked for monotonicity, and a non-monotone one would make the fast
+paths wrong. A single banded point (``convolve_*_at``) calls * only on the
+pairs whose band holds it; when the combiner is a builtin too, so monotone,
+those pairs are a run in each row, found by bisection without trying the
+others.
 """
 
 from __future__ import annotations
 
 import io
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
 
-from .connectives import MINIMUM, ScalarConnective, T_CONORM, T_NORM
+from .connectives import (
+    MAXIMUM,
+    MINIMUM,
+    ScalarConnective,
+    T_CONORM,
+    T_NORM,
+    builtin_connectives,
+)
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, evaluate, falling_ramp, to_json_dict, unit_spike
+from .piecewise import PiecewiseFn, falling_ramp, to_json_dict, unit_spike
 from .rationals import ONE, ZERO, format_rational, to_rational
 from .report import AxiomReport, falsify
 
@@ -89,60 +120,153 @@ class GridFn:
 
 
 def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
-    return [evaluate(f, x) for x in pts]
+    """f at each of the ascending points pts, in one walk over f's breakpoints."""
+    breaks, values, pieces = f.breakpoints, f.values, f.pieces
+    out = []
+    i = 0  # the first breakpoint at or beyond x; the last one is 1
+    for x in pts:
+        while breaks[i] < x:
+            i += 1
+        if breaks[i] == x:
+            out.append(values[i])
+        else:
+            slope, intercept = pieces[i - 1]
+            out.append(slope * x + intercept)
+    return out
+
+
+def _running_max(values: list[Fraction], reverse: bool) -> list[Fraction]:
+    """Prefix maxima of values, or suffix maxima when reverse."""
+    if reverse:
+        return list(accumulate(reversed(values), max))[::-1]
+    return list(accumulate(values, max))
 
 
 def _exact_value(fv, gv, star, k, js) -> Fraction:
     return max(v for j in js for v in (star(fv[k], gv[j]), star(fv[j], gv[k])))
 
 
-def _banded(f, g, star, combiner, grid: GridSpec) -> GridFn:
-    n = grid.resolution
+# the library's own t-norms and t-conorms, nondecreasing in each argument
+# (T3) and each with a neutral element; matched by identity, so a user-built
+# connective, even one wrapping a builtin's function, takes the reference paths
+_MONOTONE = builtin_connectives()
+
+
+def _is_monotone(conn: ScalarConnective) -> bool:
+    return any(conn is c for c in _MONOTONE)
+
+
+def _bands(combiner, pts, i, tol, lo, hi):
+    """(j, k_lo, k_hi) for each partner j of x_i whose tolerance band around
+    combiner(x_i, x_j) holds the grid points k_lo..k_hi (at least one).
+
+    Partners whose band cannot meet lo..hi may be left out: for a monotone
+    combiner only the run of j with combiner(x_i, x_j) within tol of
+    x_lo..x_hi is visited, found by bisection. That run still reaches every
+    target x_k, from (x_k, e) for the combiner's neutral element e, so the
+    left-out pairs never decide whether any grid point is reached.
+    """
+    n = len(pts) - 1
+    a, b = tol.as_integer_ratio()
+    x = pts[i]
+    js = range(n + 1)
+    if (lo, hi) != (0, n) and _is_monotone(combiner):
+        key = partial(combiner, x)
+        js = range(
+            bisect_left(pts, pts[lo] - tol, key=key),
+            bisect_right(pts, pts[hi] + tol, key=key),
+        )
+    for j in js:
+        p, q = combiner(x, pts[j]).as_integer_ratio()
+        # ceil((w - tol) * n) and floor((w + tol) * n) for w = p/q, in integers
+        k_lo = max(0, -((a * q - p * b) * n // (q * b)))
+        k_hi = min(n, (p * b + a * q) * n // (q * b))
+        if k_lo <= k_hi:
+            yield j, k_lo, k_hi
+
+
+def _banded_pairs(fv, gv, star, combiner, grid: GridSpec, lo, hi):
+    """Banded values at k = lo..hi, one star call per pair whose band meets
+    lo..hi; also whether any pair reaches any grid point."""
     pts = grid.points()
-    fv = _grid_values(f, pts)
-    gv = _grid_values(g, pts)
-    tol = grid.tolerance
-    best: list[Fraction | None] = [None] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            w = combiner(pts[i], pts[j])
-            k_lo = max(0, math.ceil((w - tol) * n))
-            k_hi = min(n, math.floor((w + tol) * n))
+    best: list[Fraction | None] = [None] * len(pts)
+    reached = False
+    for i in range(len(pts)):
+        for j, k_lo, k_hi in _bands(combiner, pts, i, grid.tolerance, lo, hi):
+            reached = True
+            k_lo, k_hi = max(k_lo, lo), min(k_hi, hi)
             if k_lo > k_hi:
                 continue
             value = star(fv[i], gv[j])
             for k in range(k_lo, k_hi + 1):
                 if best[k] is None or value > best[k]:
                     best[k] = value
-    if all(v is None for v in best):
-        raise DomainError("empty constraint set at every grid point")
-    return GridFn(n, tuple(best))
+    return best[lo : hi + 1], reached
+
+
+def _banded_rows(fv, gv, star, combiner, grid: GridSpec, lo, hi):
+    """_banded_pairs for a monotone star, one star call per row and reached k.
+
+    Row i's supremum at k is star(fv[i], m) for m the largest gv[j] over the
+    partners j whose band holds k, since star is nondecreasing in g's value.
+    """
+    pts = grid.points()
+    best: list[Fraction | None] = [None] * len(pts)
+    reached = False
+    for i in range(len(pts)):
+        row: list[Fraction | None] = [None] * len(pts)
+        for j, k_lo, k_hi in _bands(combiner, pts, i, grid.tolerance, lo, hi):
+            reached = True
+            v = gv[j]
+            for k in range(max(k_lo, lo), min(k_hi, hi) + 1):
+                if row[k] is None or v > row[k]:
+                    row[k] = v
+        for k in range(lo, hi + 1):
+            if row[k] is not None:
+                value = star(fv[i], row[k])
+                if best[k] is None or value > best[k]:
+                    best[k] = value
+    return best[lo : hi + 1], reached
 
 
 # per form: the profile its combiner must declare, the combiner whose solution
-# set is computed exactly, and the indices j with combiner(x_k, x_j) = x_k on
-# the grid x_0..x_n
+# set is computed exactly, and whether its partners j with combiner(x_k, x_j)
+# = x_k lie above k (meet: j >= k) rather than below (join: j <= k)
 _FORMS = {
-    "meet": (T_NORM, "min", lambda k, n: range(k, n + 1)),
-    "join": (T_CONORM, "max", lambda k, n: range(k + 1)),
+    "meet": (T_NORM, MINIMUM, True),
+    "join": (T_CONORM, MAXIMUM, False),
 }
 
 
 def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
     """The whole grid of a convolution form, or its value at x alone."""
-    profile, exact, partners = _FORMS[form]
+    profile, exact, above = _FORMS[form]
     if combiner.profile != profile:
         raise DomainError(f"combiner {combiner.name!r} is not declared a {profile}")
     n = grid.resolution
-    ks = range(n + 1) if x is None else [grid.index_of(x)]
-    if combiner.name == exact:
-        pts = grid.points()
-        fv = _grid_values(f, pts)
-        gv = _grid_values(g, pts)
-        values = [_exact_value(fv, gv, star, k, partners(k, n)) for k in ks]
+    lo, hi = (0, n) if x is None else (grid.index_of(x),) * 2
+    pts = grid.points()
+    fv = _grid_values(f, pts)
+    gv = _grid_values(g, pts)
+    monotone = _is_monotone(star)
+    if combiner == exact and monotone:
+        # sup_j star(fv[k], gv[j]) = star(fv[k], sup_j gv[j]) for a star
+        # nondecreasing in each argument, and likewise with f and g swapped
+        fm = _running_max(fv, above)
+        gm = _running_max(gv, above)
+        values = [
+            max(star(fv[k], gm[k]), star(fm[k], gv[k])) for k in range(lo, hi + 1)
+        ]
+    elif combiner == exact:
+        values = [
+            _exact_value(fv, gv, star, k, range(k, n + 1) if above else range(k + 1))
+            for k in range(lo, hi + 1)
+        ]
     else:
-        banded = _banded(f, g, star, combiner, grid).values
-        values = [banded[k] for k in ks]
+        banded = _banded_rows if monotone else _banded_pairs
+        values, reached = banded(fv, gv, star, combiner, grid, lo, hi)
+        if not reached:
+            raise DomainError("empty constraint set at every grid point")
     return GridFn(n, tuple(values)) if x is None else values[0]
 
 

@@ -1,17 +1,34 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
+from t2algebra.convolution import _grid_values
 
+from conftest import piecewise_fns
 from oracles import brute_convolution_grid
 
 F = Fraction
 
+CONVOLVE = {"meet": t.convolve_meet, "join": t.convolve_join}
+CONVOLVE_AT = {"meet": t.convolve_meet_at, "join": t.convolve_join_at}
+EXACT_COMBINER = {"meet": t.MINIMUM, "join": t.MAXIMUM}
+BANDED_COMBINERS = {
+    "meet": (t.PRODUCT, t.LUKASIEWICZ, t.DRASTIC),
+    "join": (t.PROBABILISTIC_SUM, t.BOUNDED_SUM, t.DRASTIC_CONORM),
+}
+
 
 def grid(n, tol=None):
     return t.GridSpec(n, tol)
+
+
+def reference_copy(conn):
+    """A user-built connective with conn's function: the per-pair paths."""
+    return t.ScalarConnective(conn.name, conn.fn, conn.profile)
 
 
 class TestGridSpec:
@@ -139,11 +156,17 @@ class TestBandedPath:
         assert got.values[1] is not None
         assert got.values[2] is None
         assert got.defined == (True, True, False)
+        one, spec = t.constant(1), grid(2, F(0))
+        for x, v in zip(spec.points(), got.values):
+            assert t.convolve_meet_at(one, one, t.MINIMUM, third_mean, spec, x) == v
 
     def test_empty_constraint_set_everywhere_raises(self):
         stuck = t.ScalarConnective("third", lambda x, y: F(1, 3), "t-norm")
         with pytest.raises(DomainError):
             t.convolve_meet(t.TOP, t.TOP, t.MINIMUM, stuck, grid(2, F(0)))
+        for x in grid(2).points():
+            with pytest.raises(DomainError, match="empty constraint set"):
+                t.convolve_meet_at(t.TOP, t.TOP, t.MINIMUM, stuck, grid(2, F(0)), x)
 
     def test_refining_grid_never_lowers_defined_values(self):
         f = t.step(F(1, 2), 1, F(1, 4))
@@ -226,3 +249,130 @@ class TestGridFnCsv:
         )
         text = got.to_csv(decimal=True)
         assert "0.5,1,true" in text
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("n", [2, 3, 16, 45])
+    @given(f=piecewise_fns())
+    def test_one_sweep_matches_evaluate(self, n, f):
+        pts = grid(n).points()
+        assert _grid_values(f, pts) == [t.evaluate(f, x) for x in pts]
+
+
+class TestExactPathChoice:
+    @pytest.mark.parametrize(
+        "form, impostor, genuine",
+        [
+            ("meet", t.ScalarConnective("min", lambda x, y: x * y, "t-norm"), t.PRODUCT),
+            (
+                "join",
+                t.ScalarConnective("max", lambda x, y: x + y - x * y, "t-conorm"),
+                t.PROBABILISTIC_SUM,
+            ),
+        ],
+        ids=["meet", "join"],
+    )
+    def test_combiner_is_matched_by_identity_not_name(self, form, impostor, genuine):
+        f = t.step(F(1, 2), 1, F(1, 4))
+        g = t.indicator(F(1, 4), F(3, 4))
+        conv = CONVOLVE[form]
+        got = conv(f, g, t.MINIMUM, impostor, grid(16))
+        assert got == conv(f, g, t.MINIMUM, genuine, grid(16))
+
+
+@pytest.mark.parametrize("form", ["meet", "join"])
+@pytest.mark.parametrize("inner", t.builtin_connectives(), ids=lambda c: c.name)
+class TestMonotoneFastPaths:
+    """The fast paths for the library's connectives against the per-pair
+    reference paths and the literal enumeration, on arbitrary functions."""
+
+    @settings(max_examples=25)
+    @given(f=piecewise_fns(), g=piecewise_fns(), n=st.sampled_from((2, 3, 16)))
+    def test_exact_path(self, form, inner, f, g, n):
+        combiner = EXACT_COMBINER[form]
+        fast = CONVOLVE[form](f, g, inner, combiner, grid(n))
+        slow = CONVOLVE[form](f, g, reference_copy(inner), combiner, grid(n))
+        assert fast == slow
+        assert list(fast.values) == brute_convolution_grid(f, g, inner, combiner, n)
+
+    @settings(max_examples=25)
+    @given(
+        f=piecewise_fns(),
+        g=piecewise_fns(),
+        n=st.sampled_from((2, 3, 16)),
+        pick=st.integers(0, 2),
+        at=st.integers(0, 16),
+    )
+    def test_banded_path(self, form, inner, f, g, n, pick, at):
+        combiner = BANDED_COMBINERS[form][pick]
+        k = min(at, n)
+        for tol in (None, F(0)):
+            spec = grid(n, tol)
+            fast = CONVOLVE[form](f, g, inner, combiner, spec)
+            slow = CONVOLVE[form](f, g, reference_copy(inner), combiner, spec)
+            assert fast == slow
+            for conn in (inner, reference_copy(inner)):
+                point = CONVOLVE_AT[form](f, g, conn, combiner, spec, F(k, n))
+                assert point == fast.values[k]
+        # at zero tolerance a band is the one grid point the combiner hits
+        assert list(fast.values) == brute_convolution_grid(f, g, inner, combiner, n)
+
+
+class TestDeclaredProfileIsNotTrusted:
+    """A user-built connective declared a t-conorm but not monotone (T3 fails)
+    keeps the per-pair result, which a running maximum would miss."""
+
+    GAP = t.ScalarConnective("gap", lambda x, y: abs(x - y), "t-conorm")
+
+    @pytest.mark.parametrize("form", ["meet", "join"])
+    @settings(max_examples=40)
+    @given(f=piecewise_fns(), g=piecewise_fns())
+    def test_exact_path_matches_literal_pair_enumeration(self, form, f, g):
+        combiner = EXACT_COMBINER[form]
+        got = CONVOLVE[form](f, g, self.GAP, combiner, grid(16))
+        assert list(got.values) == brute_convolution_grid(f, g, self.GAP, combiner, 16)
+
+    @pytest.mark.parametrize("form", ["meet", "join"])
+    @settings(max_examples=40)
+    @given(f=piecewise_fns(), g=piecewise_fns())
+    def test_banded_path_matches_literal_pair_enumeration(self, form, f, g):
+        combiner = BANDED_COMBINERS[form][0]
+        got = CONVOLVE[form](f, g, self.GAP, combiner, grid(16, F(0)))
+        assert list(got.values) == brute_convolution_grid(f, g, self.GAP, combiner, 16)
+
+
+class TestProjectionReference:
+    @pytest.mark.parametrize("form", ["meet", "join"])
+    @given(f=piecewise_fns(), g=piecewise_fns(), n=st.sampled_from((2, 3, 16)))
+    def test_matches_literal_pair_enumeration(self, form, f, g, n):
+        combiner = EXACT_COMBINER[form]
+        got = CONVOLVE[form](f, g, t.PROJECTION, combiner, grid(n))
+        assert list(got.values) == brute_convolution_grid(
+            f, g, t.PROJECTION, combiner, n
+        )
+
+
+class TestBandedSinglePoint:
+    @pytest.mark.parametrize("tol", [None, F(0)], ids=["default-tol", "zero-tol"])
+    @pytest.mark.parametrize(
+        "form, combiner",
+        [
+            ("meet", t.PRODUCT),
+            ("meet", t.LUKASIEWICZ),
+            ("join", t.PROBABILISTIC_SUM),
+            ("join", t.BOUNDED_SUM),
+        ],
+        ids=lambda c: getattr(c, "name", c),
+    )
+    @pytest.mark.parametrize(
+        "inner", [t.PRODUCT, reference_copy(t.PRODUCT)], ids=["builtin", "user-built"]
+    )
+    def test_point_equals_full_grid(self, form, combiner, tol, inner):
+        f = t.step(F(1, 2), 1, F(1, 4))
+        g = t.indicator(F(1, 4), F(3, 4))
+        spec = grid(16, tol)
+        full = CONVOLVE[form](f, g, inner, combiner, spec)
+        points = [
+            CONVOLVE_AT[form](f, g, inner, combiner, spec, x) for x in spec.points()
+        ]
+        assert points == list(full.values)
