@@ -43,8 +43,10 @@ EXIT_INTERNAL = 5
 # Upper bounds on the size flags, checked before any work starts, so that a
 # mistyped number cannot run for hours or exhaust memory.
 # --grid: an exact (min/max) grid convolution takes time linear in the
-# resolution, a banded one quadratic (up to about 1 s at the default 200),
-# so a banded one at 2,000 already takes minutes.
+# resolution, a banded one quadratic. With builtin connectives a banded one
+# takes 0.1-0.25 s at the default 200 and 15-25 s at 2,000 (2-core box,
+# Python 3.11); a user-built connective is called on every pair, several
+# times slower.
 MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000

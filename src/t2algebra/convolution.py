@@ -17,27 +17,41 @@ pair up to the band). Lower bounds are first-class here: the separation
 arguments this oracle backs only ever need one admissible pair with a large
 value.
 
-Fast paths. When the inner connective is one of the library's own t-norms
-or t-conorms (``builtin_connectives()``, matched by identity), it is
-nondecreasing in each argument (T3), so a supremum of x * y over a set of
-y is x * (the largest y). Grid values are attained maxima, so this is an
-equality, not a bound, and both fast paths return exactly what the per-pair
-paths return:
+Fast paths. The library's own t-norms and t-conorms
+(``builtin_connectives()``) are matched by identity in one table,
+``_INDEX_FORMS``. Each is nondecreasing in each argument (T3), has a
+neutral element, and has a closed form on grid indices: at the grid points
+(i/n, j/n) it is the integer ratio (p, q), for instance (i*j, n*n) for the
+product and (max(i + j - n, 0), n) for Lukasiewicz.
+
+A builtin combiner is never called on the banded path: each pair's band
+ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic on
+(p, q). A single banded point (``convolve_*_at``) visits only the run of
+partners in each row whose band can hold it, found by bisection over the
+integer band bounds.
+
+A builtin inner connective is called through its function, not through
+``ScalarConnective.__call__``: every grid value is checked to lie in
+[0, 1] once per grid, and every result once, both in integers. It is
+nondecreasing, so a supremum of x * y over a set of y is x * (the largest
+y). Grid values are attained maxima, so this is an equality, not a bound,
+and both fast paths return exactly what the per-pair paths return:
 
 - exact path (min/max combiner), O(n): the value at x_k is
   max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
   j <= k for the join form; both maxima come from one running-max sweep;
 - banded path, one * per row and reached grid point instead of one per
   pair: row i contributes f_i * (the largest g_j over the partners j whose
-  band holds x_k).
+  band holds x_k). The row maxima are integer ranks of g's grid values.
 
-Every other inner connective, including a user-built one that declares a
-t-norm or t-conorm profile, takes the per-pair paths: a declared profile is
-not checked for monotonicity, and a non-monotone one would make the fast
-paths wrong. A single banded point (``convolve_*_at``) calls * only on the
-pairs whose band holds it; when the combiner is a builtin too, so monotone,
-those pairs are a run in each row, found by bisection without trying the
-others.
+Every other connective, including a user-built one that declares a t-norm
+or t-conorm profile or wraps a builtin's function, is called through
+``ScalarConnective.__call__`` on every pair it is asked about: a user-built
+combiner on every pair of the grid, a user-built inner connective on every
+pair whose band meets the requested points. A declared profile is not
+checked for monotonicity, and a non-monotone one would make the fast paths
+wrong. These per-pair paths are the reference the fast paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -50,15 +64,20 @@ from functools import partial
 from itertools import accumulate
 
 from .connectives import (
+    BOUNDED_SUM,
+    DRASTIC,
+    DRASTIC_CONORM,
+    LUKASIEWICZ,
     MAXIMUM,
     MINIMUM,
+    PROBABILISTIC_SUM,
+    PRODUCT,
     ScalarConnective,
     T_CONORM,
     T_NORM,
-    builtin_connectives,
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, falling_ramp, to_json_dict, unit_spike
+from .piecewise import PiecewiseFn, _in_unit, falling_ramp, to_json_dict, unit_spike
 from .rationals import ONE, ZERO, format_rational, to_rational
 from .report import AxiomReport, falsify
 
@@ -120,7 +139,8 @@ class GridFn:
 
 
 def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
-    """f at each of the ascending points pts, in one walk over f's breakpoints."""
+    """f at each of the ascending points pts, in one walk over f's breakpoints,
+    each checked to lie in [0, 1]."""
     breaks, values, pieces = f.breakpoints, f.values, f.pieces
     out = []
     i = 0  # the first breakpoint at or beyond x; the last one is 1
@@ -132,6 +152,8 @@ def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
         else:
             slope, intercept = pieces[i - 1]
             out.append(slope * x + intercept)
+        if not _in_unit(out[-1]):
+            raise ValidationError(f"{out[-1]} lies outside [0, 1]")
     return out
 
 
@@ -146,53 +168,87 @@ def _exact_value(fv, gv, star, k, js) -> Fraction:
     return max(v for j in js for v in (star(fv[k], gv[j]), star(fv[j], gv[k])))
 
 
-# the library's own t-norms and t-conorms, nondecreasing in each argument
-# (T3) and each with a neutral element; matched by identity, so a user-built
-# connective, even one wrapping a builtin's function, takes the reference paths
-_MONOTONE = builtin_connectives()
+def _drastic_index(i, j, n):
+    return (i if j == n else j if i == n else 0), n
 
 
-def _is_monotone(conn: ScalarConnective) -> bool:
-    return any(conn is c for c in _MONOTONE)
+def _drastic_conorm_index(i, j, n):
+    return (i if j == 0 else j if i == 0 else n), n
 
 
-def _bands(combiner, pts, i, tol, lo, hi):
+# the library's own t-norms and t-conorms, each with its value at the grid
+# points (i/n, j/n) as a ratio (p, q) of integers. All are nondecreasing in
+# each argument (T3) and each has a neutral element. Keyed by identity, so a
+# user-built connective, even one wrapping a builtin's function, is not found
+# and takes the reference paths.
+_INDEX_FORMS = {
+    id(MINIMUM): lambda i, j, n: (min(i, j), n),
+    id(PRODUCT): lambda i, j, n: (i * j, n * n),
+    id(LUKASIEWICZ): lambda i, j, n: (max(i + j - n, 0), n),
+    id(DRASTIC): _drastic_index,
+    id(MAXIMUM): lambda i, j, n: (max(i, j), n),
+    id(PROBABILISTIC_SUM): lambda i, j, n: (n * (i + j) - i * j, n * n),
+    id(BOUNDED_SUM): lambda i, j, n: (min(i + j, n), n),
+    id(DRASTIC_CONORM): _drastic_conorm_index,
+}
+
+
+def _direct(conn: ScalarConnective):
+    """conn's own function for arguments known to lie in [0, 1], with the
+    escape check of ScalarConnective.__call__ made in integers."""
+    fn, name = conn.fn, conn.name
+
+    def call(x: Fraction, y: Fraction) -> Fraction:
+        result = fn(x, y)
+        if not _in_unit(result):
+            raise DomainError(f"{name}({x}, {y}) = {result} escapes [0, 1]")
+        return result
+
+    return call
+
+
+def _bands(combiner, pts, tol, lo, hi, i):
     """(j, k_lo, k_hi) for each partner j of x_i whose tolerance band around
     combiner(x_i, x_j) holds the grid points k_lo..k_hi (at least one).
 
-    Partners whose band cannot meet lo..hi may be left out: for a monotone
-    combiner only the run of j with combiner(x_i, x_j) within tol of
-    x_lo..x_hi is visited, found by bisection. That run still reaches every
-    target x_k, from (x_k, e) for the combiner's neutral element e, so the
-    left-out pairs never decide whether any grid point is reached.
+    Partners whose band cannot meet lo..hi may be left out: for a builtin
+    combiner (monotone) only the run of j whose band meets lo..hi is visited,
+    found by bisection. That run still reaches every target x_k, from (x_k, e)
+    for the combiner's neutral element e, so the left-out pairs never decide
+    whether any grid point is reached.
     """
     n = len(pts) - 1
     a, b = tol.as_integer_ratio()
-    x = pts[i]
+    index_form = _INDEX_FORMS.get(id(combiner))
+
+    def band(j):
+        # ceil((w - tol) * n) and floor((w + tol) * n) for w = p/q, in integers
+        if index_form is None:
+            p, q = combiner(pts[i], pts[j]).as_integer_ratio()
+        else:
+            p, q = index_form(i, j, n)
+        return -((a * q - p * b) * n // (q * b)), (p * b + a * q) * n // (q * b)
+
     js = range(n + 1)
-    if (lo, hi) != (0, n) and _is_monotone(combiner):
-        key = partial(combiner, x)
+    if (lo, hi) != (0, n) and index_form is not None:
         js = range(
-            bisect_left(pts, pts[lo] - tol, key=key),
-            bisect_right(pts, pts[hi] + tol, key=key),
+            bisect_left(js, lo, key=lambda j: band(j)[1]),
+            bisect_right(js, hi, key=lambda j: band(j)[0]),
         )
     for j in js:
-        p, q = combiner(x, pts[j]).as_integer_ratio()
-        # ceil((w - tol) * n) and floor((w + tol) * n) for w = p/q, in integers
-        k_lo = max(0, -((a * q - p * b) * n // (q * b)))
-        k_hi = min(n, (p * b + a * q) * n // (q * b))
+        k_lo, k_hi = band(j)
+        k_lo, k_hi = max(0, k_lo), min(n, k_hi)
         if k_lo <= k_hi:
             yield j, k_lo, k_hi
 
 
-def _banded_pairs(fv, gv, star, combiner, grid: GridSpec, lo, hi):
+def _banded_pairs(fv, gv, star, bands, lo, hi):
     """Banded values at k = lo..hi, one star call per pair whose band meets
     lo..hi; also whether any pair reaches any grid point."""
-    pts = grid.points()
-    best: list[Fraction | None] = [None] * len(pts)
+    best: list[Fraction | None] = [None] * len(fv)
     reached = False
-    for i in range(len(pts)):
-        for j, k_lo, k_hi in _bands(combiner, pts, i, grid.tolerance, lo, hi):
+    for i in range(len(fv)):
+        for j, k_lo, k_hi in bands(i):
             reached = True
             k_lo, k_hi = max(k_lo, lo), min(k_hi, hi)
             if k_lo > k_hi:
@@ -204,26 +260,30 @@ def _banded_pairs(fv, gv, star, combiner, grid: GridSpec, lo, hi):
     return best[lo : hi + 1], reached
 
 
-def _banded_rows(fv, gv, star, combiner, grid: GridSpec, lo, hi):
+def _banded_rows(fv, gv, star, bands, lo, hi):
     """_banded_pairs for a monotone star, one star call per row and reached k.
 
     Row i's supremum at k is star(fv[i], m) for m the largest gv[j] over the
     partners j whose band holds k, since star is nondecreasing in g's value.
+    The row maxima are kept as ranks among gv's distinct values, so finding
+    them compares integers.
     """
-    pts = grid.points()
-    best: list[Fraction | None] = [None] * len(pts)
+    levels = sorted(set(gv))
+    rank = {v: r for r, v in enumerate(levels)}
+    gr = [rank[v] for v in gv]
+    best: list[Fraction | None] = [None] * len(fv)
     reached = False
-    for i in range(len(pts)):
-        row: list[Fraction | None] = [None] * len(pts)
-        for j, k_lo, k_hi in _bands(combiner, pts, i, grid.tolerance, lo, hi):
+    for i in range(len(fv)):
+        row = [-1] * len(fv)
+        for j, k_lo, k_hi in bands(i):
             reached = True
-            v = gv[j]
+            r = gr[j]
             for k in range(max(k_lo, lo), min(k_hi, hi) + 1):
-                if row[k] is None or v > row[k]:
-                    row[k] = v
+                if r > row[k]:
+                    row[k] = r
         for k in range(lo, hi + 1):
-            if row[k] is not None:
-                value = star(fv[i], row[k])
+            if row[k] >= 0:
+                value = star(fv[i], levels[row[k]])
                 if best[k] is None or value > best[k]:
                     best[k] = value
     return best[lo : hi + 1], reached
@@ -248,7 +308,10 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
     pts = grid.points()
     fv = _grid_values(f, pts)
     gv = _grid_values(g, pts)
-    monotone = _is_monotone(star)
+    monotone = id(star) in _INDEX_FORMS
+    if monotone:
+        # grid values are range-checked once, by _grid_values, not per call
+        star = _direct(star)
     if combiner == exact and monotone:
         # sup_j star(fv[k], gv[j]) = star(fv[k], sup_j gv[j]) for a star
         # nondecreasing in each argument, and likewise with f and g swapped
@@ -263,8 +326,9 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
             for k in range(lo, hi + 1)
         ]
     else:
+        bands = partial(_bands, combiner, pts, grid.tolerance, lo, hi)
         banded = _banded_rows if monotone else _banded_pairs
-        values, reached = banded(fv, gv, star, combiner, grid, lo, hi)
+        values, reached = banded(fv, gv, star, bands, lo, hi)
         if not reached:
             raise DomainError("empty constraint set at every grid point")
     return GridFn(n, tuple(values)) if x is None else values[0]

@@ -594,6 +594,8 @@ def loads(text: str) -> PiecewiseFn:
         data = json.loads(text)
     except ValueError as exc:  # malformed, or an int literal over the digit limit
         raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested deeper than json can read
+        raise ValidationError("invalid JSON: nested too deeply") from None
     return from_json_dict(data)
 
 

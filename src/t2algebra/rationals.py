@@ -39,7 +39,8 @@ def to_rational(value) -> Fraction:
         return value
     if isinstance(value, str) and _digit_bound(value) >= _MAX_DIGITS:
         raise ValidationError(f"rational too large: {_MAX_DIGITS} digits or more")
-    if isinstance(value, (int, str)):
+    # bool is an int subclass, but JSON true/false are not numbers
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -153,6 +153,30 @@ class TestEval:
         assert err.startswith("internal error:")
         assert err.count("\n") == 1
 
+    def test_deeply_nested_json_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, ["eval", "neg", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input:")
+        assert err.count("\n") == 1
+
+    # each boolean stands where it would read as the right number, 0 or 1
+    @pytest.mark.parametrize("index, literal", [(0, "false"), (-1, "true")])
+    def test_json_boolean_is_not_a_rational(
+        self, capsys, tmp_path, files, index, literal
+    ):
+        doc = t.to_json_dict(t.indicator(F(1, 5), F(3, 5)))
+        doc["breakpoints"][index]["x"] = "BOOL"
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc).replace('"BOOL"', literal))
+        code, out, err = run(capsys, ["eval", "meet", str(path), files["band"]])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input:")
+        assert err.count("\n") == 1
+
     def test_missing_file_is_validation_error(self, capsys, files):
         code, _, _ = run(capsys, ["eval", "neg", "/nonexistent/f.json"])
         assert code == 3

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
-from t2algebra.convolution import _grid_values
+from t2algebra.convolution import _INDEX_FORMS, _direct, _grid_values
 
 from conftest import piecewise_fns
 from oracles import brute_convolution_grid
@@ -251,6 +251,26 @@ class TestGridFnCsv:
         assert "0.5,1,true" in text
 
 
+class TestGridFnValueAt:
+    def test_reads_the_slot_of_a_grid_point(self):
+        got = t.GridFn(4, (F(1), None, F(1, 2), F(0), F(1, 3)))
+        assert got.value_at(0) == 1
+        assert got.value_at(F(1, 4)) is None
+        assert got.value_at("1/2") == F(1, 2)
+        assert got.value_at(1) == F(1, 3)
+
+    def test_agrees_with_the_grid(self):
+        spec = grid(8)
+        f, g = t.step(F(1, 2), 1, F(1, 4)), t.indicator(F(1, 4), F(3, 4))
+        full = t.convolve_meet(f, g, t.PRODUCT, t.LUKASIEWICZ, spec)
+        assert [full.value_at(x) for x in spec.points()] == list(full.values)
+
+    @pytest.mark.parametrize("x", [F(1, 3), F(5, 4), -1])
+    def test_off_grid_point_raises(self, x):
+        with pytest.raises(DomainError):
+            t.GridFn(4, (F(0),) * 5).value_at(x)
+
+
 class TestGridValues:
     @pytest.mark.parametrize("n", [2, 3, 16, 45])
     @given(f=piecewise_fns())
@@ -376,3 +396,78 @@ class TestBandedSinglePoint:
             CONVOLVE_AT[form](f, g, inner, combiner, spec, x) for x in spec.points()
         ]
         assert points == list(full.values)
+
+
+class TestIndexForms:
+    """The integer forms of the builtin combiners on grid indices."""
+
+    def test_keys_are_exactly_the_builtins(self):
+        assert set(_INDEX_FORMS) == {id(c) for c in t.builtin_connectives()}
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 45])
+    @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+    def test_ratio_equals_the_connective_on_grid_points(self, conn, n):
+        form = _INDEX_FORMS[id(conn)]
+        for i in range(n + 1):
+            for j in range(n + 1):
+                p, q = form(i, j, n)
+                assert F(p, q) == conn(F(i, n), F(j, n)), (i, j)
+
+    @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+    @given(
+        x=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        y=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    )
+    def test_builtin_maps_the_unit_square_into_the_unit_interval(self, conn, x, y):
+        assert 0 <= conn.fn(x, y) <= 1
+
+    def test_direct_call_keeps_the_escape_check(self):
+        doubled = t.ScalarConnective("doubled", lambda x, y: 2 * x * y, "t-norm")
+        assert _direct(doubled)(F(1, 2), F(1, 2)) == F(1, 2)
+        with pytest.raises(DomainError, match="escapes"):
+            _direct(doubled)(F(3, 4), F(3, 4))
+
+
+def counting_copy(conn):
+    """A user-built connective with conn's function, and the list of its calls."""
+    calls = []
+
+    def fn(x, y):
+        calls.append((x, y))
+        return conn.fn(x, y)
+
+    return t.ScalarConnective(conn.name, fn, conn.profile), calls
+
+
+@pytest.mark.parametrize(
+    "form, combiner",
+    [(form, c) for form, cs in BANDED_COMBINERS.items() for c in cs],
+    ids=lambda v: getattr(v, "name", v),
+)
+class TestUserBuiltCopyTakesPerPairPath:
+    """A copy of a builtin is not in the index table: it is called on every
+    pair it is asked about, and gives the builtin's grid."""
+
+    PAIR = (t.step(F(1, 2), 1, F(1, 4)), t.indicator(F(1, 4), F(3, 4)))
+
+    def test_combiner_copy(self, form, combiner):
+        spec = grid(16, F(0))
+        copy, calls = counting_copy(combiner)
+        got = CONVOLVE[form](*self.PAIR, t.PRODUCT, copy, spec)
+        assert len(calls) == 17**2
+        assert got == CONVOLVE[form](*self.PAIR, t.PRODUCT, combiner, spec)
+        # a single point tries every pair too: no bisection without the table
+        calls.clear()
+        point = CONVOLVE_AT[form](*self.PAIR, t.PRODUCT, copy, spec, F(1, 2))
+        assert len(calls) == 17**2
+        assert point == got.value_at(F(1, 2))
+
+    def test_inner_copy(self, form, combiner):
+        spec = grid(16, F(0))
+        copy, calls = counting_copy(t.PRODUCT)
+        got = CONVOLVE[form](*self.PAIR, copy, combiner, spec)
+        pts = spec.points()
+        # at zero tolerance a pair is banded when the combiner hits a grid point
+        hits = sum((combiner(x, y) * 16).denominator == 1 for x in pts for y in pts)
+        assert len(calls) == hits
+        assert got == CONVOLVE[form](*self.PAIR, t.PRODUCT, combiner, spec)

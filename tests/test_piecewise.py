@@ -481,6 +481,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             t.indicator(0.2, 0.6)
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bool_rejected(self, flag):
+        with pytest.raises(ValidationError, match="bool"):
+            t.indicator(flag, 1)
+
 
 class TestJsonRoundTrip:
     def test_bit_exact_round_trip(self, plateau_step):
@@ -515,6 +520,10 @@ class TestJsonRoundTrip:
             t.loads('{"breakpoints": []}')
         with pytest.raises(ValidationError):
             t.loads('{"breakpoints": [{"x": "0", "v": "0"}], "pieces": []}')
+
+    def test_nesting_past_the_recursion_limit_rejected(self):
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            t.loads("[" * 100_000 + "]" * 100_000)
 
 
 @given(lattice_fns())
