@@ -21,6 +21,14 @@ canonical forms are equal componentwise.
 Equality and hashing are structural over an integer key precomputed at
 construction; Fraction hashing is too slow to sit under the memoized
 envelope operators otherwise.
+
+This module (and ``star``, through its helpers) compares rationals by
+cross-multiplying their integer slots ``_numerator`` and ``_denominator``
+rather than through ``Fraction``'s rich comparisons, which dispatch through
+the ``numbers`` ABCs on every call. ``Fraction`` always holds lowest terms
+with a positive denominator, so p < q exactly when p.num * q.den <
+q.num * p.den, and p == q exactly when both slots agree. Arguments and
+results stay ``Fraction`` at the API.
 """
 
 from __future__ import annotations
@@ -44,18 +52,43 @@ def _affine_at(piece: Affine, x: Fraction) -> Fraction:
     return slope * x + intercept
 
 
+def _lt(p: Fraction, q: Fraction) -> bool:
+    return p._numerator * q._denominator < q._numerator * p._denominator
+
+
+def _same(p: Fraction, q: Fraction) -> bool:
+    return p._numerator == q._numerator and p._denominator == q._denominator
+
+
+def _same_piece(p: Affine, q: Affine) -> bool:
+    return _same(p[0], q[0]) and _same(p[1], q[1])
+
+
+def _min(p: Fraction, q: Fraction) -> Fraction:
+    return q if _lt(q, p) else p  # the first of equals, as builtins.min
+
+
+def _max(p: Fraction, q: Fraction) -> Fraction:
+    return q if _lt(p, q) else p  # the first of equals, as builtins.max
+
+
 def _in_unit(q: Fraction) -> bool:
-    # denominators are positive after normalization, so [0,1] is an int check;
-    # the slot attributes skip two property calls on a very hot path
     return 0 <= q._numerator <= q._denominator
 
 
-def _affine_in_unit(piece: Affine, x: Fraction) -> bool:
-    # slope*x + intercept in [0, 1], cross-multiplied over positive integers
+def _affine_ratio(piece: Affine, x: Fraction) -> tuple[int, int]:
+    # slope*x + intercept as an unreduced numerator over a positive denominator
     s, c = piece
     den = s._denominator * x._denominator
     num = s._numerator * x._numerator * c._denominator + c._numerator * den
-    return 0 <= num <= den * c._denominator
+    return num, den * c._denominator
+
+
+def _affine_above(p1: Affine, p2: Affine, x: Fraction) -> bool:
+    # p1(x) > p2(x)
+    n1, d1 = _affine_ratio(p1, x)
+    n2, d2 = _affine_ratio(p2, x)
+    return n1 * d2 > n2 * d1
 
 
 def _fraction_tuple(items, coerce) -> tuple[Fraction, ...]:
@@ -92,9 +125,9 @@ class PiecewiseFn:
         object.__setattr__(self, "pieces", pieces)
         if len(breaks) < 2:
             raise ValidationError("need at least the two endpoint breakpoints")
-        if breaks[0] != ZERO or breaks[-1] != ONE:
+        if not (_same(breaks[0], ZERO) and _same(breaks[-1], ONE)):
             raise ValidationError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(breaks, breaks[1:])):
+        if any(not _lt(a, b) for a, b in zip(breaks, breaks[1:])):
             raise ValidationError("breakpoints must be strictly increasing")
         if len(values) != len(breaks):
             raise ValidationError("one value per breakpoint required")
@@ -108,23 +141,24 @@ class PiecewiseFn:
                 raise ValidationError(f"value {q} outside [0, 1]")
         for i, piece in enumerate(pieces):
             for k in (i, i + 1):
-                if not _affine_in_unit(piece, breaks[k]):
+                num, den = _affine_ratio(piece, breaks[k])
+                if not 0 <= num <= den:
                     # named by index: the value may be too long to print
                     raise ValidationError(
                         f"piece {i} reaches outside [0, 1] at breakpoint {k}"
                     )
         key = []
         for q in breaks:
-            key.append(q.numerator)
-            key.append(q.denominator)
+            key.append(q._numerator)
+            key.append(q._denominator)
         for q in values:
-            key.append(q.numerator)
-            key.append(q.denominator)
+            key.append(q._numerator)
+            key.append(q._denominator)
         for s, c in pieces:
-            key.append(s.numerator)
-            key.append(s.denominator)
-            key.append(c.numerator)
-            key.append(c.denominator)
+            key.append(s._numerator)
+            key.append(s._denominator)
+            key.append(c._numerator)
+            key.append(c._denominator)
         key = tuple(key)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -159,15 +193,18 @@ class PiecewiseFn:
 
 
 def evaluate(f: PiecewiseFn, x) -> Fraction:
-    """Exact value of f at x: breakpoint value or affine piece value."""
+    """Exact value of f at x: breakpoint value or affine piece value, found
+    by a binary search over the breakpoints that compares in integers."""
     if type(x) is Fraction:
         q = x
         if not _in_unit(q):
             raise ValidationError(f"{q} lies outside [0, 1]")
     else:
         q = to_unit(x)
-    i = bisect_left(f.breakpoints, q)
-    if i < len(f.breakpoints) and f.breakpoints[i] == q:
+    n, d = q._numerator, q._denominator
+    # b < q exactly when b.num * d - n * b.den < 0, so this is bisect_left
+    i = bisect_left(f.breakpoints, 0, key=lambda b: b._numerator * d - n * b._denominator)
+    if i < len(f.breakpoints) and _same(f.breakpoints[i], q):
         return f.values[i]
     return _affine_at(f.pieces[i - 1], q)
 
@@ -175,12 +212,12 @@ def evaluate(f: PiecewiseFn, x) -> Fraction:
 def _canonical_parts(breaks, values, pieces):
     keep = [0]
     for i in range(1, len(breaks) - 1):
-        removable = (
-            pieces[i - 1] == pieces[i]
-            and values[i] == _affine_at(pieces[i], breaks[i])
-        )
-        if not removable:
-            keep.append(i)
+        if _same_piece(pieces[i - 1], pieces[i]):
+            num, den = _affine_ratio(pieces[i], breaks[i])
+            v = values[i]
+            if v._numerator * den == num * v._denominator:
+                continue  # removable: affine-continuous through breaks[i]
+        keep.append(i)
     keep.append(len(breaks) - 1)
     if len(keep) == len(breaks):
         return None
@@ -242,7 +279,7 @@ def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:
 def indicator(a, b) -> PiecewiseFn:
     """Characteristic function of the closed interval [a, b]."""
     lo, hi = to_unit(a), to_unit(b)
-    if lo > hi:
+    if _lt(hi, lo):
         raise DomainError(f"indicator needs a <= b, got {lo} > {hi}")
     return _indicator(lo, hi)
 
@@ -283,9 +320,9 @@ def falling_ramp(end) -> PiecewiseFn:
 
 def _next_break(bf: Fraction, bg: Fraction) -> tuple[Fraction, bool, bool]:
     # the nearer of the two next breakpoints, and whether each sweep is on it
-    if bf < bg:
+    if _lt(bf, bg):
         return bf, True, False
-    if bg < bf:
+    if _lt(bg, bf):
         return bg, False, True
     return bf, True, True
 
@@ -299,7 +336,7 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
     # winner swaps there.
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     gb, gv, gp = g.breakpoints, g.values, g.pieces
-    pick = min if take_min else max
+    pick = _min if take_min else _max
     breaks = [ZERO]
     values = [pick(fv[0], gv[0])]
     pieces: list[Affine] = []
@@ -309,24 +346,24 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
     while True:
         p1, p2 = fp[i], gp[j]
         b, on_f, on_g = _next_break(fb[i + 1], gb[j + 1])
-        if p1 == p2:
+        if _same_piece(p1, p2):
             pieces.append(p1)
         else:
             s1, c1 = p1
             s2, c2 = p2
-            if s1 == s2:
+            if _same(s1, s2):
                 # parallel: the lower (for min) or higher intercept wins
-                pieces.append(p1 if (c1 < c2) == take_min else p2)
+                pieces.append(p1 if _lt(c1, c2) == take_min else p2)
             else:
                 x = (c2 - c1) / (s1 - s2)
                 # right of the crossing f - g has the sign of s1 - s2
-                after = p1 if (s1 < s2) == take_min else p2
-                if x <= a:
+                after = p1 if _lt(s1, s2) == take_min else p2
+                if not _lt(a, x):
                     pieces.append(after)
                 else:
                     before = p2 if after is p1 else p1
                     pieces.append(before)
-                    if x < b:
+                    if _lt(x, b):
                         breaks.append(x)
                         values.append(s1 * x + c1)
                         pieces.append(after)
@@ -353,7 +390,7 @@ def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     """True iff f(x) <= g(x) for every x in [0, 1]. Exact."""
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     gb, gv, gp = g.breakpoints, g.values, g.pieces
-    if fv[0] > gv[0]:
+    if _lt(gv[0], fv[0]):
         return False
     a = ZERO
     i = j = 0
@@ -361,14 +398,13 @@ def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     while True:
         p1, p2 = fp[i], gp[j]
         b, on_f, on_g = _next_break(fb[i + 1], gb[j + 1])
-        if p1 != p2:
+        if not _same_piece(p1, p2):
             # affine comparison on an interval reduces to its endpoints
-            (s1, c1), (s2, c2) = p1, p2
-            if s1 * a + c1 > s2 * a + c2 or s1 * b + c1 > s2 * b + c2:
+            if _affine_above(p1, p2, a) or _affine_above(p1, p2, b):
                 return False
         fx = fv[i + 1] if on_f else p1[0] * b + p1[1]
         gx = gv[j + 1] if on_g else p2[0] * b + p2[1]
-        if fx > gx:
+        if _lt(gx, fx):
             return False
         if on_f and i == last_f:
             return True
@@ -409,9 +445,9 @@ def _running_sup(f: PiecewiseFn, rightward: bool):
         near_lim = s * fb[i + near] + c
         far_lim = s * fb[i + far] + c
         if s._numerator * rising > 0:
-            if near_lim >= running:
+            if not _lt(near_lim, running):
                 pieces.append((s, c))
-            elif far_lim <= running:
+            elif not _lt(running, far_lim):
                 pieces.append((ZERO, running))
             else:
                 crossing = (running - c) / s
@@ -420,8 +456,8 @@ def _running_sup(f: PiecewiseFn, rightward: bool):
                 values.append(running)
                 pieces.append((s, c))
         else:
-            pieces.append((ZERO, max(running, near_lim)))
-        running = max(running, near_lim, far_lim, fv[i + far])
+            pieces.append((ZERO, _max(running, near_lim)))
+        running = _max(_max(_max(running, near_lim), far_lim), fv[i + far])
         breaks.append(fb[i + far])
         values.append(running)
     if rightward:
@@ -472,7 +508,7 @@ def sup_value(f: PiecewiseFn) -> Fraction:
 
 
 def is_normal(f: PiecewiseFn) -> bool:
-    return sup_value(f) == ONE
+    return _same(sup_value(f), ONE)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -486,22 +522,22 @@ def in_lattice(f: PiecewiseFn) -> bool:
     return is_normal(f) and is_convex(f)
 
 
+def _indicator_ones(f: PiecewiseFn) -> list[Fraction]:
+    # the breakpoints at which f is 1 if f is the indicator of the closed
+    # interval they span, and no breakpoints otherwise
+    g = canonicalize(f)
+    ones = [b for b, v in zip(g.breakpoints, g.values) if _same(v, ONE)]
+    return ones if ones and g == indicator(ones[0], ones[-1]) else []
+
+
 def is_point_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some singleton."""
-    g = canonicalize(f)
-    for b, v in zip(g.breakpoints, g.values):
-        if v == ONE:
-            return g == indicator(b, b)
-    return False
+    return len(_indicator_ones(f)) == 1
 
 
 def is_interval_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some closed interval."""
-    g = canonicalize(f)
-    ones = [b for b, v in zip(g.breakpoints, g.values) if v == ONE]
-    if not ones:
-        return False
-    return g == indicator(ones[0], ones[-1])
+    return bool(_indicator_ones(f))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +558,8 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
     for k in range(last + 1):
         i = k if rightward else last - k
         beyond = i if rightward else i - 1
-        if h.values[i] == ONE or (
-            0 <= beyond < last and h.pieces[beyond] == (ZERO, ONE)
+        if _same(h.values[i], ONE) or (
+            0 <= beyond < last and _same_piece(h.pieces[beyond], (ZERO, ONE))
         ):
             return h.breakpoints[i]
     raise DomainError("function never reaches 1: not normal")
@@ -551,8 +587,8 @@ def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:
     eta <= xi is guaranteed for normal inputs because each function's own
     left threshold never exceeds its right threshold.
     """
-    eta = min(left_threshold(f), left_threshold(g))
-    xi = min(right_threshold(f), right_threshold(g))
+    eta = _min(left_threshold(f), left_threshold(g))
+    xi = _min(right_threshold(f), right_threshold(g))
     return EnvelopeThresholds(eta, xi)
 
 

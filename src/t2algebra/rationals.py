@@ -51,7 +51,7 @@ def to_rational(value) -> Fraction:
 def to_unit(value) -> Fraction:
     """Coerce to an exact rational and require it to lie in [0, 1]."""
     q = to_rational(value)
-    if not ZERO <= q <= ONE:
+    if not 0 <= q._numerator <= q._denominator:  # lowest terms, positive denominator
         raise ValidationError(f"{q} lies outside [0, 1]")
     return q
 

@@ -28,6 +28,8 @@ from .piecewise import (
     PiecewiseFn,
     _build_canonical,
     _combine_parts,
+    _lt,
+    _min,
     canonicalize,
     envelope_left,
     envelope_right,
@@ -70,18 +72,18 @@ def _splice(head, eta: Fraction, xi: Fraction, tail_value: Fraction) -> Piecewis
     pieces: list[Affine] = []
     if head is not None:
         for b, v, p in zip(*head):
-            if b >= eta:
+            if not _lt(b, eta):
                 break
             breaks.append(b)
             values.append(v)
             pieces.append(p)
-    if eta < xi:
+    if _lt(eta, xi):
         breaks.append(eta)
         values.append(ONE)
         pieces.append((ZERO, ONE))
     breaks.append(xi)
     values.append(tail_value)
-    if xi < ONE:
+    if _lt(xi, ONE):
         pieces.append((ZERO, ZERO))
         breaks.append(ONE)
         values.append(ZERO)
@@ -104,11 +106,13 @@ def _product(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return canonicalize(f)
     t = thresholds(f, g)
     # the envelope join is only consulted below eta
-    head = _envelope_join(f, g) if t.eta > ZERO else None
-    tail_value = min(
-        evaluate(envelope_right(f), t.xi), evaluate(envelope_right(g), t.xi)
-    )
-    return _splice(head, t.eta, t.xi, tail_value)
+    head = _envelope_join(f, g) if _lt(ZERO, t.eta) else None
+    return _splice(head, t.eta, t.xi, _tail_value(f, g, t.xi))
+
+
+def _tail_value(f: PiecewiseFn, g: PiecewiseFn, xi: Fraction) -> Fraction:
+    # the product's value at xi: the meet of the right envelopes there
+    return _min(evaluate(envelope_right(f), xi), evaluate(envelope_right(g), xi))
 
 
 def star_envelopes(
@@ -123,12 +127,8 @@ def star_envelopes(
     if equals(f, TOP) or equals(g, TOP):
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
     t = thresholds(f, g)
-    head = _envelope_join(f, g)
-    tail_value = min(
-        evaluate(envelope_right(f), t.xi), evaluate(envelope_right(g), t.xi)
-    )
-    left = _splice(head, t.eta, ONE, ONE)
-    right = _splice(None, ZERO, t.xi, tail_value)
+    left = _splice(_envelope_join(f, g), t.eta, ONE, ONE)
+    right = _splice(None, ZERO, t.xi, _tail_value(f, g, t.xi))
     return left, right
 
 

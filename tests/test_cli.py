@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra.cli import MAX_GRID, MAX_SAMPLES, MAX_TRIALS, main
@@ -362,3 +368,92 @@ def test_usage_error_for_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+# --- fuzzing the file boundary: every eval op and plot, on arbitrary JSON and
+# on valid function files with a few entries mutated
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+RATIONAL_TEXTS = st.fractions(-3, 3, max_denominator=40).map(str) | st.sampled_from(
+    ["1/0", "0.5", "-0", "1e-3", "1e400", " 1/2", "1/2/3", "nan", "inf", ""]
+)
+FUZZ_FUNCTIONS = [
+    t.indicator(F(1, 5), F(3, 5)),
+    t.step(F(3, 4), 1, F(1, 2)),
+    t.unit_spike(1),
+    t.rising_ramp(F(1, 4)),
+    t.pointwise_min(t.from_affine(1, 0), t.from_affine(-1, 1)),
+    t.pointwise_max(t.unit_spike(F(1, 4)), t.unit_spike(F(3, 4))),  # not convex
+]
+UNARY_EVAL_OPS = ["neg", "env-left", "env-right"]
+BINARY_EVAL_OPS = [
+    "star",
+    "costar",
+    "meet",
+    "join",
+    "conv-meet:product:min",
+    "conv-join:probabilistic-sum:lukasiewicz",
+]
+MUTATIONS = ["value", "drop-field", "drop-entry", "repeat-entry", "swap", "replace-list"]
+
+
+@st.composite
+def mutated_function_texts(draw):
+    doc = t.to_json_dict(draw(st.sampled_from(FUZZ_FUNCTIONS)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["breakpoints", "pieces"]))
+        entries = doc[key]
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "replace-list" or not isinstance(entries, list) or not entries:
+            doc[key] = draw(JSON_VALUES)
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        fields = sorted(entry) if isinstance(entry, dict) else []
+        if kind == "value" and fields:
+            entry[draw(st.sampled_from(fields))] = draw(RATIONAL_TEXTS | JSON_VALUES)
+        elif kind == "drop-field" and fields:
+            del entry[draw(st.sampled_from(fields))]
+        elif kind == "drop-entry":
+            del entries[i]
+        elif kind == "repeat-entry":
+            entries.insert(i, json.loads(json.dumps(entry)))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(entries) - 1))
+            entries[i], entries[j] = entries[j], entries[i]
+    return json.dumps(doc)
+
+
+def assert_every_op_keeps_the_contract(text, partner):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = os.path.join(tmp, "f.json"), os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with open(other, "w", encoding="utf-8") as handle:
+            handle.write(t.dumps(partner))
+        argvs = [["eval", op, path] for op in UNARY_EVAL_OPS]
+        argvs += [["eval", op, path, other, "--grid", "6"] for op in BINARY_EVAL_OPS]
+        argvs.append(["plot", path, "--out", os.path.join(tmp, "f.svg")])
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(JSON_VALUES, st.sampled_from(FUZZ_FUNCTIONS))
+def test_fuzz_arbitrary_json_keeps_the_exit_code_contract(value, partner):
+    assert_every_op_keeps_the_contract(json.dumps(value), partner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_function_texts(), st.sampled_from(FUZZ_FUNCTIONS))
+def test_fuzz_mutated_function_files_keep_the_exit_code_contract(text, partner):
+    assert_every_op_keeps_the_contract(text, partner)

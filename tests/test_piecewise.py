@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError, ValidationError
+from t2algebra import DomainError, ValidationError, piecewise
+from t2algebra.piecewise import (
+    _affine_above,
+    _affine_ratio,
+    _lt,
+    _max,
+    _min,
+    _same,
+    _same_piece,
+)
 
 from conftest import lattice_fns, piecewise_fns, unit_fracs
 from oracles import (
@@ -477,6 +487,26 @@ class TestValidation:
         with pytest.raises(ValidationError):
             t.PiecewiseFn((F(1, 4), F(1)), (F(0), F(0)), ((F(0), F(0)),))
 
+    @pytest.mark.parametrize(
+        "breaks, message",
+        [
+            # equal neighbours held in distinct objects, one built unreduced
+            ((F(0), F(1, 2), F(1, 2), F(1)), "breakpoints must be strictly increasing"),
+            ((F(0), F(1, 2), F(2, 4), F(1)), "breakpoints must be strictly increasing"),
+            ((F(0), F(3, 2), F(1)), "breakpoints must be strictly increasing"),
+            ((F(0), F(-1, 2), F(1)), "breakpoints must be strictly increasing"),
+            ((F(0), F(2)), "breakpoints must start at 0 and end at 1"),
+            ((F(0), F(1, 2)), "breakpoints must start at 0 and end at 1"),
+            # coerced inputs are range-checked while they are coerced
+            ((0, "3/2", 1), "3/2 lies outside [0, 1]"),
+        ],
+    )
+    def test_breakpoint_messages(self, breaks, message):
+        zeros = (F(0),) * len(breaks)
+        flat = ((F(0), F(0)),) * (len(breaks) - 1)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            t.PiecewiseFn(breaks, zeros, flat)
+
     def test_float_rejected(self):
         with pytest.raises(ValidationError):
             t.indicator(0.2, 0.6)
@@ -485,6 +515,100 @@ class TestValidation:
     def test_bool_rejected(self, flag):
         with pytest.raises(ValidationError, match="bool"):
             t.indicator(flag, 1)
+
+
+def signed_rationals():
+    """Signed rationals, some with numerators and denominators of hundreds of
+    digits (slopes are negative, and crossings grow long)."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=60)
+    huge = st.builds(
+        Fraction,
+        st.integers(-(10**400), 10**400),
+        st.integers(1, 10**300),
+    )
+    return st.one_of(small, huge)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two rationals; often equal values held in distinct objects."""
+    p = draw(signed_rationals())
+    k = draw(st.integers(1, 5))
+    twin = Fraction(p.numerator * k, p.denominator * k)
+    q = draw(st.one_of(signed_rationals(), st.just(twin)))
+    return p, q
+
+
+class TestIntegerComparators:
+    """The kernel's slot comparisons agree with Fraction's operators."""
+
+    @given(rational_pairs())
+    def test_lt_and_same(self, pair):
+        p, q = pair
+        assert _lt(p, q) == (p < q)
+        assert _lt(q, p) == (q < p)
+        assert _same(p, q) == (p == q)
+
+    @given(rational_pairs())
+    def test_min_max_return_the_same_object(self, pair):
+        p, q = pair
+        assert _min(p, q) is min(p, q)
+        assert _max(p, q) is max(p, q)
+        assert _min(q, p) is min(q, p)
+        assert _max(q, p) is max(q, p)
+
+    @given(rational_pairs(), rational_pairs())
+    def test_piece_equality(self, first, second):
+        assert _same_piece(first, second) == (first == second)
+        twin = tuple(Fraction(q.numerator, q.denominator) for q in first)
+        assert _same_piece(first, twin)
+
+    @given(rational_pairs(), rational_pairs(), signed_rationals())
+    def test_affine_ratio_and_above(self, p1, p2, x):
+        num, den = _affine_ratio(p1, x)
+        assert den > 0
+        assert Fraction(num, den) == p1[0] * x + p1[1]
+        assert _affine_above(p1, p2, x) == (p1[0] * x + p1[1] > p2[0] * x + p2[1])
+
+    @given(piecewise_fns(den=97, max_interior=12), st.data())
+    def test_evaluate_bisection(self, f, data):
+        # at a breakpoint held in another object, and inside each piece
+        for i, b in enumerate(f.breakpoints):
+            assert t.evaluate(f, Fraction(b.numerator, b.denominator)) is f.values[i]
+        for (s, c), lo, hi in zip(f.pieces, f.breakpoints, f.breakpoints[1:]):
+            x = data.draw(st.fractions(lo, hi).filter(lambda x: lo < x < hi))
+            assert t.evaluate(f, x) == s * x + c
+
+
+class TestKernelMakesNoFractionCompare:
+    """The operators compare in integers: with Fraction's comparisons made
+    to fail, they still give their usual results."""
+
+    def test_operators_without_fraction_comparisons(self, monkeypatch):
+        config = t.GeneratorConfig(seed=5)
+        fns = t.generate_lattice_functions(config, 12)
+        odd = t.generate_nonlattice_functions(config, 6)
+        pairs = list(zip(fns, fns[1:])) + list(zip(odd, fns))
+        points = [F(k, 7) for k in range(8)]
+        ops = (t.meet, t.join, t.pointwise_min, t.pointwise_max, t.pointwise_leq)
+        lattice_ops = (t.star, t.costar, t.leq_sub, t.thresholds)
+        expected = [op(f, g) for f, g in pairs for op in ops]
+        expected += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
+        expected += [t.evaluate(f, x) for f in fns + odd for x in points]
+
+        def refuse(*args):
+            raise AssertionError("Fraction comparison inside the kernel")
+
+        monkeypatch.setattr(Fraction, "_richcmp", refuse)
+        monkeypatch.setattr(Fraction, "__eq__", refuse)
+        for memo in vars(piecewise).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()  # so every result is computed afresh
+        got = [op(f, g) for f, g in pairs for op in ops]
+        got += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
+        got += [t.evaluate(f, x) for f in fns + odd for x in points]
+        monkeypatch.undo()
+        assert got == expected
 
 
 class TestJsonRoundTrip:

@@ -194,6 +194,31 @@ class TestCostar:
         assert t.in_lattice(t.costar(f, g))
 
 
+# each operation with its neutral element: O3 for a tr-norm, O3' for a tr-conorm
+NEUTRALS = [(t.star, t.TOP), (t.costar, t.BOTTOM)]
+
+
+class TestTrLawsAsProperties:
+    """O1 (commutativity), O2 (associativity) and O3/O3' (the neutral
+    element) for star and costar, shrunk to a minimal counterexample."""
+
+    @pytest.mark.parametrize("op", [t.star, t.costar])
+    @given(f=lattice_fns(), g=lattice_fns())
+    def test_commutative(self, op, f, g):
+        assert t.equals(op(f, g), op(g, f))
+
+    @pytest.mark.parametrize("op", [t.star, t.costar])
+    @given(f=lattice_fns(), g=lattice_fns(), h=lattice_fns())
+    def test_associative(self, op, f, g, h):
+        assert t.equals(op(op(f, g), h), op(f, op(g, h)))
+
+    @pytest.mark.parametrize("op, neutral", NEUTRALS)
+    @given(f=lattice_fns())
+    def test_neutral_element(self, op, neutral, f):
+        assert t.equals(op(f, neutral), f)
+        assert t.equals(op(neutral, f), f)
+
+
 def test_resolve_operation_names():
     assert t.resolve_operation("star") is t.STAR
     assert t.resolve_operation("conv-meet:min:min") is t.MEET
