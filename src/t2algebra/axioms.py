@@ -61,7 +61,6 @@ class GeneratorConfig:
     seed: int = 0
     max_breakpoints: int = 7
     denominator_bound: int = 64
-    include_fixtures: bool = True
 
     def __post_init__(self):
         if self.max_breakpoints < 2:
@@ -140,7 +139,7 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
 
 
 def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
-    if cfg.include_fixtures and rng.random() < 0.3:
+    if rng.random() < 0.3:
         return canonicalize(_fixture(rng, cfg))
     den = cfg.denominator_bound
     peak_lo = _coord(rng, den)
@@ -268,9 +267,9 @@ def _interpolate_through(points: list[tuple[Fraction, Fraction]]) -> PiecewiseFn
     return canonicalize(PiecewiseFn(breaks, values, pieces))
 
 
-def _simplify_candidates(f: PiecewiseFn, require_lattice: bool) -> Iterable[PiecewiseFn]:
+def _simplify_candidates(f: PiecewiseFn) -> Iterable[PiecewiseFn]:
     def admit(g: PiecewiseFn) -> bool:
-        return (not require_lattice or in_lattice(g)) and not equals(g, f)
+        return in_lattice(g) and not equals(g, f)
 
     if len(f.breakpoints) > 2:
         kept = list(f.breakpoints[::2])
@@ -298,18 +297,20 @@ def _simplify_candidates(f: PiecewiseFn, require_lattice: bool) -> Iterable[Piec
             continue
 
 
+_SHRINK_ROUNDS = 6
+
+
 def shrink_witness(
     args: tuple[PiecewiseFn, ...],
     still_fails: Callable[[tuple[PiecewiseFn, ...]], bool],
-    require_lattice: bool = True,
-    max_rounds: int = 6,
 ) -> tuple[PiecewiseFn, ...]:
-    """Greedy witness minimization: halve breakpoints, snap to coarser grids."""
+    """Greedy witness minimization: halve breakpoints, snap to coarser grids.
+    Every candidate stays normal and convex."""
     current = tuple(args)
-    for _ in range(max_rounds):
+    for _ in range(_SHRINK_ROUNDS):
         improved = False
         for i in range(len(current)):
-            for candidate in _simplify_candidates(current[i], require_lattice):
+            for candidate in _simplify_candidates(current[i]):
                 trial = current[:i] + (candidate,) + current[i + 1 :]
                 try:
                     if still_fails(trial):

@@ -154,8 +154,6 @@ def _cmd_axioms(args) -> int:
         op = resolve_operation(args.op)
     except ValidationError as exc:
         raise _UsageError(str(exc)) from None
-    if args.kind not in (ax.TR_NORM, ax.TR_CONORM):
-        raise _UsageError("kind must be tr-norm or tr-conorm")
     config = ax.GeneratorConfig(seed=args.seed)
     scale = max(1, args.trials)
     reports = ax.check_tr_axioms(

@@ -7,15 +7,16 @@ join form) is
     (f conv g)(x) = sup{ f(y) * g(z) | combiner(y, z) = x }.
 
 No closed form exists for arbitrary connectives, so this module evaluates
-the supremum over a uniform rational grid. When the combiner is min (resp.
-max) the solution set is computed exactly -- min(y, z) = x means one
-coordinate is x and the other is at least (resp. at most) x -- and the grid
-value is the true supremum over grid pairs. For any other combiner, pairs
-match a target within a tolerance band, and the result is a certified lower
-bound for the true supremum (every reported pair is a genuine admissible
-pair up to the band). Lower bounds are first-class here: the separation
-arguments this oracle backs only ever need one admissible pair with a large
-value.
+the supremum over a uniform rational grid. For any combiner but min and
+max, pairs match a target within a tolerance band, and the result is a
+certified lower bound for the true supremum (every reported pair is a
+genuine admissible pair up to the band). Lower bounds are first-class here:
+the separation arguments this oracle backs only ever need one admissible
+pair with a large value. When the combiner is min (resp. max) the solution
+set is exact -- min(y, z) = x means one coordinate is x and the other is at
+least (resp. at most) x -- and the grid value is the true supremum over grid
+pairs: on the grid that set is the zero-width band, so the exact combiner
+is the banded path at tolerance 0, whatever tolerance the grid carries.
 
 Fast paths. The library's own t-norms and t-conorms
 (``builtin_connectives()``) are matched by identity in one table,
@@ -31,9 +32,9 @@ partners in each row whose band can hold it, found by bisection over the
 integer band bounds.
 
 A builtin inner connective is called through its function, not through
-``ScalarConnective.__call__``: every grid value is checked to lie in
-[0, 1] once per grid, and every result once, both in integers. It is
-nondecreasing, so a supremum of x * y over a set of y is x * (the largest
+``ScalarConnective.__call__``: its arguments are grid values of built
+functions, which lie in [0, 1], and every result is checked once, in
+integers. It is nondecreasing, so a supremum of x * y over a set of y is x * (the largest
 y). Grid values are attained maxima, so this is an equality, not a bound,
 and both fast paths return exactly what the per-pair paths return:
 
@@ -48,10 +49,11 @@ Every other connective, including a user-built one that declares a t-norm
 or t-conorm profile or wraps a builtin's function, is called through
 ``ScalarConnective.__call__`` on every pair it is asked about: a user-built
 combiner on every pair of the grid, a user-built inner connective on every
-pair whose band meets the requested points. A declared profile is not
-checked for monotonicity, and a non-monotone one would make the fast paths
-wrong. These per-pair paths are the reference the fast paths are tested
-against.
+pair whose band meets the requested points. A user-built inner connective
+takes this one per-pair path under every combiner, the exact ones
+included. A declared profile is not checked for monotonicity, and a
+non-monotone one would make the fast paths wrong. The per-pair path is the
+reference the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ class GridFn:
 
 
 def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
-    """f at each of the ascending points pts, in one walk over f's breakpoints,
-    each checked to lie in [0, 1]."""
+    """f at each of the ascending points pts, in one walk over f's breakpoints.
+    They lie in [0, 1] unchecked: a built PiecewiseFn stays there."""
     breaks, values, pieces = f.breakpoints, f.values, f.pieces
     out = []
     i = 0  # the first breakpoint at or beyond x; the last one is 1
@@ -152,8 +154,6 @@ def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
         else:
             slope, intercept = pieces[i - 1]
             out.append(slope * x + intercept)
-        if not _in_unit(out[-1]):
-            raise ValidationError(f"{out[-1]} lies outside [0, 1]")
     return out
 
 
@@ -162,10 +162,6 @@ def _running_max(values: list[Fraction], reverse: bool) -> list[Fraction]:
     if reverse:
         return list(accumulate(reversed(values), max))[::-1]
     return list(accumulate(values, max))
-
-
-def _exact_value(fv, gv, star, k, js) -> Fraction:
-    return max(v for j in js for v in (star(fv[k], gv[j]), star(fv[j], gv[k])))
 
 
 def _drastic_index(i, j, n):
@@ -310,7 +306,7 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
     gv = _grid_values(g, pts)
     monotone = id(star) in _INDEX_FORMS
     if monotone:
-        # grid values are range-checked once, by _grid_values, not per call
+        # its arguments are grid values of built functions, inside [0, 1]
         star = _direct(star)
     if combiner == exact and monotone:
         # sup_j star(fv[k], gv[j]) = star(fv[k], sup_j gv[j]) for a star
@@ -320,13 +316,11 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
         values = [
             max(star(fv[k], gm[k]), star(fm[k], gv[k])) for k in range(lo, hi + 1)
         ]
-    elif combiner == exact:
-        values = [
-            _exact_value(fv, gv, star, k, range(k, n + 1) if above else range(k + 1))
-            for k in range(lo, hi + 1)
-        ]
     else:
-        bands = partial(_bands, combiner, pts, grid.tolerance, lo, hi)
+        # on the grid, min(x_i, x_j) = x_k (or max) exactly when the zero-width
+        # band of (i, j) holds k: the exact solution set
+        tol = ZERO if combiner == exact else grid.tolerance
+        bands = partial(_bands, combiner, pts, tol, lo, hi)
         banded = _banded_rows if monotone else _banded_pairs
         values, reached = banded(fv, gv, star, bands, lo, hi)
         if not reached:

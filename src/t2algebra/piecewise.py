@@ -133,9 +133,6 @@ class PiecewiseFn:
             raise ValidationError("one value per breakpoint required")
         if len(pieces) != len(breaks) - 1:
             raise ValidationError("one affine piece per open interval required")
-        for q in breaks:
-            if not _in_unit(q):
-                raise ValidationError(f"breakpoint {q} outside [0, 1]")
         for q in values:
             if not _in_unit(q):
                 raise ValidationError(f"value {q} outside [0, 1]")
@@ -318,34 +315,43 @@ def falling_ramp(end) -> PiecewiseFn:
 # pointwise lattice operations and reflection
 
 
-def _next_break(bf: Fraction, bg: Fraction) -> tuple[Fraction, bool, bool]:
-    # the nearer of the two next breakpoints, and whether each sweep is on it
-    if _lt(bf, bg):
-        return bf, True, False
-    if _lt(bg, bf):
-        return bg, False, True
-    return bf, True, True
-
-
-def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
-    """Breakpoints, values and pieces of min(f, g) or max(f, g), not yet
-    canonical: one two-pointer sweep over both piece lists."""
-    # Each step covers the open interval (a, b) between consecutive merged
-    # breakpoints, on which f and g are the single pieces p1 and p2; where
-    # those cross strictly inside, the crossing becomes a breakpoint and the
-    # winner swaps there.
+def _merged(f: PiecewiseFn, g: PiecewiseFn):
+    """(a, b, p1, p2, fx, gx) for each open interval (a, b) between
+    consecutive merged breakpoints of f and g, left to right: f and g are the
+    single pieces p1 and p2 on it, and fx = f(b), gx = g(b). The last has
+    b = 1. One two-pointer sweep over both piece lists."""
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     gb, gv, gp = g.breakpoints, g.values, g.pieces
-    pick = _min if take_min else _max
-    breaks = [ZERO]
-    values = [pick(fv[0], gv[0])]
-    pieces: list[Affine] = []
     a = ZERO
     i = j = 0
     last_f = len(fp) - 1
     while True:
         p1, p2 = fp[i], gp[j]
-        b, on_f, on_g = _next_break(fb[i + 1], gb[j + 1])
+        # the nearer of the two next breakpoints, and whether each sweep is on it
+        bf, bg = fb[i + 1], gb[j + 1]
+        d = bf._numerator * bg._denominator - bg._numerator * bf._denominator
+        on_f, on_g = d <= 0, d >= 0
+        b = bf if on_f else bg
+        fx = fv[i + 1] if on_f else p1[0] * b + p1[1]
+        gx = gv[j + 1] if on_g else p2[0] * b + p2[1]
+        yield a, b, p1, p2, fx, gx
+        if on_f and i == last_f:
+            return
+        i += on_f
+        j += on_g
+        a = b
+
+
+def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
+    """Breakpoints, values and pieces of min(f, g) or max(f, g), not yet
+    canonical: one pass over the merged intervals."""
+    # Where the pieces of f and g cross strictly inside a merged interval,
+    # the crossing becomes a breakpoint and the winner swaps there.
+    pick = _min if take_min else _max
+    breaks = [ZERO]
+    values = [pick(f.values[0], g.values[0])]
+    pieces: list[Affine] = []
+    for a, b, p1, p2, fx, gx in _merged(f, g):
         if _same_piece(p1, p2):
             pieces.append(p1)
         else:
@@ -367,15 +373,9 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
                         breaks.append(x)
                         values.append(s1 * x + c1)
                         pieces.append(after)
-        fx = fv[i + 1] if on_f else p1[0] * b + p1[1]
-        gx = gv[j + 1] if on_g else p2[0] * b + p2[1]
         breaks.append(b)
         values.append(pick(fx, gx))
-        if on_f and i == last_f:
-            return breaks, values, pieces
-        i += on_f
-        j += on_g
-        a = b
+    return breaks, values, pieces
 
 
 def pointwise_min(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -388,29 +388,17 @@ def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     """True iff f(x) <= g(x) for every x in [0, 1]. Exact."""
-    fb, fv, fp = f.breakpoints, f.values, f.pieces
-    gb, gv, gp = g.breakpoints, g.values, g.pieces
-    if _lt(gv[0], fv[0]):
+    if _lt(g.values[0], f.values[0]):
         return False
-    a = ZERO
-    i = j = 0
-    last_f = len(fp) - 1
-    while True:
-        p1, p2 = fp[i], gp[j]
-        b, on_f, on_g = _next_break(fb[i + 1], gb[j + 1])
-        if not _same_piece(p1, p2):
-            # affine comparison on an interval reduces to its endpoints
-            if _affine_above(p1, p2, a) or _affine_above(p1, p2, b):
-                return False
-        fx = fv[i + 1] if on_f else p1[0] * b + p1[1]
-        gx = gv[j + 1] if on_g else p2[0] * b + p2[1]
+    for a, b, p1, p2, fx, gx in _merged(f, g):
         if _lt(gx, fx):
             return False
-        if on_f and i == last_f:
-            return True
-        i += on_f
-        j += on_g
-        a = b
+        # affine comparison on an interval reduces to its endpoints
+        if not _same_piece(p1, p2) and (
+            _affine_above(p1, p2, a) or _affine_above(p1, p2, b)
+        ):
+            return False
+    return True
 
 
 @lru_cache(maxsize=_CACHE)

@@ -276,7 +276,9 @@ class TestGridValues:
     @given(f=piecewise_fns())
     def test_one_sweep_matches_evaluate(self, n, f):
         pts = grid(n).points()
-        assert _grid_values(f, pts) == [t.evaluate(f, x) for x in pts]
+        values = _grid_values(f, pts)
+        assert values == [t.evaluate(f, x) for x in pts]
+        assert all(0 <= v <= 1 for v in values)
 
 
 class TestExactPathChoice:
@@ -370,6 +372,26 @@ class TestProjectionReference:
         assert list(got.values) == brute_convolution_grid(
             f, g, t.PROJECTION, combiner, n
         )
+
+
+@pytest.mark.parametrize("form", ["meet", "join"])
+@pytest.mark.parametrize("inner", [t.MINIMUM, t.PRODUCT], ids=lambda c: c.name)
+@pytest.mark.parametrize("tol", [F(1, 7), F(0)], ids=["tol-1/7", "zero-tol"])
+@pytest.mark.parametrize("n", [3, 16])
+class TestUserBuiltInnerUnderExactCombiner:
+    """A user-built inner connective under min/max is banded at zero
+    tolerance, whatever tolerance the grid carries: the exact solution set."""
+
+    @settings(max_examples=10)
+    @given(f=piecewise_fns(), g=piecewise_fns())
+    def test_grid_and_points_equal_literal_enumeration(self, form, inner, tol, n, f, g):
+        combiner = EXACT_COMBINER[form]
+        copy = reference_copy(inner)
+        spec = grid(n, tol)
+        expected = brute_convolution_grid(f, g, inner, combiner, n)
+        assert list(CONVOLVE[form](f, g, copy, combiner, spec).values) == expected
+        points = [CONVOLVE_AT[form](f, g, copy, combiner, spec, x) for x in spec.points()]
+        assert points == expected
 
 
 class TestBandedSinglePoint:
