@@ -10,6 +10,7 @@ failing report carries a minimized, replayable witness.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -49,6 +50,8 @@ TR_CONORM = "tr-conorm"
 
 HALF = Fraction(1, 2)
 _SEPARATION_POINT = Fraction(4, 5)
+# the largest denominator_bound: rng.sample's range lengths must fit a ssize_t
+MAX_DENOMINATOR = sys.maxsize
 
 
 def separation_fixture() -> PiecewiseFn:
@@ -67,6 +70,8 @@ class GeneratorConfig:
             raise ValidationError("max_breakpoints must be at least 2")
         if self.denominator_bound < 2:
             raise ValidationError("denominator_bound must be at least 2")
+        if self.denominator_bound > MAX_DENOMINATOR:
+            raise ValidationError(f"denominator_bound must be at most {MAX_DENOMINATOR}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Exit codes are a stable contract:
   0  success / all checks passed
   1  an axiom or separation check failed
   2  usage error (unknown command, op, or flag combination)
-  3  validation error (malformed or out-of-contract input)
+  3  validation error (malformed or out-of-contract input, or a result too
+     long to print: output written before it stays)
   4  I/O error
   5  internal error (an unexpected failure, reported in one line)
 """

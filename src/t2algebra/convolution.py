@@ -7,16 +7,14 @@ join form) is
     (f conv g)(x) = sup{ f(y) * g(z) | combiner(y, z) = x }.
 
 No closed form exists for arbitrary connectives, so this module evaluates
-the supremum over a uniform rational grid. For any combiner but min and
-max, pairs match a target within a tolerance band, and the result is a
-certified lower bound for the true supremum (every reported pair is a
-genuine admissible pair up to the band). Lower bounds are first-class here:
-the separation arguments this oracle backs only ever need one admissible
-pair with a large value. When the combiner is min (resp. max) the solution
-set is exact -- min(y, z) = x means one coordinate is x and the other is at
-least (resp. at most) x -- and the grid value is the true supremum over grid
-pairs: on the grid that set is the zero-width band, so the exact combiner
-is the banded path at tolerance 0, whatever tolerance the grid carries.
+the supremum over a uniform rational grid. Pairs match a target within a
+tolerance band, and the result is a certified lower bound for the true
+supremum (every reported pair is a genuine admissible pair up to the band).
+Lower bounds are first-class here: the separation arguments this oracle
+backs only ever need one admissible pair with a large value. The exact
+combiners min and max take the zero-width band whatever the tolerance: on
+the grid, min(x_i, x_j) = x_k (resp. max) exactly when that band of (i, j)
+holds k, so the grid value is the true supremum over grid pairs.
 
 Fast paths. The library's own t-norms and t-conorms
 (``builtin_connectives()``) are matched by identity in one table,
@@ -33,10 +31,10 @@ integer band bounds.
 
 A builtin inner connective is called through its function, not through
 ``ScalarConnective.__call__``: its arguments are grid values of built
-functions, which lie in [0, 1], and every result is checked once, in
-integers. It is nondecreasing, so a supremum of x * y over a set of y is x * (the largest
-y). Grid values are attained maxima, so this is an equality, not a bound,
-and both fast paths return exactly what the per-pair paths return:
+functions, inside [0, 1], and each result is checked once, in integers. It
+is nondecreasing, so a supremum of x * y over a set of y is x * (the
+largest y). Grid values are attained maxima, so this is an equality, not a
+bound, and both fast paths return exactly what the per-pair path returns:
 
 - exact path (min/max combiner), O(n): the value at x_k is
   max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
@@ -48,12 +46,11 @@ and both fast paths return exactly what the per-pair paths return:
 Every other connective, including a user-built one that declares a t-norm
 or t-conorm profile or wraps a builtin's function, is called through
 ``ScalarConnective.__call__`` on every pair it is asked about: a user-built
-combiner on every pair of the grid, a user-built inner connective on every
-pair whose band meets the requested points. A user-built inner connective
-takes this one per-pair path under every combiner, the exact ones
-included. A declared profile is not checked for monotonicity, and a
-non-monotone one would make the fast paths wrong. The per-pair path is the
-reference the fast paths are tested against.
+combiner on every pair of the grid, a user-built inner connective, under
+any combiner, on every pair whose band meets the requested points. A
+declared profile is not checked for monotonicity, and a non-monotone one
+would make the fast paths wrong. This one per-pair path is the reference
+the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -317,8 +314,7 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
             max(star(fv[k], gm[k]), star(fm[k], gv[k])) for k in range(lo, hi + 1)
         ]
     else:
-        # on the grid, min(x_i, x_j) = x_k (or max) exactly when the zero-width
-        # band of (i, j) holds k: the exact solution set
+        # the exact combiner's solution set is its zero-width band
         tol = ZERO if combiner == exact else grid.tolerance
         bands = partial(_bands, combiner, pts, tol, lo, hi)
         banded = _banded_rows if monotone else _banded_pairs

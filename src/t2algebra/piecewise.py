@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ValidationError
-from .rationals import ONE, ZERO, format_rational, to_rational, to_unit
+from .rationals import ONE, UNPRINTABLE, ZERO, format_rational, to_rational, to_unit
 
 Affine = tuple[Fraction, Fraction]
 
@@ -585,12 +585,15 @@ def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:
 
 
 def to_json_dict(f: PiecewiseFn) -> dict:
-    return {
-        "breakpoints": [
-            {"x": str(b), "v": str(v)} for b, v in zip(f.breakpoints, f.values)
-        ],
-        "pieces": [{"slope": str(s), "intercept": str(c)} for s, c in f.pieces],
-    }
+    try:
+        return {
+            "breakpoints": [
+                {"x": str(b), "v": str(v)} for b, v in zip(f.breakpoints, f.values)
+            ],
+            "pieces": [{"slope": str(s), "intercept": str(c)} for s, c in f.pieces],
+        }
+    except ValueError:  # str() of a rational past the digit limit
+        raise ValidationError(UNPRINTABLE) from None
 
 
 def from_json_dict(data) -> PiecewiseFn:

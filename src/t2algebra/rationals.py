@@ -18,6 +18,7 @@ ONE = Fraction(1)
 
 # CPython's default limit on the digits of an int converted to or from str
 _MAX_DIGITS = 4300
+UNPRINTABLE = "result too long to print: a rational over the digit limit"
 
 
 def _digit_bound(text: str) -> int:
@@ -60,4 +61,7 @@ def format_rational(q: Fraction, decimal: bool = False) -> str:
     """Render a rational, exactly by default or as 15 significant digits."""
     if decimal:
         return f"{float(q):.15g}"
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # past CPython's int/str digit limit
+        raise ValidationError(UNPRINTABLE) from None

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -31,6 +32,34 @@ class TestGenerator:
         assert t.generate_lattice_functions(cfg, 10) == t.generate_lattice_functions(
             cfg, 10
         )
+
+    def test_random_piecewise_deterministic_per_seed(self):
+        cfg = t.GeneratorConfig(seed=42)
+        assert t.random_piecewise(cfg) == t.random_piecewise(cfg)
+        draws = {t.random_piecewise(t.GeneratorConfig(seed=s)) for s in range(5)}
+        assert len(draws) > 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_breakpoints": 1}, "max_breakpoints must be at least 2"),
+            ({"denominator_bound": 1}, "denominator_bound must be at least 2"),
+            (
+                {"denominator_bound": sys.maxsize + 1},
+                f"denominator_bound must be at most {sys.maxsize}",
+            ),
+        ],
+        ids=["breakpoints", "denominator-low", "denominator-high"],
+    )
+    def test_config_out_of_bounds_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            t.GeneratorConfig(**kwargs)
+
+    def test_largest_denominator_bound_draws(self):
+        # past it, sampling coordinates raises OverflowError
+        cfg = t.GeneratorConfig(seed=3, denominator_bound=sys.maxsize)
+        assert all(t.in_lattice(f) for f in t.generate_lattice_functions(cfg, 30))
+        assert not t.in_lattice(t.generate_nonlattice_functions(cfg, 1)[0])
 
     def test_different_seeds_differ_somewhere(self):
         a = t.generate_lattice_functions(t.GeneratorConfig(seed=1), 20)
@@ -190,6 +219,10 @@ class TestNeutralityGap:
         assert row["expected_if_neutral_at_half"] == "1/2"
         assert row["meet_with_bottom_is_bottom"]
         assert row["meet_with_bottom_differs_from_input"]
+
+    def test_empty_choice_list_rejected(self):
+        with pytest.raises(ValidationError):
+            t.neutrality_gap_rows(t.MAXIMUM, [], t.GridSpec(8))
 
 
 class TestReportPlumbing:

@@ -139,7 +139,7 @@ class TestEval:
         assert err.startswith("invalid input:")
         assert err.count("\n") == 1
 
-    def test_unprintable_result_is_internal_error(self, capsys, tmp_path):
+    def test_unprintable_result_is_validation_error(self, capsys, tmp_path):
         # valid inputs, each one affine piece over [0, 1] with short values at
         # the ends; their join breaks at the crossing of the two pieces, a
         # point of about 4,400 digits that cannot be written out
@@ -154,10 +154,31 @@ class TestEval:
             path.write_text(t.dumps(fn))
             paths.append(str(path))
         code, out, err = run(capsys, ["eval", "join", *paths])
-        assert code == 5
+        assert code == 3
         assert out == ""
-        assert err.startswith("internal error:")
+        assert err.startswith("invalid input: result too long to print")
         assert err.count("\n") == 1
+
+    def test_unprintable_json_result_after_its_csv(self, capsys, tmp_path):
+        # the reflection's one piece has intercept 1/P + 1/(P+Q+2), about 4,400
+        # digits; its sampled values, at 0 and 1, are short
+        ends = (F(0), F(1))
+        path = tmp_path / "f.json"
+        path.write_text(t.dumps(t.PiecewiseFn(ends, ends, ((F(1, P), F(1, P + Q + 2)),))))
+        out_json = tmp_path / "out.json"
+        argv = ["eval", "neg", str(path), "--samples", "2", "--json-out", str(out_json)]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == "x,value\n0,1\n1,0\n"
+        assert err.startswith("invalid input: result too long to print")
+        assert err.count("\n") == 1
+        assert not out_json.exists()
+
+    def test_single_sample_is_validation_error(self, capsys, files):
+        code, out, err = run(capsys, ["eval", "neg", files["band"], "--samples", "1"])
+        assert code == 3
+        assert out == ""
+        assert err == "invalid input: need at least 2 sample points\n"
 
     def test_deeply_nested_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -362,6 +383,25 @@ def test_size_flag_over_its_bound_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and "at most" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "conv-meet:min", "F", "F"], "conv-meet:<tnorm>:<star>"),
+        (["eval", "conv-meet:min:min", "F"], "takes exactly two function files"),
+        (["eval", "env-left", "F", "F"], "takes exactly one function file"),
+        (["plot", "F", "F", "--out", "OUT", "--labels", "a"], "one label per file"),
+    ],
+    ids=["conv-name", "conv-arity", "unary-arity", "labels"],
+)
+def test_malformed_command_is_usage_error(capsys, tmp_path, files, argv, message):
+    argv = [{"F": files["band"], "OUT": str(tmp_path / "x.svg")}.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and message in err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_usage_error_for_unknown_command(capsys):

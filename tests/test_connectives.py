@@ -89,6 +89,13 @@ def test_projection_fails_commutativity_with_boundary_witness():
     assert t1.witness == {"x": "0", "y": "1", "lhs": "0", "rhs": "1"}
 
 
+def test_user_built_result_escaping_unit_interval_raises():
+    doubled = t.ScalarConnective("doubled", lambda x, y: 2 * x * y, "t-norm")
+    assert doubled(F(1, 2), F(1, 2)) == F(1, 2)
+    with pytest.raises(DomainError, match=r"^doubled\(3/4, 3/4\) = 9/8 escapes"):
+        doubled(F(3, 4), F(3, 4))
+
+
 def test_min_has_neutral_one():
     reports = t.check_connective_axioms(t.MINIMUM, FIVE_POINT)
     t4 = [r for r in reports if r.axiom == "T4"][0]

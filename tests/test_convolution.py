@@ -252,6 +252,10 @@ class TestGridFnCsv:
 
 
 class TestGridFnValueAt:
+    def test_needs_one_slot_per_grid_point(self):
+        with pytest.raises(ValidationError, match="one slot per grid point"):
+            t.GridFn(4, (F(0),) * 4)
+
     def test_reads_the_slot_of_a_grid_point(self):
         got = t.GridFn(4, (F(1), None, F(1, 2), F(0), F(1, 3)))
         assert got.value_at(0) == 1

@@ -483,6 +483,15 @@ class TestValidation:
             with pytest.raises(ValidationError, match="outside"):
                 build()
 
+    def test_pieces_are_coerced(self):
+        f = t.PiecewiseFn((0, 1), ("0", "1"), [["1", 0]])
+        assert f == t.from_affine(1, 0)
+        assert all(type(q) is F for q in f.pieces[0])
+
+    def test_one_value_per_breakpoint(self):
+        with pytest.raises(ValidationError, match="^one value per breakpoint required$"):
+            t.PiecewiseFn((F(0), F(1)), (F(0),), ((F(0), F(0)),))
+
     def test_endpoints_required(self):
         with pytest.raises(ValidationError):
             t.PiecewiseFn((F(1, 4), F(1)), (F(0), F(0)), ((F(0), F(0)),))
