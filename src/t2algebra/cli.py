@@ -5,7 +5,7 @@ Exit codes are a stable contract:
   1  an axiom or separation check failed
   2  usage error (unknown command, op, or flag combination)
   3  validation error (malformed or out-of-contract input, or a result too
-     long to print: output written before it stays)
+     long to print: such a command writes no output)
   4  I/O error
   5  internal error (an unexpected failure, reported in one line)
 """
@@ -30,7 +30,6 @@ from .piecewise import (
     sample_rows,
 )
 from .plotting import render_svg
-from .rationals import to_rational
 from .report import all_passed, format_report_table
 from .star import resolve_operation
 
@@ -106,20 +105,17 @@ def _check_sizes(args) -> None:
             raise _UsageError(f"--{flag} is at most {bound}, got {value}")
 
 
-def _grid_from_args(args) -> GridSpec:
-    tol = to_rational(args.tolerance) if args.tolerance is not None else None
-    return GridSpec(args.grid, tol)
-
-
 def _cmd_eval(args) -> int:
     name = args.op
     if name.startswith("conv-"):
+        if args.json_out:
+            raise _UsageError(f"--json-out does not apply to {name}: its result is a grid")
         if len(args.files) != 2:
             raise _UsageError(f"{name} takes exactly two function files")
         form, combiner, star_conn = _parse_conv_name(name)
         f = _load_function(args.files[0])
         g = _load_function(args.files[1])
-        grid = _grid_from_args(args)
+        grid = GridSpec(args.grid, args.tolerance)
         conv = convolve_meet if form == "conv-meet" else convolve_join
         result = conv(f, g, star_conn, combiner, grid)
         _write_text(args.out, result.to_csv(decimal=args.decimal))
@@ -144,9 +140,11 @@ def _cmd_eval(args) -> int:
     result = canonicalize(result)
     rows = sample_rows(result, args.samples, decimal=args.decimal)
     csv = "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
+    # both texts are built before either is written: a failure writes nothing
+    json_text = dumps(result, indent=2) + "\n" if args.json_out else None
     _write_text(args.out, csv)
-    if args.json_out:
-        _write_text(args.json_out, dumps(result, indent=2) + "\n")
+    if json_text is not None:
+        _write_text(args.json_out, json_text)
     return EXIT_OK
 
 
@@ -188,7 +186,7 @@ def _cmd_separation(args) -> int:
     if not names:
         raise _UsageError("at least one inner connective is required")
     choices = [connective_by_name(n) for n in names]
-    grid = _grid_from_args(args)
+    grid = GridSpec(args.grid, args.tolerance)
     rows = ax.separation_rows(choices, grid)
     header = ("star", "exact_product_value", "oracle_lower_bound", "separated")
     print(",".join(header))

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 from typing import Callable
 
 from .errors import DomainError, ValidationError
-from .rationals import ONE, ZERO, to_unit
+from .rationals import ONE, ZERO, _in_unit, to_rational, to_unit
 from .report import AxiomReport, falsify
 
 T_NORM = "t-norm"
@@ -31,8 +31,8 @@ class ScalarConnective:
     profile: str = UNCONSTRAINED
 
     def __call__(self, x, y) -> Fraction:
-        result = self.fn(to_unit(x), to_unit(y))
-        if not ZERO <= result <= ONE:
+        result = to_rational(self.fn(to_unit(x), to_unit(y)))
+        if not _in_unit(result):
             raise DomainError(f"{self.name}({x}, {y}) = {result} escapes [0, 1]")
         return result
 

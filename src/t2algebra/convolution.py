@@ -76,8 +76,8 @@ from .connectives import (
     T_NORM,
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, _in_unit, falling_ramp, to_json_dict, unit_spike
-from .rationals import ONE, ZERO, format_rational, to_rational
+from .piecewise import PiecewiseFn, falling_ramp, to_json_dict, unit_spike
+from .rationals import ONE, ZERO, _in_unit, format_rational, to_rational
 from .report import AxiomReport, falsify
 
 

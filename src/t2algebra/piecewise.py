@@ -18,6 +18,14 @@ Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
 canonical forms are equal componentwise.
 
+Validation happens once, at the boundary: ``PiecewiseFn(...)``,
+``from_json_dict``/``loads`` and the named constructors check every part.
+A function the library computes from valid ones (pointwise min/max,
+reflection, envelopes, canonical forms, the threshold product) is sealed by
+``_sealed`` unchecked: its parts are exact rationals derived from valid
+parts by an operation closed on the class, so a check could only re-prove
+that on every build. A test routes ``_sealed`` through the constructor.
+
 Equality and hashing are structural over an integer key precomputed at
 construction; Fraction hashing is too slow to sit under the memoized
 envelope operators otherwise.
@@ -40,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ValidationError
-from .rationals import ONE, UNPRINTABLE, ZERO, format_rational, to_rational, to_unit
+from .rationals import ONE, UNPRINTABLE, ZERO, _in_unit, format_rational, to_rational, to_unit
 
 Affine = tuple[Fraction, Fraction]
 
@@ -70,10 +78,6 @@ def _min(p: Fraction, q: Fraction) -> Fraction:
 
 def _max(p: Fraction, q: Fraction) -> Fraction:
     return q if _lt(p, q) else p  # the first of equals, as builtins.max
-
-
-def _in_unit(q: Fraction) -> bool:
-    return 0 <= q._numerator <= q._denominator
 
 
 def _affine_ratio(piece: Affine, x: Fraction) -> tuple[int, int]:
@@ -106,23 +110,7 @@ class PiecewiseFn:
     def __post_init__(self):
         breaks = _fraction_tuple(self.breakpoints, to_unit)
         values = _fraction_tuple(self.values, to_unit)
-        pieces = self.pieces
-        if not (
-            isinstance(pieces, tuple)
-            and all(
-                type(p) is tuple
-                and len(p) == 2
-                and type(p[0]) is Fraction
-                and type(p[1]) is Fraction
-                for p in pieces
-            )
-        ):
-            pieces = tuple(
-                (to_rational(p[0]), to_rational(p[1])) for p in pieces
-            )
-        object.__setattr__(self, "breakpoints", breaks)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pieces", pieces)
+        pieces = tuple((to_rational(p[0]), to_rational(p[1])) for p in self.pieces)
         if len(breaks) < 2:
             raise ValidationError("need at least the two endpoint breakpoints")
         if not (_same(breaks[0], ZERO) and _same(breaks[-1], ONE)):
@@ -144,6 +132,13 @@ class PiecewiseFn:
                     raise ValidationError(
                         f"piece {i} reaches outside [0, 1] at breakpoint {k}"
                     )
+        self._seal(breaks, values, pieces)
+
+    def _seal(self, breaks, values, pieces) -> PiecewiseFn:
+        """Store the parts, unchecked, and the integer key of equality."""
+        object.__setattr__(self, "breakpoints", breaks)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pieces", pieces)
         key = []
         for q in breaks:
             key.append(q._numerator)
@@ -159,6 +154,7 @@ class PiecewiseFn:
         key = tuple(key)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        return self
 
     def __hash__(self):
         return self._hash
@@ -192,12 +188,7 @@ class PiecewiseFn:
 def evaluate(f: PiecewiseFn, x) -> Fraction:
     """Exact value of f at x: breakpoint value or affine piece value, found
     by a binary search over the breakpoints that compares in integers."""
-    if type(x) is Fraction:
-        q = x
-        if not _in_unit(q):
-            raise ValidationError(f"{q} lies outside [0, 1]")
-    else:
-        q = to_unit(x)
+    q = to_unit(x)
     n, d = q._numerator, q._denominator
     # b < q exactly when b.num * d - n * b.den < 0, so this is bisect_left
     i = bisect_left(f.breakpoints, 0, key=lambda b: b._numerator * d - n * b._denominator)
@@ -225,12 +216,17 @@ def _canonical_parts(breaks, values, pieces):
     )
 
 
+def _sealed(breaks, values, pieces) -> PiecewiseFn:
+    """A library-built function, sealed unchecked (see the module docstring)."""
+    return object.__new__(PiecewiseFn)._seal(breaks, values, pieces)
+
+
 def _build_canonical(breaks, values, pieces) -> PiecewiseFn:
     # construct once, directly in canonical form (hot-path constructor)
     parts = _canonical_parts(breaks, values, pieces)
     if parts is None:
-        return PiecewiseFn(tuple(breaks), tuple(values), tuple(pieces))
-    return PiecewiseFn(*parts)
+        return _sealed(tuple(breaks), tuple(values), tuple(pieces))
+    return _sealed(*parts)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -239,7 +235,7 @@ def canonicalize(f: PiecewiseFn) -> PiecewiseFn:
     parts = _canonical_parts(f.breakpoints, f.values, f.pieces)
     if parts is None:
         return f
-    return PiecewiseFn(*parts)
+    return _sealed(*parts)
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:

@@ -49,10 +49,14 @@ def to_rational(value) -> Fraction:
     raise ValidationError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _in_unit(q: Fraction) -> bool:
+    return 0 <= q._numerator <= q._denominator  # lowest terms, positive denominator
+
+
 def to_unit(value) -> Fraction:
     """Coerce to an exact rational and require it to lie in [0, 1]."""
     q = to_rational(value)
-    if not 0 <= q._numerator <= q._denominator:  # lowest terms, positive denominator
+    if not _in_unit(q):
         raise ValidationError(f"{q} lies outside [0, 1]")
     return q
 

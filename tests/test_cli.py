@@ -159,19 +159,35 @@ class TestEval:
         assert err.startswith("invalid input: result too long to print")
         assert err.count("\n") == 1
 
-    def test_unprintable_json_result_after_its_csv(self, capsys, tmp_path):
+    @staticmethod
+    def _unprintable_reflection(tmp_path):
         # the reflection's one piece has intercept 1/P + 1/(P+Q+2), about 4,400
         # digits; its sampled values, at 0 and 1, are short
         ends = (F(0), F(1))
         path = tmp_path / "f.json"
         path.write_text(t.dumps(t.PiecewiseFn(ends, ends, ((F(1, P), F(1, P + Q + 2)),))))
+        return ["eval", "neg", str(path), "--samples", "2"]
+
+    def test_unprintable_json_result_after_its_csv(self, capsys, tmp_path):
+        # the CSV can be built, but a failed command writes nothing
         out_json = tmp_path / "out.json"
-        argv = ["eval", "neg", str(path), "--samples", "2", "--json-out", str(out_json)]
+        argv = self._unprintable_reflection(tmp_path) + ["--json-out", str(out_json)]
         code, out, err = run(capsys, argv)
         assert code == 3
-        assert out == "x,value\n0,1\n1,0\n"
+        assert out == ""
         assert err.startswith("invalid input: result too long to print")
         assert err.count("\n") == 1
+        assert not out_json.exists()
+
+    def test_unprintable_json_result_writes_no_csv_file(self, capsys, tmp_path):
+        out_csv, out_json = tmp_path / "out.csv", tmp_path / "out.json"
+        argv = self._unprintable_reflection(tmp_path)
+        code, out, err = run(capsys, argv + ["--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input: result too long to print")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
         assert not out_json.exists()
 
     def test_single_sample_is_validation_error(self, capsys, files):
@@ -402,6 +418,27 @@ def test_malformed_command_is_usage_error(capsys, tmp_path, files, argv, message
     assert out == ""
     assert err.startswith("usage error:") and message in err
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("op", ["conv-meet:min:min", "conv-join:max:product"])
+def test_conv_op_with_json_out_is_usage_error(capsys, tmp_path, op):
+    # a grid convolution has no function JSON; refused before any file is read
+    out_json = tmp_path / "o.json"
+    argv = ["eval", op, "/nonexistent/f.json", "/nonexistent/g.json"]
+    code, out, err = run(capsys, argv + ["--grid", "4", "--json-out", str(out_json)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "--json-out" in err
+    assert err.count("\n") == 1
+    assert not out_json.exists()
+
+
+def test_conv_tolerance_not_a_rational_is_validation_error(capsys, files):
+    argv = ["eval", "conv-meet:product:min", files["band"], files["full"]]
+    code, out, err = run(capsys, argv + ["--grid", "4", "--tolerance", "abc"])
+    assert code == 3
+    assert out == ""
+    assert err == "invalid input: not a rational number: 'abc'\n"
 
 
 def test_usage_error_for_unknown_command(capsys):

@@ -4,7 +4,7 @@ from itertools import product as iter_product
 import pytest
 
 import t2algebra as t
-from t2algebra import DomainError
+from t2algebra import DomainError, ValidationError
 
 F = Fraction
 
@@ -94,6 +94,21 @@ def test_user_built_result_escaping_unit_interval_raises():
     assert doubled(F(1, 2), F(1, 2)) == F(1, 2)
     with pytest.raises(DomainError, match=r"^doubled\(3/4, 3/4\) = 9/8 escapes"):
         doubled(F(3, 4), F(3, 4))
+
+
+def test_user_built_float_result_is_rejected():
+    # a float in [0, 1] passes a range check; it must not pass at all
+    half = t.ScalarConnective("half", lambda x, y: 0.5 * x * y, "t-norm")
+    with pytest.raises(ValidationError, match="float"):
+        half(F(1, 2), F(1, 2))
+    with pytest.raises(ValidationError, match="float"):
+        t.convolve_meet(t.indicator(0, 1), t.indicator(0, 1), half, t.MINIMUM, t.GridSpec(4))
+
+
+def test_user_built_int_result_comes_back_a_fraction():
+    one = t.ScalarConnective("one", lambda x, y: 1, "t-norm")
+    assert type(one(F(1, 2), F(1, 3))) is F
+    assert type(one(1, 1)) is F and one(1, 1) == 1
 
 
 def test_min_has_neutral_one():

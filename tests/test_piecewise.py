@@ -589,6 +589,12 @@ class TestIntegerComparators:
             assert t.evaluate(f, x) == s * x + c
 
 
+def _clear_memos():
+    for memo in vars(piecewise).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()  # so every result is computed afresh
+
+
 class TestKernelMakesNoFractionCompare:
     """The operators compare in integers: with Fraction's comparisons made
     to fail, they still give their usual results."""
@@ -610,13 +616,102 @@ class TestKernelMakesNoFractionCompare:
 
         monkeypatch.setattr(Fraction, "_richcmp", refuse)
         monkeypatch.setattr(Fraction, "__eq__", refuse)
-        for memo in vars(piecewise).values():
-            if hasattr(memo, "cache_clear"):
-                memo.cache_clear()  # so every result is computed afresh
+        _clear_memos()
         got = [op(f, g) for f, g in pairs for op in ops]
         got += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
         got += [t.evaluate(f, x) for f in fns + odd for x in points]
         monkeypatch.undo()
+        assert got == expected
+
+
+def _unary_results(f):
+    return [
+        t.canonicalize(f),
+        t.reflect(f),
+        t.envelope_left(f),
+        t.envelope_right(f),
+        t.envelope_left_strict(f),
+        t.envelope_right_strict(f),
+    ]
+
+
+def _pair_results(f, g):
+    return [
+        t.pointwise_min(f, g),
+        t.pointwise_max(f, g),
+        t.meet(f, g),
+        t.join(f, g),
+        t.leq_sub(f, g),
+        *_unary_results(f),
+        *_unary_results(g),
+    ]
+
+
+def _lattice_results(f, g):
+    out = _pair_results(f, g) + [t.star(f, g), t.costar(f, g)]
+    if not (t.equals(f, t.TOP) or t.equals(g, t.TOP)):
+        out.extend(t.star_envelopes(f, g))
+    return out
+
+
+def _small_batteries():
+    config = t.GeneratorConfig(seed=3)
+    sizes = dict(pairs=6, triples=3, neutral_trials=3, monotone_trials=3)
+    return [
+        t.check_tr_axioms(t.STAR, "tr-norm", config, closure_denominator=4, **sizes),
+        t.check_tr_axioms(t.COSTAR, "tr-conorm", config, closure_denominator=4, **sizes),
+    ]
+
+
+class TestSealedBuilds:
+    """Functions the library computes are sealed without the constructor's
+    checks; routing them through the constructor changes nothing."""
+
+    @given(lattice_fns(), lattice_fns())
+    def test_library_builds_skip_the_constructor(self, f, g):
+        calls = []
+        checked = t.PiecewiseFn.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            checked(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(t.PiecewiseFn, "__post_init__", counting)
+            _clear_memos()
+            _lattice_results(f, g)
+        assert calls == []
+
+    @staticmethod
+    def _through_constructor(compute):
+        built = []
+
+        def validated(breaks, values, pieces):
+            built.append(None)
+            return t.PiecewiseFn(breaks, values, pieces)
+
+        _clear_memos()
+        expected = compute()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(piecewise, "_sealed", validated)
+            _clear_memos()
+            got = compute()
+        _clear_memos()
+        assert built
+        return got, expected
+
+    @given(lattice_fns(), lattice_fns())
+    def test_reference_path_on_lattice_functions(self, f, g):
+        got, expected = self._through_constructor(lambda: _lattice_results(f, g))
+        assert got == expected
+
+    @given(piecewise_fns(), piecewise_fns())
+    def test_reference_path_on_arbitrary_functions(self, f, g):
+        got, expected = self._through_constructor(lambda: _pair_results(f, g))
+        assert got == expected
+
+    def test_reference_path_through_the_batteries(self):
+        got, expected = self._through_constructor(_small_batteries)
         assert got == expected
 
 
