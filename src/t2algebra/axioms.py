@@ -272,34 +272,31 @@ def _interpolate_through(points: list[tuple[Fraction, Fraction]]) -> PiecewiseFn
     return canonicalize(PiecewiseFn(breaks, values, pieces))
 
 
-def _simplify_candidates(f: PiecewiseFn) -> Iterable[PiecewiseFn]:
-    def admit(g: PiecewiseFn) -> bool:
-        return in_lattice(g) and not equals(g, f)
-
+def _shrink_points(f: PiecewiseFn) -> Iterable[list[tuple[Fraction, Fraction]]]:
+    """The (x, value) lists the shrinker interpolates, in the order it tries
+    them: every other breakpoint of f, then f's breakpoints snapped to ever
+    coarser grids. Each starts at 0 and ends at 1, as f does (and 0 and 1
+    snap to themselves), strictly increases in x and has values in [0, 1],
+    so it always interpolates to a valid function."""
     if len(f.breakpoints) > 2:
         kept = list(f.breakpoints[::2])
         if kept[-1] != ONE:
             kept.append(ONE)
-        try:
-            g = _interpolate_through([(b, evaluate(f, b)) for b in kept])
-            if admit(g):
-                yield g
-        except ValidationError:
-            pass
+        yield [(b, evaluate(f, b)) for b in kept]
     for den in (16, 8, 4, 2):
         snapped: dict[Fraction, Fraction] = {}
         for b in f.breakpoints:
             x = Fraction(round(b * den), den)
             if x not in snapped:
                 snapped[x] = Fraction(round(evaluate(f, b) * den), den)
-        snapped[ZERO] = snapped.get(ZERO, Fraction(round(f.values[0] * den), den))
-        snapped[ONE] = snapped.get(ONE, Fraction(round(f.values[-1] * den), den))
-        try:
-            g = _interpolate_through(sorted(snapped.items()))
-            if admit(g):
-                yield g
-        except ValidationError:
-            continue
+        yield sorted(snapped.items())
+
+
+def _simplify_candidates(f: PiecewiseFn) -> Iterable[PiecewiseFn]:
+    for points in _shrink_points(f):
+        g = _interpolate_through(points)
+        if in_lattice(g) and not equals(g, f):
+            yield g
 
 
 _SHRINK_ROUNDS = 6

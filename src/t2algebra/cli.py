@@ -70,7 +70,7 @@ def _load_function(path: str) -> PiecewiseFn:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return loads(text)
 

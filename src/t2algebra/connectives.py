@@ -31,7 +31,11 @@ class ScalarConnective:
     profile: str = UNCONSTRAINED
 
     def __call__(self, x, y) -> Fraction:
-        result = to_rational(self.fn(to_unit(x), to_unit(y)))
+        value = self.fn(to_unit(x), to_unit(y))
+        try:
+            result = to_rational(value)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.name}({x}, {y}) = {value}: {exc}") from exc
         if not _in_unit(result):
             raise DomainError(f"{self.name}({x}, {y}) = {result} escapes [0, 1]")
         return result

@@ -29,12 +29,13 @@ ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic on
 partners in each row whose band can hold it, found by bisection over the
 integer band bounds.
 
-A builtin inner connective is called through its function, not through
-``ScalarConnective.__call__``: its arguments are grid values of built
-functions, inside [0, 1], and each result is checked once, in integers. It
-is nondecreasing, so a supremum of x * y over a set of y is x * (the
-largest y). Grid values are attained maxima, so this is an equality, not a
-bound, and both fast paths return exactly what the per-pair path returns:
+A builtin inner connective is called through its function ``fn``, with no
+per-call check: its arguments are grid values of built functions, inside
+[0, 1], and a property test checks that every builtin maps [0, 1]^2 into
+[0, 1]. It is nondecreasing, so a supremum of x * y over a set of y is
+x * (the largest y). Grid values are attained maxima, so this is an
+equality, not a bound, and both fast paths return exactly what the per-pair
+path returns:
 
 - exact path (min/max combiner), O(n): the value at x_k is
   max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
@@ -56,6 +57,7 @@ the fast paths are tested against.
 from __future__ import annotations
 
 import io
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -77,7 +79,7 @@ from .connectives import (
 )
 from .errors import DomainError, ValidationError
 from .piecewise import PiecewiseFn, falling_ramp, to_json_dict, unit_spike
-from .rationals import ONE, ZERO, _in_unit, format_rational, to_rational
+from .rationals import ONE, ZERO, format_rational, to_rational
 from .report import AxiomReport, falsify
 
 
@@ -186,20 +188,6 @@ _INDEX_FORMS = {
 }
 
 
-def _direct(conn: ScalarConnective):
-    """conn's own function for arguments known to lie in [0, 1], with the
-    escape check of ScalarConnective.__call__ made in integers."""
-    fn, name = conn.fn, conn.name
-
-    def call(x: Fraction, y: Fraction) -> Fraction:
-        result = fn(x, y)
-        if not _in_unit(result):
-            raise DomainError(f"{name}({x}, {y}) = {result} escapes [0, 1]")
-        return result
-
-    return call
-
-
 def _bands(combiner, pts, tol, lo, hi, i):
     """(j, k_lo, k_hi) for each partner j of x_i whose tolerance band around
     combiner(x_i, x_j) holds the grid points k_lo..k_hi (at least one).
@@ -303,8 +291,8 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
     gv = _grid_values(g, pts)
     monotone = id(star) in _INDEX_FORMS
     if monotone:
-        # its arguments are grid values of built functions, inside [0, 1]
-        star = _direct(star)
+        # a builtin, on grid values of built functions: both lie in [0, 1]
+        star = star.fn
     if combiner == exact and monotone:
         # sup_j star(fv[k], gv[j]) = star(fv[k], sup_j gv[j]) for a star
         # nondecreasing in each argument, and likewise with f and g swapped
@@ -363,6 +351,11 @@ def convolve_join_at(f, g, star, tconorm, grid: GridSpec, x) -> Fraction | None:
 # pairs pin down its boundary values.
 
 _COMMUTATIVITY_PAIR = (Fraction(1, 5), Fraction(4, 5))
+# per check: the witness names of its two arguments, and the fixture each becomes
+_FORCED_CHECKS = {
+    "commutativity": ("u", "v", falling_ramp),
+    "boundary": ("x", "y", unit_spike),
+}
 
 
 def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> AxiomReport:
@@ -370,54 +363,41 @@ def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> Axi
 
     Failures carry the witnessing identity: indicator pairs pushed through
     the oracle for boundary values, the canonical decreasing affine pair for
-    commutativity. The trials of both checks add up in one report.
+    commutativity. One run tries the commutativity pairs, then the boundary
+    corners, and counts the trials of both.
     """
 
-    def ramp_product(u: Fraction, v: Fraction) -> Fraction:
-        f, g = falling_ramp(u), falling_ramp(v)
-        return convolve_meet_at(f, g, star, MINIMUM, grid, ONE)
+    def sides(check: str, a: Fraction, b: Fraction):
+        fixture = _FORCED_CHECKS[check][2]
+        lhs = convolve_meet_at(fixture(a), fixture(b), star, MINIMUM, grid, ONE)
+        if check == "boundary":
+            return lhs, min(a, b)  # a t-norm's value at a corner of [0, 1]^2
+        return lhs, convolve_meet_at(fixture(b), fixture(a), star, MINIMUM, grid, ONE)
 
-    def spike_product(x: Fraction, y: Fraction) -> Fraction | None:
-        f, g = unit_spike(x), unit_spike(y)
-        return convolve_meet_at(f, g, star, MINIMUM, grid, ONE)
+    def witness(check: str, a: Fraction, b: Fraction) -> dict:
+        a_name, b_name, fixture = _FORCED_CHECKS[check]
+        lhs, rhs = sides(check, a, b)
+        return {
+            "check": check,
+            a_name: str(a),
+            b_name: str(b),
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "fixtures": [to_json_dict(fixture(a)), to_json_dict(fixture(b))],
+        }
 
-    sample = [_COMMUTATIVITY_PAIR]
     eighths = [Fraction(k, 8) for k in range(9)]
-    sample.extend((u, v) for u in eighths for v in eighths if u < v)
-    commutes = falsify(
-        "forced-properties",
-        sample,
-        lambda u, v: ramp_product(u, v) == ramp_product(v, u),
-        lambda u, v: {
-            "check": "commutativity",
-            "u": str(u),
-            "v": str(v),
-            "lhs": str(ramp_product(u, v)),
-            "rhs": str(ramp_product(v, u)),
-            "fixtures": [to_json_dict(falling_ramp(u)), to_json_dict(falling_ramp(v))],
-        },
+    pairs = [_COMMUTATIVITY_PAIR] + [(u, v) for u in eighths for v in eighths if u < v]
+    cases = [("commutativity", u, v) for u, v in pairs]
+    cases += [("boundary", x, y) for x in (ZERO, ONE) for y in (ZERO, ONE)]
+    report = falsify(
+        "forced-properties", cases, lambda *case: operator.eq(*sides(*case)), witness
     )
-    if not commutes.passed:
-        w = commutes.witness
+    if report.passed:
+        return report
+    w = report.witness
+    if w["check"] == "commutativity":
         detail = f"meet-form convolution not commutative at u={w['u']}, v={w['v']}"
-        return replace(commutes, detail=detail)
-
-    boundary = falsify(
-        "forced-properties",
-        ((ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ZERO, ZERO), (ONE, ONE, ONE)),
-        lambda x, y, expected: spike_product(x, y) == expected,
-        lambda x, y, expected: {
-            "check": "boundary",
-            "x": str(x),
-            "y": str(y),
-            "lhs": str(spike_product(x, y)),
-            "rhs": str(expected),
-            "fixtures": [to_json_dict(unit_spike(x)), to_json_dict(unit_spike(y))],
-        },
-    )
-    trials = commutes.trials + boundary.trials
-    if not boundary.passed:
-        w = boundary.witness
+    else:
         detail = f"boundary value {w['x']}*{w['y']} = {w['lhs']}, expected {w['rhs']}"
-        return replace(boundary, trials=trials, detail=detail)
-    return replace(boundary, trials=trials)
+    return replace(report, detail=detail)

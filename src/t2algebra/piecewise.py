@@ -511,7 +511,7 @@ def _indicator_ones(f: PiecewiseFn) -> list[Fraction]:
     # interval they span, and no breakpoints otherwise
     g = canonicalize(f)
     ones = [b for b, v in zip(g.breakpoints, g.values) if _same(v, ONE)]
-    return ones if ones and g == indicator(ones[0], ones[-1]) else []
+    return ones if ones and g == _indicator(ones[0], ones[-1]) else []
 
 
 def is_point_indicator(f: PiecewiseFn) -> bool:
@@ -538,6 +538,7 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
     # The first breakpoint, walking from 0 (rightward) or from 1, at which
     # the monotone envelope h is 1 or is 1 just beyond: the inf (rightward)
     # or sup of {x | h(x) = 1}, whose end may sit at a piece's open end.
+    # There is none exactly when the function h envelops is not normal.
     last = len(h.pieces)
     for k in range(last + 1):
         i = k if rightward else last - k
@@ -546,22 +547,19 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
             0 <= beyond < last and _same_piece(h.pieces[beyond], (ZERO, ONE))
         ):
             return h.breakpoints[i]
-    raise DomainError("function never reaches 1: not normal")
+    side = "left" if rightward else "right"
+    raise DomainError(f"{side}_threshold requires a normal function")
 
 
 @lru_cache(maxsize=_CACHE)
 def left_threshold(f: PiecewiseFn) -> Fraction:
     """inf{x | left envelope of f reaches 1}; requires f normal."""
-    if not is_normal(f):
-        raise DomainError("left_threshold requires a normal function")
     return _one_level_end(envelope_left(f), rightward=True)
 
 
 @lru_cache(maxsize=_CACHE)
 def right_threshold(f: PiecewiseFn) -> Fraction:
     """sup{x | right envelope of f reaches 1}; requires f normal."""
-    if not is_normal(f):
-        raise DomainError("right_threshold requires a normal function")
     return _one_level_end(envelope_right(f), rightward=False)
 
 

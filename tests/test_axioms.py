@@ -5,9 +5,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import ValidationError
+from t2algebra.axioms import _interpolate_through, _shrink_points
+from conftest import lattice_fns, piecewise_fns
 
 F = Fraction
 
@@ -178,6 +182,15 @@ class TestWitnessShrinking:
         shrunk = t.shrink_witness((target,), still_fails)
         assert not t.equals(shrunk[0], t.TOP)
         assert len(shrunk[0].breakpoints) <= len(target.breakpoints)
+
+    # a denominator of 45 makes the snap to 16ths, 8ths, ... round and merge
+    # breakpoints, which 16ths alone never do
+    @given(st.one_of(lattice_fns(), piecewise_fns(), piecewise_fns(den=45)))
+    def test_every_candidate_is_a_valid_function(self, f):
+        # the shrinker drops no candidate for being invalid: each must build,
+        # whether or not it would be admitted
+        for points in _shrink_points(f):
+            _interpolate_through(points)
 
 
 class TestSeparation:

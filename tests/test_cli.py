@@ -2,11 +2,12 @@ import io
 import json
 import os
 import tempfile
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import t2algebra as t
@@ -224,6 +225,15 @@ class TestEval:
         code, _, _ = run(capsys, ["eval", "neg", "/nonexistent/f.json"])
         assert code == 3
 
+    def test_file_not_in_utf8_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["eval", "neg", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"invalid input: cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_json_round_trip_preserves_canonical_form(
         self, capsys, tmp_path, files
     ):
@@ -335,6 +345,14 @@ class TestPlotCommand:
         svg = target.read_text()
         assert ">input</text>" in svg
         assert ">product</text>" in svg
+
+    def test_label_text_is_escaped(self, capsys, tmp_path, files):
+        target = tmp_path / "label.svg"
+        argv = ["plot", files["band"], "--out", str(target), "--labels", "R&D <draft>"]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        texts = ET.parse(target).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert "R&D <draft>" in [node.text for node in texts]
 
     def test_unwritable_path_is_io_error(self, capsys, files):
         code, _, err = run(
@@ -507,10 +525,12 @@ def mutated_function_texts(draw):
 
 
 def assert_every_op_keeps_the_contract(text, partner):
+    """text is the function file's content, as a str or as raw bytes."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     with tempfile.TemporaryDirectory() as tmp:
         path, other = os.path.join(tmp, "f.json"), os.path.join(tmp, "g.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
         with open(other, "w", encoding="utf-8") as handle:
             handle.write(t.dumps(partner))
         argvs = [["eval", op, path] for op in UNARY_EVAL_OPS]
@@ -534,3 +554,10 @@ def test_fuzz_arbitrary_json_keeps_the_exit_code_contract(value, partner):
 @given(mutated_function_texts(), st.sampled_from(FUZZ_FUNCTIONS))
 def test_fuzz_mutated_function_files_keep_the_exit_code_contract(text, partner):
     assert_every_op_keeps_the_contract(text, partner)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=64), st.sampled_from(FUZZ_FUNCTIONS))
+@example(b"\xff\xfe{}", FUZZ_FUNCTIONS[0])  # not UTF-8
+def test_fuzz_arbitrary_bytes_keep_the_exit_code_contract(data, partner):
+    assert_every_op_keeps_the_contract(data, partner)

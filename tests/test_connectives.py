@@ -99,7 +99,7 @@ def test_user_built_result_escaping_unit_interval_raises():
 def test_user_built_float_result_is_rejected():
     # a float in [0, 1] passes a range check; it must not pass at all
     half = t.ScalarConnective("half", lambda x, y: 0.5 * x * y, "t-norm")
-    with pytest.raises(ValidationError, match="float"):
+    with pytest.raises(ValidationError, match=r"^half\(1/2, 1/2\) = 0\.125: float"):
         half(F(1, 2), F(1, 2))
     with pytest.raises(ValidationError, match="float"):
         t.convolve_meet(t.indicator(0, 1), t.indicator(0, 1), half, t.MINIMUM, t.GridSpec(4))

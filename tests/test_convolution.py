@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
-from t2algebra.convolution import _INDEX_FORMS, _direct, _grid_values
+from t2algebra.convolution import _INDEX_FORMS, _grid_values
 
 from conftest import piecewise_fns
 from oracles import brute_convolution_grid
@@ -446,12 +446,6 @@ class TestIndexForms:
     )
     def test_builtin_maps_the_unit_square_into_the_unit_interval(self, conn, x, y):
         assert 0 <= conn.fn(x, y) <= 1
-
-    def test_direct_call_keeps_the_escape_check(self):
-        doubled = t.ScalarConnective("doubled", lambda x, y: 2 * x * y, "t-norm")
-        assert _direct(doubled)(F(1, 2), F(1, 2)) == F(1, 2)
-        with pytest.raises(DomainError, match="escapes"):
-            _direct(doubled)(F(3, 4), F(3, 4))
 
 
 def counting_copy(conn):
