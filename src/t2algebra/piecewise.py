@@ -36,7 +36,9 @@ rather than through ``Fraction``'s rich comparisons, which dispatch through
 the ``numbers`` ABCs on every call. ``Fraction`` always holds lowest terms
 with a positive denominator, so p < q exactly when p.num * q.den <
 q.num * p.den, and p == q exactly when both slots agree. Arguments and
-results stay ``Fraction`` at the API.
+results stay ``Fraction`` at the API. The kernel compares in integer slots
+first and builds a ``Fraction`` only for a value kept in a result: a piece
+limit or a crossing stays an unreduced integer ratio until it wins.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ from .rationals import ONE, UNPRINTABLE, ZERO, _in_unit, format_rational, to_rat
 Affine = tuple[Fraction, Fraction]
 
 _CACHE = 16384
-
-
-def _affine_at(piece: Affine, x: Fraction) -> Fraction:
-    slope, intercept = piece
-    return slope * x + intercept
 
 
 def _lt(p: Fraction, q: Fraction) -> bool:
@@ -86,6 +83,16 @@ def _affine_ratio(piece: Affine, x: Fraction) -> tuple[int, int]:
     den = s._denominator * x._denominator
     num = s._numerator * x._numerator * c._denominator + c._numerator * den
     return num, den * c._denominator
+
+
+def _cmp(q: Fraction, num: int, den: int) -> int:
+    # an int with the sign of q - num/den, for den > 0
+    return q._numerator * den - num * q._denominator
+
+
+def _raised(q: Fraction, num: int, den: int) -> Fraction:
+    # max(q, num/den), building a Fraction only where num/den is larger
+    return Fraction(num, den) if _cmp(q, num, den) < 0 else q
 
 
 def _affine_above(p1: Affine, p2: Affine, x: Fraction) -> bool:
@@ -169,32 +176,39 @@ class PiecewiseFn:
     def __call__(self, x) -> Fraction:
         return evaluate(self, x)
 
-    def piece_containing(self, x: Fraction) -> Affine:
+    def piece_containing(self, x) -> Affine:
         """Affine piece of the open interval strictly containing x."""
-        i = bisect_left(self.breakpoints, x)
-        if i < len(self.breakpoints) and self.breakpoints[i] == x:
-            raise DomainError(f"{x} is a breakpoint, not interior to a piece")
+        q, i, on_break = _locate(self, x)
+        if on_break:
+            raise DomainError(f"{q} is a breakpoint, not interior to a piece")
         return self.pieces[i - 1]
 
     def left_limit(self, i: int) -> Fraction:
-        """Limit from below at breakpoint i (i >= 1)."""
-        return _affine_at(self.pieces[i - 1], self.breakpoints[i])
+        """Limit from below at breakpoint i (1 <= i <= len-1)."""
+        if not 1 <= i < len(self.breakpoints):
+            raise DomainError(f"no limit from below at breakpoint {i}")
+        return Fraction(*_affine_ratio(self.pieces[i - 1], self.breakpoints[i]))
 
     def right_limit(self, i: int) -> Fraction:
-        """Limit from above at breakpoint i (i <= len-2)."""
-        return _affine_at(self.pieces[i], self.breakpoints[i])
+        """Limit from above at breakpoint i (0 <= i <= len-2)."""
+        if not 0 <= i < len(self.pieces):
+            raise DomainError(f"no limit from above at breakpoint {i}")
+        return Fraction(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
 
 
-def evaluate(f: PiecewiseFn, x) -> Fraction:
-    """Exact value of f at x: breakpoint value or affine piece value, found
-    by a binary search over the breakpoints that compares in integers."""
+def _locate(f: PiecewiseFn, x) -> tuple[Fraction, int, bool]:
+    # (x coerced to q in [0, 1], the first i with q <= b_i, whether q = b_i)
     q = to_unit(x)
     n, d = q._numerator, q._denominator
     # b < q exactly when b.num * d - n * b.den < 0, so this is bisect_left
     i = bisect_left(f.breakpoints, 0, key=lambda b: b._numerator * d - n * b._denominator)
-    if i < len(f.breakpoints) and _same(f.breakpoints[i], q):
-        return f.values[i]
-    return _affine_at(f.pieces[i - 1], q)
+    return q, i, _same(f.breakpoints[i], q)  # q <= 1, the last breakpoint
+
+
+def evaluate(f: PiecewiseFn, x) -> Fraction:
+    """Exact value of f at x: breakpoint value or affine piece value."""
+    q, i, on_break = _locate(f, x)
+    return f.values[i] if on_break else Fraction(*_affine_ratio(f.pieces[i - 1], q))
 
 
 def _canonical_parts(breaks, values, pieces):
@@ -312,10 +326,10 @@ def falling_ramp(end) -> PiecewiseFn:
 
 
 def _merged(f: PiecewiseFn, g: PiecewiseFn):
-    """(a, b, p1, p2, fx, gx) for each open interval (a, b) between
-    consecutive merged breakpoints of f and g, left to right: f and g are the
-    single pieces p1 and p2 on it, and fx = f(b), gx = g(b). The last has
-    b = 1. One two-pointer sweep over both piece lists."""
+    """(a, b, p1, p2, fx, gx) for each open interval (a, b) between merged
+    breakpoints of f and g, left to right, where f and g are the pieces p1
+    and p2; fx = f(b) as (num, den > 0, kept), kept being f's stored value
+    at b or None off its breakpoints, and gx likewise. The last has b = 1."""
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     gb, gv, gp = g.breakpoints, g.values, g.pieces
     a = ZERO
@@ -328,8 +342,9 @@ def _merged(f: PiecewiseFn, g: PiecewiseFn):
         d = bf._numerator * bg._denominator - bg._numerator * bf._denominator
         on_f, on_g = d <= 0, d >= 0
         b = bf if on_f else bg
-        fx = fv[i + 1] if on_f else p1[0] * b + p1[1]
-        gx = gv[j + 1] if on_g else p2[0] * b + p2[1]
+        q, r = fv[i + 1], gv[j + 1]
+        fx = (q._numerator, q._denominator, q) if on_f else (*_affine_ratio(p1, b), None)
+        gx = (r._numerator, r._denominator, r) if on_g else (*_affine_ratio(p2, b), None)
         yield a, b, p1, p2, fx, gx
         if on_f and i == last_f:
             return
@@ -343,34 +358,38 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
     canonical: one pass over the merged intervals."""
     # Where the pieces of f and g cross strictly inside a merged interval,
     # the crossing becomes a breakpoint and the winner swaps there.
-    pick = _min if take_min else _max
     breaks = [ZERO]
-    values = [pick(f.values[0], g.values[0])]
+    values = [(_min if take_min else _max)(f.values[0], g.values[0])]
     pieces: list[Affine] = []
     for a, b, p1, p2, fx, gx in _merged(f, g):
+        (s1, c1), (s2, c2) = p1, p2
+        # ds has the sign of s1 - s2, as has f - g right of a crossing
+        ds = s1._numerator * s2._denominator - s2._numerator * s1._denominator
         if _same_piece(p1, p2):
             pieces.append(p1)
+        elif not ds:
+            # parallel: the lower (for min) or higher intercept wins
+            pieces.append(p1 if _lt(c1, c2) == take_min else p2)
         else:
-            s1, c1 = p1
-            s2, c2 = p2
-            if _same(s1, s2):
-                # parallel: the lower (for min) or higher intercept wins
-                pieces.append(p1 if _lt(c1, c2) == take_min else p2)
+            # the crossing (c2 - c1) / (s1 - s2) as xn / xd with xd > 0
+            xn = c2._numerator * c1._denominator - c1._numerator * c2._denominator
+            xn *= s1._denominator * s2._denominator * (1 if ds > 0 else -1)
+            xd = abs(ds) * c1._denominator * c2._denominator
+            after = p1 if (ds < 0) == take_min else p2
+            if _cmp(a, xn, xd) >= 0:
+                pieces.append(after)
             else:
-                x = (c2 - c1) / (s1 - s2)
-                # right of the crossing f - g has the sign of s1 - s2
-                after = p1 if _lt(s1, s2) == take_min else p2
-                if not _lt(a, x):
+                pieces.append(p2 if after is p1 else p1)
+                if _cmp(b, xn, xd) > 0:
+                    x = Fraction(xn, xd)
+                    breaks.append(x)
+                    values.append(Fraction(*_affine_ratio(p1, x)))
                     pieces.append(after)
-                else:
-                    before = p2 if after is p1 else p1
-                    pieces.append(before)
-                    if _lt(x, b):
-                        breaks.append(x)
-                        values.append(s1 * x + c1)
-                        pieces.append(after)
         breaks.append(b)
-        values.append(pick(fx, gx))
+        # the first of equals, as _min and _max: g only where it strictly wins
+        dv = gx[0] * fx[1] - fx[0] * gx[1]
+        win = gx if (dv < 0 if take_min else dv > 0) else fx
+        values.append(win[2] if win[2] is not None else Fraction(win[0], win[1]))
     return breaks, values, pieces
 
 
@@ -387,7 +406,7 @@ def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     if _lt(g.values[0], f.values[0]):
         return False
     for a, b, p1, p2, fx, gx in _merged(f, g):
-        if _lt(gx, fx):
+        if gx[0] * fx[1] < fx[0] * gx[1]:
             return False
         # affine comparison on an interval reduces to its endpoints
         if not _same_piece(p1, p2) and (
@@ -425,23 +444,25 @@ def _running_sup(f: PiecewiseFn, rightward: bool):
     breaks, values = [fb[start]], [running]
     pieces: list[Affine] = []
     for i in order:
-        s, c = fp[i]
-        near_lim = s * fb[i + near] + c
-        far_lim = s * fb[i + far] + c
+        s, c = piece = fp[i]
         if s._numerator * rising > 0:
-            if not _lt(near_lim, running):
-                pieces.append((s, c))
-            elif not _lt(running, far_lim):
+            # rising: only the far limit can raise the running supremum
+            far_lim = _affine_ratio(piece, fb[i + far])
+            if _cmp(running, *_affine_ratio(piece, fb[i + near])) <= 0:
+                pieces.append(piece)
+            elif _cmp(running, *far_lim) >= 0:
                 pieces.append((ZERO, running))
             else:
-                crossing = (running - c) / s
                 pieces.append((ZERO, running))
-                breaks.append(crossing)
+                breaks.append((running - c) / s)  # where the piece passes it
                 values.append(running)
-                pieces.append((s, c))
+                pieces.append(piece)
+            running = _raised(_max(running, fv[i + far]), *far_lim)
         else:
-            pieces.append((ZERO, _max(running, near_lim)))
-        running = _max(_max(_max(running, near_lim), far_lim), fv[i + far])
+            # flat or falling: only the near limit can raise it
+            running = _raised(running, *_affine_ratio(piece, fb[i + near]))
+            pieces.append((ZERO, running))
+            running = _max(running, fv[i + far])
         breaks.append(fb[i + far])
         values.append(running)
     if rightward:
@@ -534,10 +555,10 @@ class EnvelopeThresholds:
     xi: Fraction
 
 
-def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
+def _one_level_end(h: PiecewiseFn, rightward: bool) -> tuple[Fraction, Fraction]:
     # The first breakpoint, walking from 0 (rightward) or from 1, at which
-    # the monotone envelope h is 1 or is 1 just beyond: the inf (rightward)
-    # or sup of {x | h(x) = 1}, whose end may sit at a piece's open end.
+    # the monotone envelope h is 1 or is 1 just beyond, with h's value there:
+    # the inf (rightward) or sup of {x | h(x) = 1}, maybe a piece's open end.
     # There is none exactly when the function h envelops is not normal.
     last = len(h.pieces)
     for k in range(last + 1):
@@ -546,7 +567,7 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
         if _same(h.values[i], ONE) or (
             0 <= beyond < last and _same_piece(h.pieces[beyond], (ZERO, ONE))
         ):
-            return h.breakpoints[i]
+            return h.breakpoints[i], h.values[i]
     side = "left" if rightward else "right"
     raise DomainError(f"{side}_threshold requires a normal function")
 
@@ -554,13 +575,18 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> Fraction:
 @lru_cache(maxsize=_CACHE)
 def left_threshold(f: PiecewiseFn) -> Fraction:
     """inf{x | left envelope of f reaches 1}; requires f normal."""
-    return _one_level_end(envelope_left(f), rightward=True)
+    return _one_level_end(envelope_left(f), rightward=True)[0]
 
 
 @lru_cache(maxsize=_CACHE)
+def _right_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
+    # (right threshold of f, its right envelope's value there), for star
+    return _one_level_end(envelope_right(f), rightward=False)
+
+
 def right_threshold(f: PiecewiseFn) -> Fraction:
     """sup{x | right envelope of f reaches 1}; requires f normal."""
-    return _one_level_end(envelope_right(f), rightward=False)
+    return _right_end(f)[0]
 
 
 def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:

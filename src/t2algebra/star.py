@@ -30,11 +30,11 @@ from .piecewise import (
     _combine_parts,
     _lt,
     _min,
+    _right_end,
+    _same,
     canonicalize,
     envelope_left,
-    envelope_right,
     equals,
-    evaluate,
     in_lattice,
     reflect,
     thresholds,
@@ -111,8 +111,12 @@ def _product(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 
 def _tail_value(f: PiecewiseFn, g: PiecewiseFn, xi: Fraction) -> Fraction:
-    # the product's value at xi: the meet of the right envelopes there
-    return _min(evaluate(envelope_right(f), xi), evaluate(envelope_right(g), xi))
+    # The product's value at xi: the meet of the right envelopes there. The
+    # threshold scan keeps each one's value at its own threshold; one whose
+    # threshold lies beyond xi is 1 at xi, as it is 1 left of its threshold.
+    t_f, v_f = _right_end(f)
+    t_g, v_g = _right_end(g)
+    return _min(v_f if _same(t_f, xi) else ONE, v_g if _same(t_g, xi) else ONE)
 
 
 def star_envelopes(

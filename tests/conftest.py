@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import t2algebra as t
+from t2algebra import piecewise
 
 HALF = Fraction(1, 2)
 
@@ -21,6 +22,12 @@ def plateau_step():
 @pytest.fixture
 def spike_pair():
     return t.unit_spike(Fraction(3, 10)), t.unit_spike(Fraction(7, 10))
+
+
+def clear_memos():
+    for memo in vars(piecewise).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()  # so every result is computed afresh
 
 
 def unit_fracs(den: int = 16):
@@ -78,4 +85,32 @@ def lattice_fns(draw, den: int = 16):
     down = ((v1 - 1) / (1 - p), 1 - (v1 - 1) * p / (1 - p))
     return t.PiecewiseFn(
         (Fraction(0), p, Fraction(1)), (v0, Fraction(1), v1), (up, down)
+    )
+
+
+@st.composite
+def open_peak_fns(draw, den: int = 16):
+    """Normal convex functions that reach 1 only as a limit from the left at
+    some b < 1, with a lower value at b: 1 on [a, b) for a < b, or a rise to
+    1 at b for a = b, and a fall after b."""
+    b = Fraction(draw(st.integers(1, den - 1)), den)
+    a = draw(unit_fracs(den).filter(lambda q: q <= b))
+    at_b = Fraction(draw(st.integers(0, den - 1)), den)
+    w1 = draw(unit_fracs(den).filter(lambda q: q <= at_b))
+    w2 = draw(unit_fracs(den).filter(lambda q: q <= w1))
+    v0 = draw(unit_fracs(den))
+    fall = ((w2 - w1) / (1 - b), w1 - (w2 - w1) / (1 - b) * b)
+    if a == 0:
+        head = ((Fraction(0),), (Fraction(1),), ((Fraction(0), Fraction(1)),))
+    elif a == b:
+        head = ((Fraction(0),), (v0,), (((1 - v0) / b, v0),))
+    else:
+        head = (
+            (Fraction(0), a),
+            (v0, Fraction(1)),
+            (((1 - v0) / a, v0), (Fraction(0), Fraction(1))),
+        )
+    breaks, values, pieces = head
+    return t.PiecewiseFn(
+        breaks + (b, Fraction(1)), values + (at_b, w2), pieces + (fall,)
     )

@@ -17,13 +17,16 @@ candidates: the breakpoint values and piece limits it has passed.
 The pointwise min/max/leq reference routes re-derive each merged interval's
 pieces by a midpoint lookup and each breakpoint value by ``evaluate``; the
 library's one-sweep versions are checked against them.
+
+``reference_tail_value`` is the threshold product's value at xi evaluated
+on both right envelopes, which the library reads off its threshold scan.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import ge, le
 
-from t2algebra import PiecewiseFn, canonicalize, evaluate
+from t2algebra import PiecewiseFn, canonicalize, envelope_right, evaluate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -256,6 +259,11 @@ def reference_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
         if s1 * a + c1 > s2 * a + c2 or s1 * b + c1 > s2 * b + c2:
             return False
     return True
+
+
+def reference_tail_value(f: PiecewiseFn, g: PiecewiseFn, xi: Fraction) -> Fraction:
+    """The meet of the right envelopes of f and g at xi, by evaluation."""
+    return min(evaluate(envelope_right(f), xi), evaluate(envelope_right(g), xi))
 
 
 def brute_convolution_grid(

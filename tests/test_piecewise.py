@@ -18,6 +18,7 @@ from t2algebra.piecewise import (
     _same_piece,
 )
 
+from conftest import clear_memos as _clear_memos
 from conftest import lattice_fns, piecewise_fns, unit_fracs
 from oracles import (
     exact_sup,
@@ -69,6 +70,24 @@ class TestEvaluate:
         assert f.piece_containing(F(2, 5)) == (0, 1)
         with pytest.raises(DomainError, match="is a breakpoint"):
             f.piece_containing(F(1, 5))
+
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_piece_containing_rejects_out_of_range(self, x):
+        with pytest.raises(ValidationError, match="outside"):
+            t.indicator(F(1, 5), F(3, 5)).piece_containing(x)
+
+    def test_piece_containing_coerces_like_evaluate(self):
+        assert t.indicator(F(1, 5), F(3, 5)).piece_containing("1/4") == (0, 1)
+
+    @pytest.mark.parametrize("i", [-1, 0, 3])
+    def test_left_limit_outside_its_indices(self, i):
+        with pytest.raises(DomainError, match="from below"):
+            t.step(F(1, 2), 1, F(1, 4)).left_limit(i)
+
+    @pytest.mark.parametrize("i", [-1, 2, 3])
+    def test_right_limit_outside_its_indices(self, i):
+        with pytest.raises(DomainError, match="from above"):
+            t.step(F(1, 2), 1, F(1, 4)).right_limit(i)
 
 
 class TestCanonicalize:
@@ -176,6 +195,19 @@ SWEEP_CASES = {
     ),
     "spike_on_a_jump": (t.unit_spike(F(1, 2)), t.indicator(F(1, 2), 1)),
     "twin_spikes": (t.unit_spike(F(3, 10)), t.unit_spike(F(7, 10))),
+    # 2x climbs to a limit of 1 at 1/2 that the value there (0) does not
+    # reach: each running supremum takes that limit as its new level
+    "limit_beats_the_value_beyond": (
+        t.PiecewiseFn(
+            (F(0), F(1, 2), F(1)), (F(0), F(0), F(0)), ((F(2), F(0)), (F(0), F(0)))
+        ),
+        _line(F(-1, 3), F(2, 3), F(1, 3)),
+    ),
+    # x against (1 - x) / 2 on thirds and fifths: they cross at 1/3
+    "crossing_at_merged_breakpoint_coprime": (
+        _line(1, 0, F(1, 3)),
+        _line(F(-1, 2), F(1, 2), F(1, 5)),
+    ),
 }
 
 
@@ -213,6 +245,12 @@ class TestSweepAgainstMidpointReference:
     def test_random_pairs(self, f, g):
         self._agree(f, g)
 
+    @given(piecewise_fns(), piecewise_fns(den=15))
+    def test_random_pairs_on_coprime_grids(self, f, g):
+        # breakpoints on the 16ths and 15ths coincide only at 0 and 1
+        self._agree(f, g)
+        self._agree(g, f)
+
     @given(piecewise_fns())
     def test_pairs_sharing_pieces(self, f):
         # pointwise ops of f with a function built from it share whole pieces
@@ -239,6 +277,18 @@ class TestReflect:
         g = t.reflect(f)
         for x in probe_points(f, splits=3):
             assert t.evaluate(g, F(1) - x) == t.evaluate(f, x)
+
+
+def _assert_envelopes_match_oracles(f):
+    envelopes = [
+        (t.envelope_left(f), oracle_envelope_left),
+        (t.envelope_right(f), oracle_envelope_right),
+        (t.envelope_left_strict(f), oracle_envelope_left_strict),
+        (t.envelope_right_strict(f), oracle_envelope_right_strict),
+    ]
+    for x in probe_points(f, *(env for env, _ in envelopes), splits=3):
+        for env, oracle in envelopes:
+            assert t.evaluate(env, x) == oracle(f, x)
 
 
 class TestEnvelopes:
@@ -274,6 +324,26 @@ class TestEnvelopes:
         env = t.envelope_right(f)
         for x in probe_points(f, env, splits=3):
             assert t.evaluate(env, x) == oracle_envelope_right(f, x)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_targeted_cases_match_enumeration_oracles(self, case):
+        f, g = SWEEP_CASES[case]
+        for h in (f, g, t.pointwise_min(f, g), t.pointwise_max(f, g)):
+            _assert_envelopes_match_oracles(h)
+
+    def test_limit_beyond_the_value_is_the_new_level(self):
+        f, _ = SWEEP_CASES["limit_beats_the_value_beyond"]
+        assert t.equals(t.envelope_left(f), t.pointwise_max(f, t.indicator(F(1, 2), 1)))
+        # sup over [1/2, 1] leaves the limit out: 1 only left of 1/2
+        assert t.envelope_right(f) == t.PiecewiseFn(
+            (F(0), F(1, 2), F(1)), (F(1), F(0), F(0)), ((F(0), F(1)), (F(0), F(0)))
+        )
+
+    @given(piecewise_fns(), piecewise_fns(den=15))
+    def test_combinations_on_coprime_grids_match_enumeration_oracles(self, f, g):
+        # min and max of these add crossings at rationals off both grids
+        _assert_envelopes_match_oracles(t.pointwise_min(f, g))
+        _assert_envelopes_match_oracles(t.pointwise_max(f, g))
 
     @given(piecewise_fns())
     def test_idempotence(self, f):
@@ -587,12 +657,6 @@ class TestIntegerComparators:
         for (s, c), lo, hi in zip(f.pieces, f.breakpoints, f.breakpoints[1:]):
             x = data.draw(st.fractions(lo, hi).filter(lambda x: lo < x < hi))
             assert t.evaluate(f, x) == s * x + c
-
-
-def _clear_memos():
-    for memo in vars(piecewise).values():
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()  # so every result is computed afresh
 
 
 class TestKernelMakesNoFractionCompare:

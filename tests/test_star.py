@@ -1,14 +1,19 @@
+import importlib
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError
+from t2algebra import DomainError, piecewise
 
-from conftest import lattice_fns
-from oracles import probe_points
+from conftest import clear_memos, lattice_fns, open_peak_fns
+from oracles import probe_points, reference_tail_value
+
+# the module; the package's name ``star`` is the function
+star_module = importlib.import_module("t2algebra.star")
 
 F = Fraction
 
@@ -139,6 +144,42 @@ class TestStarEnvelopes:
         out = t.star(f, g)
         assert t.equals(left, t.envelope_left(out))
         assert t.equals(right, t.envelope_right(out))
+
+
+class TestTailValue:
+    """The product's value at xi comes from the threshold scan, not from
+    evaluating the right envelopes."""
+
+    # of these shapes only an open peak has a right envelope below 1 at its
+    # own threshold
+    @given(
+        st.one_of(lattice_fns(), open_peak_fns()),
+        st.one_of(lattice_fns(), open_peak_fns()),
+    )
+    def test_matches_the_evaluated_envelopes(self, f, g):
+        xi = t.thresholds(f, g).xi
+        expected = reference_tail_value(f, g, xi)
+        assert star_module._tail_value(f, g, xi) == expected
+        if not (t.equals(f, t.TOP) or t.equals(g, t.TOP)):
+            assert t.evaluate(t.star(f, g), xi) == expected
+
+    @given(lattice_fns(), lattice_fns())
+    def test_products_make_no_evaluate_calls(self, f, g):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return t.evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(piecewise, "evaluate", counting)
+            mp.setattr(star_module, "evaluate", counting, raising=False)
+            clear_memos()
+            t.star(f, g)
+            t.costar(f, g)
+            if not (t.equals(f, t.TOP) or t.equals(g, t.TOP)):
+                t.star_envelopes(f, g)
+        assert calls == []
 
 
 class TestDuality:
