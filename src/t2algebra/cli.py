@@ -44,7 +44,7 @@ EXIT_INTERNAL = 5
 # mistyped number cannot run for hours or exhaust memory.
 # --grid: an exact (min/max) grid convolution takes time linear in the
 # resolution, a banded one quadratic. With builtin connectives a banded one
-# takes 0.1-0.25 s at the default 200 and 15-25 s at 2,000 (2-core box,
+# takes 0.06-0.1 s at the default 200 and 6-8.5 s at 2,000 (2-core box,
 # Python 3.11); a user-built connective is called on every pair, several
 # times slower.
 MAX_GRID = 2000

@@ -26,8 +26,7 @@ product and (max(i + j - n, 0), n) for Lukasiewicz.
 A builtin combiner is never called on the banded path: each pair's band
 ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic on
 (p, q). A single banded point (``convolve_*_at``) visits only the run of
-partners in each row whose band can hold it, found by bisection over the
-integer band bounds.
+partners in each row whose band can hold it, found by bisection.
 
 A builtin inner connective is called through its function ``fn``, with no
 per-call check: its arguments are grid values of built functions, inside
@@ -40,9 +39,11 @@ path returns:
 - exact path (min/max combiner), O(n): the value at x_k is
   max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
   j <= k for the join form; both maxima come from one running-max sweep;
-- banded path, one * per row and reached grid point instead of one per
-  pair: row i contributes f_i * (the largest g_j over the partners j whose
-  band holds x_k). The row maxima are integer ranks of g's grid values.
+- banded path, at most one * per row and reached grid point: row i
+  contributes f_i * (the largest g_j over the partners j whose band holds
+  x_k), found in integer ranks of g's grid values. Rows go by descending
+  f_i, and a row whose rank at x_k is no higher than an earlier row's is
+  dominated (T3): it makes no * call there.
 
 Every other connective, including a user-built one that declares a t-norm
 or t-conorm profile or wraps a builtin's function, is called through
@@ -78,8 +79,8 @@ from .connectives import (
     T_NORM,
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, falling_ramp, to_json_dict, unit_spike
-from .rationals import ONE, ZERO, format_rational, to_rational
+from .piecewise import PiecewiseFn, _lt, falling_ramp, to_json_dict, unit_spike
+from .rationals import ONE, ZERO, format_rational, to_rational, to_unit
 from .report import AxiomReport, falsify
 
 
@@ -89,6 +90,8 @@ class GridSpec:
     tolerance: Fraction | None = None
 
     def __post_init__(self):
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
+            raise ValidationError("grid resolution must be an integer")
         if self.resolution < 2:
             raise ValidationError("grid resolution must be at least 2")
         tol = self.tolerance
@@ -118,8 +121,11 @@ class GridFn:
     values: tuple[Fraction | None, ...]
 
     def __post_init__(self):
+        GridSpec(self.resolution)  # the same checks of the resolution
         if len(self.values) != self.resolution + 1:
             raise ValidationError("need one slot per grid point")
+        slots = tuple(None if v is None else to_unit(v) for v in self.values)
+        object.__setattr__(self, "values", slots)
 
     @property
     def defined(self) -> tuple[bool, ...]:
@@ -189,85 +195,82 @@ _INDEX_FORMS = {
 
 
 def _bands(combiner, pts, tol, lo, hi, i):
-    """(j, k_lo, k_hi) for each partner j of x_i whose tolerance band around
-    combiner(x_i, x_j) holds the grid points k_lo..k_hi (at least one).
+    """Row i's bands as one list of (j, k_lo, k_hi): each partner j of x_i
+    whose tolerance band around combiner(x_i, x_j) meets lo..hi, clipped to
+    lo..hi.
 
-    Partners whose band cannot meet lo..hi may be left out: for a builtin
-    combiner (monotone) only the run of j whose band meets lo..hi is visited,
-    found by bisection. That run still reaches every target x_k, from (x_k, e)
-    for the combiner's neutral element e, so the left-out pairs never decide
-    whether any grid point is reached.
+    For a builtin combiner (monotone) and a single point only the run of j
+    whose band meets lo..hi is visited, found by bisection.
     """
     n = len(pts) - 1
     a, b = tol.as_integer_ratio()
-    index_form = _INDEX_FORMS.get(id(combiner))
-
-    def band(j):
-        # ceil((w - tol) * n) and floor((w + tol) * n) for w = p/q, in integers
-        if index_form is None:
-            p, q = combiner(pts[i], pts[j]).as_integer_ratio()
-        else:
-            p, q = index_form(i, j, n)
-        return -((a * q - p * b) * n // (q * b)), (p * b + a * q) * n // (q * b)
-
+    ratio = _INDEX_FORMS.get(id(combiner))
     js = range(n + 1)
-    if (lo, hi) != (0, n) and index_form is not None:
+    if ratio is None:
+        ratio = lambda i, j, n: combiner(pts[i], pts[j]).as_integer_ratio()
+    elif (lo, hi) != (0, n):
+        # the run of j with x_lo - tol <= combiner(x_i, x_j) <= x_hi + tol
+        w = lambda j: Fraction(*ratio(i, j, n))
         js = range(
-            bisect_left(js, lo, key=lambda j: band(j)[1]),
-            bisect_right(js, hi, key=lambda j: band(j)[0]),
+            bisect_left(js, pts[lo] - tol, key=w), bisect_right(js, pts[hi] + tol, key=w)
         )
-    for j in js:
-        k_lo, k_hi = band(j)
-        k_lo, k_hi = max(0, k_lo), min(n, k_hi)
+    out = []
+    for j, (p, q) in zip(js, [ratio(i, j, n) for j in js]):
+        # ceil((p/q - tol) * n) and floor((p/q + tol) * n), in integers
+        d = q * b
+        k_lo = -((a * q - p * b) * n // d)
+        k_hi = (p * b + a * q) * n // d
+        k_lo, k_hi = (k_lo if k_lo > lo else lo), (k_hi if k_hi < hi else hi)
         if k_lo <= k_hi:
-            yield j, k_lo, k_hi
+            out.append((j, k_lo, k_hi))
+    return out
 
 
 def _banded_pairs(fv, gv, star, bands, lo, hi):
     """Banded values at k = lo..hi, one star call per pair whose band meets
-    lo..hi; also whether any pair reaches any grid point."""
+    lo..hi."""
     best: list[Fraction | None] = [None] * len(fv)
-    reached = False
     for i in range(len(fv)):
         for j, k_lo, k_hi in bands(i):
-            reached = True
-            k_lo, k_hi = max(k_lo, lo), min(k_hi, hi)
-            if k_lo > k_hi:
-                continue
             value = star(fv[i], gv[j])
             for k in range(k_lo, k_hi + 1):
                 if best[k] is None or value > best[k]:
                     best[k] = value
-    return best[lo : hi + 1], reached
+    return best[lo : hi + 1]
 
 
 def _banded_rows(fv, gv, star, bands, lo, hi):
-    """_banded_pairs for a monotone star, one star call per row and reached k.
+    """_banded_pairs for a monotone star, one star call per row and reached k
+    at most.
 
     Row i's supremum at k is star(fv[i], m) for m the largest gv[j] over the
     partners j whose band holds k, since star is nondecreasing in g's value.
-    The row maxima are kept as ranks among gv's distinct values, so finding
-    them compares integers.
+    Row maxima are ranks among gv's distinct values, so finding them compares
+    integers. Rows go by descending fv, and top[k] is the largest rank met at
+    k so far: a row not above it there is dominated by an earlier row (T3),
+    so star is not called. Kept values are compared in integers (_lt).
     """
     levels = sorted(set(gv))
     rank = {v: r for r, v in enumerate(levels)}
     gr = [rank[v] for v in gv]
-    best: list[Fraction | None] = [None] * len(fv)
-    reached = False
-    for i in range(len(fv)):
-        row = [-1] * len(fv)
+    size = len(fv)
+    best: list[Fraction | None] = [None] * size
+    top = [-1] * size
+    for i in sorted(range(size), key=fv.__getitem__, reverse=True):
+        row = top[:]  # raised only where this row beats every earlier one
         for j, k_lo, k_hi in bands(i):
-            reached = True
             r = gr[j]
-            for k in range(max(k_lo, lo), min(k_hi, hi) + 1):
+            for k in range(k_lo, k_hi + 1):
                 if r > row[k]:
                     row[k] = r
         for k in range(lo, hi + 1):
-            if row[k] >= 0:
-                value = star(fv[i], levels[row[k]])
-                if best[k] is None or value > best[k]:
+            r = row[k]
+            if r > top[k]:
+                top[k] = r
+                value = star(fv[i], levels[r])
+                if best[k] is None or _lt(best[k], value):
                     best[k] = value
-    return best[lo : hi + 1], reached
+    return best[lo : hi + 1]
 
 
 # per form: the profile its combiner must declare, the combiner whose solution
@@ -306,10 +309,18 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
         tol = ZERO if combiner == exact else grid.tolerance
         bands = partial(_bands, combiner, pts, tol, lo, hi)
         banded = _banded_rows if monotone else _banded_pairs
-        values, reached = banded(fv, gv, star, bands, lo, hi)
-        if not reached:
+        values = banded(fv, gv, star, bands, lo, hi)
+        # a band gives each point it holds a value, so the constraint set is
+        # empty everywhere only if no row of the full grid has a band
+        if values.count(None) == len(values) and not any(
+            _bands(combiner, pts, tol, 0, n, i) for i in range(n + 1)
+        ):
             raise DomainError("empty constraint set at every grid point")
-    return GridFn(n, tuple(values)) if x is None else values[0]
+    if x is not None:
+        return values[0]
+    result = object.__new__(GridFn)  # sealed unchecked: its slots are built here
+    result.__dict__.update(resolution=n, values=tuple(values))
+    return result
 
 
 def convolve_meet(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
-from t2algebra.convolution import _INDEX_FORMS, _grid_values
+from t2algebra.convolution import (
+    _INDEX_FORMS,
+    _banded_pairs,
+    _banded_rows,
+    _bands,
+    _grid_values,
+)
 
 from conftest import piecewise_fns
 from oracles import brute_convolution_grid
@@ -38,6 +45,11 @@ class TestGridSpec:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValidationError):
             grid(1)
+
+    @pytest.mark.parametrize("resolution", ["200", 2.5, F(4), True, None])
+    def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
+        with pytest.raises(ValidationError, match="grid resolution must be an integer"):
+            t.GridSpec(resolution)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValidationError):
@@ -275,6 +287,38 @@ class TestGridFnValueAt:
             t.GridFn(4, (F(0),) * 5).value_at(x)
 
 
+class TestGridFnSlots:
+    @pytest.mark.parametrize(
+        "values", [(1, 2, 3), (F(0), F(-1, 2), None), (0, "x", 1), (0, 0.5, 1)]
+    )
+    def test_rejects_a_slot_outside_the_unit_interval(self, values):
+        with pytest.raises(ValidationError):
+            t.GridFn(2, values)
+
+    def test_coerces_its_slots_to_rationals(self):
+        got = t.GridFn(2, [1, None, "1/2"])
+        assert got.values == (F(1), None, F(1, 2))
+        assert got.to_csv() == "x,value,defined\n0,1,true\n1/2,,false\n1,1/2,true\n"
+
+    @pytest.mark.parametrize("resolution", ["2", 1])
+    def test_checks_its_resolution_as_a_grid_does(self, resolution):
+        with pytest.raises(ValidationError, match="grid resolution must be"):
+            t.GridFn(resolution, (0, 0, 0))
+
+    def test_convolutions_build_their_results_unchecked(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "t2algebra.convolution.to_unit", lambda v: calls.append(v) or v
+        )
+        f, g = t.step(F(1, 2), 1, F(1, 4)), t.indicator(F(1, 4), F(3, 4))
+        exact = t.convolve_meet(f, g, t.PRODUCT, t.MINIMUM, grid(8))
+        banded = t.convolve_join(f, g, t.PRODUCT, t.BOUNDED_SUM, grid(8))
+        assert calls == []
+        assert t.GridFn(8, banded.values) == banded
+        assert len(calls) == 9
+        assert all(0 <= v <= 1 for v in exact.values + banded.values)
+
+
 class TestGridValues:
     @pytest.mark.parametrize("n", [2, 3, 16, 45])
     @given(f=piecewise_fns())
@@ -321,18 +365,24 @@ class TestMonotoneFastPaths:
         assert fast == slow
         assert list(fast.values) == brute_convolution_grid(f, g, inner, combiner, n)
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(
         f=piecewise_fns(),
         g=piecewise_fns(),
-        n=st.sampled_from((2, 3, 16)),
+        n=st.sampled_from((2, 3, 16, 40)),
         pick=st.integers(0, 2),
-        at=st.integers(0, 16),
+        user_built=st.booleans(),
+        at=st.integers(0, 40),
     )
-    def test_banded_path(self, form, inner, f, g, n, pick, at):
+    def test_banded_path(self, form, inner, f, g, n, pick, user_built, at):
         combiner = BANDED_COMBINERS[form][pick]
+        if user_built:
+            # a monotone combiner outside the index table: the row path with
+            # bands from calling the combiner
+            combiner = reference_copy(combiner)
         k = min(at, n)
-        for tol in (None, F(0)):
+        # a wide tolerance makes bands span many grid points
+        for tol in (None, F(1, 5), F(0)):
             spec = grid(n, tol)
             fast = CONVOLVE[form](f, g, inner, combiner, spec)
             slow = CONVOLVE[form](f, g, reference_copy(inner), combiner, spec)
@@ -342,6 +392,55 @@ class TestMonotoneFastPaths:
                 assert point == fast.values[k]
         # at zero tolerance a band is the one grid point the combiner hits
         assert list(fast.values) == brute_convolution_grid(f, g, inner, combiner, n)
+
+
+class TestDominatedRowsAreSkipped:
+    """_banded_rows calls star at most once per row and grid point the row
+    reaches, and not at all where an earlier row (a larger f value) with a
+    rank at least as high dominates; its values are _banded_pairs'."""
+
+    @staticmethod
+    def calls_and_reached(f, g, combiner, spec):
+        n = spec.resolution
+        pts = spec.points()
+        fv, gv = _grid_values(f, pts), _grid_values(g, pts)
+        bands = partial(_bands, combiner, pts, spec.tolerance, 0, n)
+        calls = []
+
+        def star(x, y):
+            calls.append((x, y))
+            return t.PRODUCT.fn(x, y)
+
+        got = _banded_rows(fv, gv, star, bands, 0, n)
+        assert got == _banded_pairs(fv, gv, t.PRODUCT.fn, bands, 0, n)
+        reached = 0
+        for i in range(n + 1):
+            reached += len({k for _, lo, hi in bands(i) for k in range(lo, hi + 1)})
+        return len(calls), reached
+
+    @pytest.mark.parametrize("form", ["meet", "join"])
+    @settings(max_examples=30)
+    @given(
+        f=piecewise_fns(),
+        g=piecewise_fns(),
+        n=st.sampled_from((2, 3, 16)),
+        pick=st.integers(0, 2),
+        tol=st.sampled_from((None, F(0), F(1, 5))),
+    )
+    def test_at_most_one_call_per_row_and_reached_point(self, form, f, g, n, pick, tol):
+        combiner = BANDED_COMBINERS[form][pick]
+        calls, reached = self.calls_and_reached(f, g, combiner, grid(n, tol))
+        assert calls <= reached
+
+    @pytest.mark.parametrize("tol", [None, F(1, 5)], ids=["default-tol", "wide-tol"])
+    def test_a_dominating_row_leaves_the_others_uncalled(self, tol):
+        # f rises to its largest value at x = 1 alone and g is constant: the
+        # row of x = 1 reaches every grid point through the product's neutral
+        # element, so no other row makes a call
+        rising = t.PiecewiseFn((F(0), F(1)), (F(0), F(1)), ((F(1), F(0)),))
+        spec = grid(16, tol)
+        calls, reached = self.calls_and_reached(rising, t.constant(F(1, 2)), t.PRODUCT, spec)
+        assert calls == 17 < reached
 
 
 class TestDeclaredProfileIsNotTrusted:
