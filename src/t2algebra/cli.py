@@ -43,10 +43,10 @@ EXIT_INTERNAL = 5
 # Upper bounds on the size flags, checked before any work starts, so that a
 # mistyped number cannot run for hours or exhaust memory.
 # --grid: an exact (min/max) grid convolution takes time linear in the
-# resolution, a banded one quadratic. With builtin connectives a banded one
-# takes 0.06-0.1 s at the default 200 and 6-8.5 s at 2,000 (2-core box,
-# Python 3.11); a user-built connective is called on every pair, several
-# times slower.
+# resolution, a banded one quadratic. With builtin connectives an exact one
+# takes 0.1-2.5 ms at the default 200 and 1-32 ms at 2,000, a banded one
+# 0.03-0.05 s and 4.6-6.4 s (2-core box, Python 3.11); a user-built
+# connective is called on every pair, several times slower.
 MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000

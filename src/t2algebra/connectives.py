@@ -2,7 +2,10 @@
 
 Every built-in evaluates exactly on rational inputs (they are all closed
 over the rationals), so they can feed the exact convolution machinery
-without introducing rounding. Axiom checking is finite-sample: passing a
+without introducing rounding. Their functions take ``Fraction`` arguments
+and compare them in integer slots (``piecewise._min``/``_max``/``_same``),
+not through ``Fraction``'s rich comparisons; min and max return the operand
+``builtins.min``/``max`` would. Axiom checking is finite-sample: passing a
 check over a rational sample is necessary, never sufficient, for the
 universally quantified axiom -- the role here is falsification of concrete
 instances, not proof.
@@ -16,6 +19,7 @@ from itertools import product as iter_product
 from typing import Callable
 
 from .errors import DomainError, ValidationError
+from .piecewise import _max, _min, _same
 from .rationals import ONE, ZERO, _in_unit, to_rational, to_unit
 from .report import AxiomReport, falsify
 
@@ -42,30 +46,32 @@ class ScalarConnective:
 
 
 def _drastic(x: Fraction, y: Fraction) -> Fraction:
-    if y == ONE:
+    if _same(y, ONE):
         return x
-    if x == ONE:
+    if _same(x, ONE):
         return y
     return ZERO
 
 
 def _drastic_conorm(x: Fraction, y: Fraction) -> Fraction:
-    if y == ZERO:
+    if _same(y, ZERO):
         return x
-    if x == ZERO:
+    if _same(x, ZERO):
         return y
     return ONE
 
 
-MINIMUM = ScalarConnective("min", lambda x, y: min(x, y), T_NORM)
+MINIMUM = ScalarConnective("min", _min, T_NORM)
 PRODUCT = ScalarConnective("product", lambda x, y: x * y, T_NORM)
-LUKASIEWICZ = ScalarConnective("lukasiewicz", lambda x, y: max(x + y - 1, ZERO), T_NORM)
+LUKASIEWICZ = ScalarConnective(
+    "lukasiewicz", lambda x, y: _max(x + y - ONE, ZERO), T_NORM
+)
 DRASTIC = ScalarConnective("drastic", _drastic, T_NORM)
-MAXIMUM = ScalarConnective("max", lambda x, y: max(x, y), T_CONORM)
+MAXIMUM = ScalarConnective("max", _max, T_CONORM)
 PROBABILISTIC_SUM = ScalarConnective(
     "probabilistic-sum", lambda x, y: x + y - x * y, T_CONORM
 )
-BOUNDED_SUM = ScalarConnective("bounded-sum", lambda x, y: min(x + y, ONE), T_CONORM)
+BOUNDED_SUM = ScalarConnective("bounded-sum", lambda x, y: _min(x + y, ONE), T_CONORM)
 DRASTIC_CONORM = ScalarConnective("drastic-conorm", _drastic_conorm, T_CONORM)
 
 # not a t-norm; kept around as the standard counterexample input

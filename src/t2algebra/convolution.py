@@ -36,9 +36,11 @@ x * (the largest y). Grid values are attained maxima, so this is an
 equality, not a bound, and both fast paths return exactly what the per-pair
 path returns:
 
-- exact path (min/max combiner), O(n): the value at x_k is
-  max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet form, with
-  j <= k for the join form; both maxima come from one running-max sweep;
+- exact path (min/max combiner), O(n) and no Fraction compare: the value
+  at x_k is max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet
+  form, with j <= k for the join form. The grid values come from an
+  integer walk over each piece (``_grid_values``), both maxima from one
+  running-max sweep, and every max compares integer slots (``_max``);
 - banded path, at most one * per row and reached grid point: row i
   contributes f_i * (the largest g_j over the partners j whose band holds
   x_k), found in integer ranks of g's grid values. Rows go by descending
@@ -79,7 +81,7 @@ from .connectives import (
     T_NORM,
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, _lt, falling_ramp, to_json_dict, unit_spike
+from .piecewise import PiecewiseFn, _lt, _max, falling_ramp, to_json_dict, unit_spike
 from .rationals import ONE, ZERO, format_rational, to_rational, to_unit
 from .report import AxiomReport, falsify
 
@@ -122,9 +124,13 @@ class GridFn:
 
     def __post_init__(self):
         GridSpec(self.resolution)  # the same checks of the resolution
-        if len(self.values) != self.resolution + 1:
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            raise ValidationError("grid values must be an iterable of slots") from None
+        if len(values) != self.resolution + 1:
             raise ValidationError("need one slot per grid point")
-        slots = tuple(None if v is None else to_unit(v) for v in self.values)
+        slots = tuple(None if v is None else to_unit(v) for v in values)
         object.__setattr__(self, "values", slots)
 
     @property
@@ -145,28 +151,35 @@ class GridFn:
         return out.getvalue()
 
 
-def _grid_values(f: PiecewiseFn, pts: list[Fraction]) -> list[Fraction]:
-    """f at each of the ascending points pts, in one walk over f's breakpoints.
-    They lie in [0, 1] unchecked: a built PiecewiseFn stays there."""
-    breaks, values, pieces = f.breakpoints, f.values, f.pieces
-    out = []
-    i = 0  # the first breakpoint at or beyond x; the last one is 1
-    for x in pts:
-        while breaks[i] < x:
-            i += 1
-        if breaks[i] == x:
-            out.append(values[i])
+def _grid_values(f: PiecewiseFn, n: int) -> list[Fraction]:
+    """f at the grid points k/n, k = 0..n, piece by piece in integers.
+
+    Piece i holds the points after breaks[i] up to ceil(breaks[i+1] * n) - 1;
+    a breakpoint b is the grid point k when b.num * n == k * b.den, and takes
+    its stored value. A constant piece repeats its intercept object; a sloped
+    one builds one Fraction per point. The values lie in [0, 1] unchecked: a
+    built PiecewiseFn stays there."""
+    breaks, values = f.breakpoints, f.values
+    out = [values[0]]  # breaks[0] = 0 is the grid point 0
+    for b, v, (s, c) in zip(breaks[1:], values[1:], f.pieces):
+        start, end = len(out), -(-b._numerator * n // b._denominator)  # ceil(b * n)
+        if s._numerator:
+            # s * k/n + c = (sn * cd * k + cn * sd * n) / (sd * cd * n)
+            sn, sd, cn, cd = s._numerator, s._denominator, c._numerator, c._denominator
+            num0, den = cn * sd * n, sd * cd * n
+            out += [Fraction(sn * cd * k + num0, den) for k in range(start, end)]
         else:
-            slope, intercept = pieces[i - 1]
-            out.append(slope * x + intercept)
+            out += [c] * (end - start)
+        if b._numerator * n == end * b._denominator:
+            out.append(v)
     return out
 
 
 def _running_max(values: list[Fraction], reverse: bool) -> list[Fraction]:
     """Prefix maxima of values, or suffix maxima when reverse."""
     if reverse:
-        return list(accumulate(reversed(values), max))[::-1]
-    return list(accumulate(values, max))
+        return list(accumulate(reversed(values), _max))[::-1]
+    return list(accumulate(values, _max))
 
 
 def _drastic_index(i, j, n):
@@ -282,16 +295,15 @@ _FORMS = {
 }
 
 
-def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
-    """The whole grid of a convolution form, or its value at x alone."""
+def _convolve(form, f, g, star, combiner, grid: GridSpec, at=None):
+    """The whole grid of a convolution form, or its value at grid index at."""
     profile, exact, above = _FORMS[form]
     if combiner.profile != profile:
         raise DomainError(f"combiner {combiner.name!r} is not declared a {profile}")
     n = grid.resolution
-    lo, hi = (0, n) if x is None else (grid.index_of(x),) * 2
-    pts = grid.points()
-    fv = _grid_values(f, pts)
-    gv = _grid_values(g, pts)
+    lo, hi = (0, n) if at is None else (at, at)
+    fv = _grid_values(f, n)
+    gv = _grid_values(g, n)
     monotone = id(star) in _INDEX_FORMS
     if monotone:
         # a builtin, on grid values of built functions: both lie in [0, 1]
@@ -302,10 +314,11 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
         fm = _running_max(fv, above)
         gm = _running_max(gv, above)
         values = [
-            max(star(fv[k], gm[k]), star(fm[k], gv[k])) for k in range(lo, hi + 1)
+            _max(star(fv[k], gm[k]), star(fm[k], gv[k])) for k in range(lo, hi + 1)
         ]
     else:
         # the exact combiner's solution set is its zero-width band
+        pts = grid.points()
         tol = ZERO if combiner == exact else grid.tolerance
         bands = partial(_bands, combiner, pts, tol, lo, hi)
         banded = _banded_rows if monotone else _banded_pairs
@@ -316,7 +329,7 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, x=None):
             _bands(combiner, pts, tol, 0, n, i) for i in range(n + 1)
         ):
             raise DomainError("empty constraint set at every grid point")
-    if x is not None:
+    if at is not None:
         return values[0]
     result = object.__new__(GridFn)  # sealed unchecked: its slots are built here
     result.__dict__.update(resolution=n, values=tuple(values))
@@ -347,12 +360,12 @@ def convolve_join(
 
 def convolve_meet_at(f, g, star, tnorm, grid: GridSpec, x) -> Fraction | None:
     """Single grid point of the meet-form convolution (x must lie on the grid)."""
-    return _convolve("meet", f, g, star, tnorm, grid, x)
+    return _convolve("meet", f, g, star, tnorm, grid, grid.index_of(x))
 
 
 def convolve_join_at(f, g, star, tconorm, grid: GridSpec, x) -> Fraction | None:
     """Single grid point of the join-form convolution (x must lie on the grid)."""
-    return _convolve("join", f, g, star, tconorm, grid, x)
+    return _convolve("join", f, g, star, tconorm, grid, grid.index_of(x))
 
 
 # ---------------------------------------------------------------------------

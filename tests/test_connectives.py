@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError, ValidationError
+from t2algebra import ONE, ZERO, DomainError, ValidationError
 
 F = Fraction
 
@@ -21,6 +23,35 @@ def test_builtin_values():
     assert t.MAXIMUM(F(3, 10), F(7, 10)) == F(7, 10)
     assert t.BOUNDED_SUM(F(3, 4), F(3, 4)) == 1
     assert t.PROBABILISTIC_SUM(F(3, 10), F(2, 5)) == F(29, 50)
+
+
+# each builtin written with builtins.min/max and Fraction's own compares
+BUILTIN_REFERENCE = {
+    "min": lambda x, y: min(x, y),
+    "product": lambda x, y: x * y,
+    "lukasiewicz": lambda x, y: max(x + y - 1, ZERO),
+    "drastic": lambda x, y: x if y == 1 else y if x == 1 else ZERO,
+    "max": lambda x, y: max(x, y),
+    "probabilistic-sum": lambda x, y: x + y - x * y,
+    "bounded-sum": lambda x, y: min(x + y, ONE),
+    "drastic-conorm": lambda x, y: x if y == 0 else y if x == 0 else ONE,
+}
+UNIT = st.one_of(
+    st.sampled_from((F(0), F(1))), st.fractions(0, 1, max_denominator=64)
+)
+
+
+@pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+@given(x=UNIT, y=UNIT, twin=st.booleans())
+def test_builtin_returns_what_the_builtins_would(conn, x, y, twin):
+    """The integer compares give the builtins' value, and the same object
+    where that is an operand or a constant: the first of equal operands."""
+    if twin:
+        y = F(x.numerator, x.denominator)  # equal to x, another object
+    got, want = conn.fn(x, y), BUILTIN_REFERENCE[conn.name](x, y)
+    assert type(got) is Fraction and got == want
+    if any(want is v for v in (x, y, ZERO, ONE)):
+        assert got is want
 
 
 def test_registry_names():

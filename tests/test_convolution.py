@@ -300,6 +300,16 @@ class TestGridFnSlots:
         assert got.values == (F(1), None, F(1, 2))
         assert got.to_csv() == "x,value,defined\n0,1,true\n1/2,,false\n1,1/2,true\n"
 
+    def test_takes_any_iterable_of_slots(self):
+        assert t.GridFn(2, iter([0, None, 1])) == t.GridFn(2, (0, None, 1))
+
+    @pytest.mark.parametrize(
+        "values", [None, 3, F(1, 2)], ids=["None", "int", "Fraction"]
+    )
+    def test_rejects_slots_that_are_not_iterable(self, values):
+        with pytest.raises(ValidationError, match="iterable of slots"):
+            t.GridFn(2, values)
+
     @pytest.mark.parametrize("resolution", ["2", 1])
     def test_checks_its_resolution_as_a_grid_does(self, resolution):
         with pytest.raises(ValidationError, match="grid resolution must be"):
@@ -319,14 +329,66 @@ class TestGridFnSlots:
         assert all(0 <= v <= 1 for v in exact.values + banded.values)
 
 
+def _pwf(breaks, values, pieces):
+    return t.PiecewiseFn(
+        tuple(map(F, breaks)),
+        tuple(map(F, values)),
+        tuple((F(a), F(b)) for a, b in pieces),
+    )
+
+
+# breakpoints 1/4, 1/3 and 3/5, with a jump at each, between a rising, a
+# constant, a falling and a constant piece
+_JUMPY = _pwf(
+    ("0", "1/4", "1/3", "3/5", "1"),
+    ("1/8", "1", "0", "2/7", "1/9"),
+    (("3/2", "1/10"), ("0", "2/3"), ("-3/4", "9/10"), ("0", "1/2")),
+)
+_RAMPS = _pwf(
+    ("0", "1/2", "1"), ("0", "1", "1/3"), (("2", "0"), ("-4/3", "5/3"))
+)
+
+
 class TestGridValues:
-    @pytest.mark.parametrize("n", [2, 3, 16, 45])
-    @given(f=piecewise_fns())
-    def test_one_sweep_matches_evaluate(self, n, f):
-        pts = grid(n).points()
-        values = _grid_values(f, pts)
-        assert values == [t.evaluate(f, x) for x in pts]
+    """The integer sampler against evaluate, the slow reference, at every
+    grid point."""
+
+    @staticmethod
+    def check(f, n):
+        values = _grid_values(f, n)
+        assert values == [t.evaluate(f, F(k, n)) for k in range(n + 1)]
         assert all(0 <= v <= 1 for v in values)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 45, 97, 131])
+    @given(f=piecewise_fns() | piecewise_fns(den=97, max_interior=8))
+    def test_one_sweep_matches_evaluate(self, n, f):
+        self.check(f, n)
+
+    @pytest.mark.parametrize(
+        "f, n",
+        [
+            (_JUMPY, 60),  # every breakpoint on the grid
+            (_JUMPY, 8),  # 1/4 on the grid, 1/3 and 3/5 between points
+            (_JUMPY, 7),  # coprime to every denominator: none on the grid
+            (_JUMPY, 2),  # pieces that hold no grid point
+            (_RAMPS, 7),
+            (_RAMPS, 2),
+            (_JUMPY, 2000),
+            (_RAMPS, 2000),
+        ],
+        ids=[
+            "all-on-grid",
+            "some-on-grid",
+            "coprime",
+            "pieces-without-points",
+            "ramps-7",
+            "ramps-2",
+            "jumpy-2000",
+            "ramps-2000",
+        ],
+    )
+    def test_breakpoints_on_and_between_grid_points(self, f, n):
+        self.check(f, n)
 
 
 class TestExactPathChoice:
@@ -403,7 +465,7 @@ class TestDominatedRowsAreSkipped:
     def calls_and_reached(f, g, combiner, spec):
         n = spec.resolution
         pts = spec.points()
-        fv, gv = _grid_values(f, pts), _grid_values(g, pts)
+        fv, gv = _grid_values(f, n), _grid_values(g, n)
         bands = partial(_bands, combiner, pts, spec.tolerance, 0, n)
         calls = []
 
@@ -521,6 +583,47 @@ class TestBandedSinglePoint:
             CONVOLVE_AT[form](f, g, inner, combiner, spec, x) for x in spec.points()
         ]
         assert points == list(full.values)
+
+
+@pytest.mark.parametrize("form", ["meet", "join"])
+@pytest.mark.parametrize("banded", [False, True], ids=["exact", "banded"])
+def test_a_single_point_needs_a_grid_point(form, banded):
+    # None is not the whole grid: the result is one value or None
+    combiner = BANDED_COMBINERS[form][0] if banded else EXACT_COMBINER[form]
+    conv = CONVOLVE_AT[form]
+    f, g = t.step(F(1, 2), 1, F(1, 4)), t.indicator(F(1, 4), F(3, 4))
+    with pytest.raises(ValidationError):
+        conv(f, g, t.MINIMUM, combiner, grid(8), None)
+    with pytest.raises(DomainError):
+        conv(f, g, t.MINIMUM, combiner, grid(8), F(1, 3))
+
+
+class TestExactPathMakesNoFractionCompare:
+    """The exact path compares in integers: with Fraction's comparisons made
+    to fail, every builtin inner connective gives its usual grid."""
+
+    def test_convolutions_without_fraction_comparisons(self, monkeypatch):
+        fns = [t.step(F(3, 8), 1, F(1, 4)), t.indicator(F(1, 4), F(5, 8))]
+        fns += t.generate_lattice_functions(t.GeneratorConfig(seed=3), 4)
+        fns += [_JUMPY, _RAMPS, t.falling_ramp(F(1, 3))]
+        pairs = list(zip(fns, fns[1:]))
+        calls = [
+            (CONVOLVE[form], f, g, inner, EXACT_COMBINER[form], grid(n))
+            for form in CONVOLVE
+            for f, g in pairs
+            for inner in t.builtin_connectives()
+            for n in (2, 7, 200)
+        ]
+        expected = [conv(*args) for conv, *args in calls]
+
+        def refuse(*args):
+            raise AssertionError("Fraction comparison on the exact path")
+
+        monkeypatch.setattr(Fraction, "_richcmp", refuse)
+        monkeypatch.setattr(Fraction, "__eq__", refuse)
+        got = [conv(*args) for conv, *args in calls]
+        monkeypatch.undo()
+        assert got == expected
 
 
 class TestIndexForms:
