@@ -103,6 +103,8 @@ def _check_sizes(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value > bound:
             raise _UsageError(f"--{flag} is at most {bound}, got {value}")
+    if getattr(args, "trials", 1) < 1:  # --grid and --samples are checked in use
+        raise _UsageError(f"--trials is at least 1, got {args.trials}")
 
 
 def _cmd_eval(args) -> int:
@@ -154,7 +156,7 @@ def _cmd_axioms(args) -> int:
     except ValidationError as exc:
         raise _UsageError(str(exc)) from None
     config = ax.GeneratorConfig(seed=args.seed)
-    scale = max(1, args.trials)
+    scale = args.trials
     reports = ax.check_tr_axioms(
         op,
         args.kind,

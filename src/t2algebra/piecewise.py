@@ -573,14 +573,19 @@ def _one_level_end(h: PiecewiseFn, rightward: bool) -> tuple[Fraction, Fraction]
 
 
 @lru_cache(maxsize=_CACHE)
+def _left_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
+    # (left threshold of f, its left envelope's value there)
+    return _one_level_end(envelope_left(f), rightward=True)
+
+
 def left_threshold(f: PiecewiseFn) -> Fraction:
     """inf{x | left envelope of f reaches 1}; requires f normal."""
-    return _one_level_end(envelope_left(f), rightward=True)[0]
+    return _left_end(f)[0]
 
 
 @lru_cache(maxsize=_CACHE)
 def _right_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
-    # (right threshold of f, its right envelope's value there), for star
+    # (right threshold of f, its right envelope's value there)
     return _one_level_end(envelope_right(f), rightward=False)
 
 

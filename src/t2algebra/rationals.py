@@ -4,7 +4,9 @@ All arithmetic in this package runs on ``fractions.Fraction``. Floats are
 rejected at every boundary: float literals such as ``0.8`` are binary
 approximations of the intended rational, and silently admitting them would
 poison the exact-equality guarantees everything else relies on. Decimal
-strings ("0.8") and ratio strings ("4/5") parse exactly.
+strings ("0.8") and ratio strings ("4/5") parse exactly. An integer or "p/q"
+string of ASCII digits, as ``dumps`` writes, is read by ``int()``, any other
+string by ``Fraction(str)``'s parser.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def to_rational(value) -> Fraction:
     # bool is an int subclass, but JSON true/false are not numbers
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and value.isascii():
+                num, slash, den = value.partition("/")
+                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {value!r}") from exc

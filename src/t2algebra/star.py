@@ -11,8 +11,10 @@ indicators -- yet provably not expressible as any sup-convolution, which is
 the whole point of building it.
 
 The dual of any closed binary operation conjugates by reflection:
-(f op* g) = neg((neg f) op (neg g)). Dualizing the threshold product gives
-the co-product directly.
+(f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
+co-product is the threshold product's dual, built directly as its mirror
+image from the inputs' own memoised envelopes and thresholds, with no
+reflection; ``dualize(STAR)`` is its reference.
 """
 
 from __future__ import annotations
@@ -22,22 +24,24 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ValidationError
-from .lattice import TOP, join as lattice_join, meet as lattice_meet
+from .lattice import BOTTOM, TOP, join as lattice_join, meet as lattice_meet
 from .piecewise import (
     Affine,
     PiecewiseFn,
     _build_canonical,
     _combine_parts,
+    _left_end,
     _lt,
+    _max,
     _min,
     _right_end,
     _same,
     canonicalize,
     envelope_left,
+    envelope_right,
     equals,
     in_lattice,
     reflect,
-    thresholds,
 )
 from .rationals import ONE, ZERO
 
@@ -58,38 +62,53 @@ def _require_lattice(what: str, *fns: PiecewiseFn) -> None:
         raise DomainError(f"{what} requires normal convex inputs")
 
 
-def _envelope_join(f: PiecewiseFn, g: PiecewiseFn):
-    # the parts of max(fL, gL); _splice canonicalizes what it keeps of them
-    return _combine_parts(envelope_left(f), envelope_left(g), take_min=False)
+def _plateau(f: PiecewiseFn, g: PiecewiseFn, rightward: bool = True):
+    """(cut, end, tail value) of the product, walking from 0 (rightward), or
+    of its dual, walking from 1: 1 from cut up to end, the tail value at end.
+    For the product, cut is eta and end is xi."""
+    first = _min if rightward else _max
+    near, far = (_left_end, _right_end) if rightward else (_right_end, _left_end)
+    t_f, v_f = far(f)
+    t_g, v_g = far(g)
+    end = first(t_f, t_g)
+    # The tail value is the meet of the far envelopes at end. The threshold
+    # scan keeps each one's value at its own threshold; one whose threshold
+    # lies beyond end is 1 at end, as it is 1 short of its threshold.
+    tail_value = _min(v_f if _same(t_f, end) else ONE, v_g if _same(t_g, end) else ONE)
+    return first(near(f)[0], near(g)[0]), end, tail_value
 
 
-def _splice(head, eta: Fraction, xi: Fraction, tail_value: Fraction) -> PiecewiseFn:
-    """The function that follows head on [0, eta), is 1 on [eta, xi), takes
-    tail_value at xi and is 0 on (xi, 1]. head is a (breakpoints, values,
-    pieces) triple, and may be None when eta is 0."""
+def _splice(head, cut, end, tail_value, rightward: bool = True) -> PiecewiseFn:
+    """Walking from 0 (rightward) or from 1: the function that follows head
+    up to cut, is 1 from cut up to end, takes tail_value at end and is 0
+    beyond it. head is a (breakpoints, values, pieces) triple of lists, or ()
+    when the walk starts at cut."""
+    step = 1 if rightward else -1
+    before = _lt if rightward else lambda p, q: _lt(q, p)  # on the walk
     breaks: list[Fraction] = []
     values: list[Fraction] = []
     pieces: list[Affine] = []
-    if head is not None:
-        for b, v, p in zip(*head):
-            if not _lt(b, eta):
-                break
-            breaks.append(b)
-            values.append(v)
-            pieces.append(p)
-    if _lt(eta, xi):
-        breaks.append(eta)
+    # each breakpoint of head with the piece beyond it on the walk
+    for b, v, p in zip(*(part[::step] for part in head)):
+        if not before(b, cut):
+            break
+        breaks.append(b)
+        values.append(v)
+        pieces.append(p)
+    if before(cut, end):
+        breaks.append(cut)
         values.append(ONE)
         pieces.append((ZERO, ONE))
-    breaks.append(xi)
+    breaks.append(end)
     values.append(tail_value)
-    if _lt(xi, ONE):
+    far = ONE if rightward else ZERO
+    if before(end, far):
         pieces.append((ZERO, ZERO))
-        breaks.append(ONE)
+        breaks.append(far)
         values.append(ZERO)
     # canonicalize's memo hands back the first object built for each value,
     # so callers that keep many products hold each distinct one only once
-    return canonicalize(_build_canonical(breaks, values, pieces))
+    return canonicalize(_build_canonical(breaks[::step], values[::step], pieces[::step]))
 
 
 def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -98,25 +117,28 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     return _product(f, g)
 
 
-def _product(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    """star without its input check: f and g must be normal and convex."""
-    if equals(f, TOP):
+def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
+    """Dual of the threshold product, built directly from the inputs' own
+    envelopes and thresholds; ``dualize(STAR)`` is its reference."""
+    _require_lattice("costar", f, g)
+    return _product(f, g, rightward=False)
+
+
+def _product(f: PiecewiseFn, g: PiecewiseFn, rightward: bool = True) -> PiecewiseFn:
+    """star (rightward) or costar without the input check: f and g must be
+    normal and convex."""
+    neutral = TOP if rightward else BOTTOM
+    if equals(f, neutral):
         return canonicalize(g)
-    if equals(g, TOP):
+    if equals(g, neutral):
         return canonicalize(f)
-    t = thresholds(f, g)
-    # the envelope join is only consulted below eta
-    head = _envelope_join(f, g) if _lt(ZERO, t.eta) else None
-    return _splice(head, t.eta, t.xi, _tail_value(f, g, t.xi))
-
-
-def _tail_value(f: PiecewiseFn, g: PiecewiseFn, xi: Fraction) -> Fraction:
-    # The product's value at xi: the meet of the right envelopes there. The
-    # threshold scan keeps each one's value at its own threshold; one whose
-    # threshold lies beyond xi is 1 at xi, as it is 1 left of its threshold.
-    t_f, v_f = _right_end(f)
-    t_g, v_g = _right_end(g)
-    return _min(v_f if _same(t_f, xi) else ONE, v_g if _same(t_g, xi) else ONE)
+    cut, end, tail_value = _plateau(f, g, rightward)
+    # the join of the near envelopes is only consulted short of cut
+    envelope = envelope_left if rightward else envelope_right
+    head = ()
+    if not _same(cut, ZERO if rightward else ONE):
+        head = _combine_parts(envelope(f), envelope(g), take_min=False)
+    return _splice(head, cut, end, tail_value, rightward)
 
 
 def star_envelopes(
@@ -130,17 +152,10 @@ def star_envelopes(
     _require_lattice("star_envelopes", f, g)
     if equals(f, TOP) or equals(g, TOP):
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
-    t = thresholds(f, g)
-    left = _splice(_envelope_join(f, g), t.eta, ONE, ONE)
-    right = _splice(None, ZERO, t.xi, _tail_value(f, g, t.xi))
+    eta, xi, tail_value = _plateau(f, g)
+    left = _splice(_combine_parts(envelope_left(f), envelope_left(g), False), eta, ONE, ONE)
+    right = _splice((), ZERO, xi, tail_value)
     return left, right
-
-
-def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    """Dual of the threshold product: reflect inputs, multiply, reflect back."""
-    _require_lattice("costar", f, g)
-    # reflection keeps f and g normal and convex: no second check is needed
-    return reflect(_product(reflect(f), reflect(g)))
 
 
 def dualize(op: TruthValueOp) -> TruthValueOp:

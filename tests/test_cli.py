@@ -419,6 +419,14 @@ def test_size_flag_over_its_bound_is_usage_error(capsys, argv):
     assert err.startswith("usage error:") and "at most" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_trials_below_one_is_usage_error(capsys, trials):
+    code, out, err = run(capsys, ["axioms", "star", "tr-norm", "--trials", trials])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --trials is at least 1, got {trials}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

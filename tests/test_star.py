@@ -157,9 +157,10 @@ class TestTailValue:
         st.one_of(lattice_fns(), open_peak_fns()),
     )
     def test_matches_the_evaluated_envelopes(self, f, g):
-        xi = t.thresholds(f, g).xi
+        t_fg = t.thresholds(f, g)
+        xi = t_fg.xi
         expected = reference_tail_value(f, g, xi)
-        assert star_module._tail_value(f, g, xi) == expected
+        assert star_module._plateau(f, g) == (t_fg.eta, xi, expected)
         if not (t.equals(f, t.TOP) or t.equals(g, t.TOP)):
             assert t.evaluate(t.star(f, g), xi) == expected
 
@@ -204,6 +205,81 @@ class TestDuality:
         fns = seeded_lattice(100, seed=31)
         for f, g in zip(fns[::2], fns[1::2]):
             assert t.equals(t.costar(f, g), dual(f, g))
+
+
+EIGHTHS = tuple(F(k, 8) for k in range(9))
+# point and interval indicators on the eighths: BOTTOM and TOP among them
+EIGHTHS_INDICATORS = [t.indicator(a, b) for a in EIGHTHS for b in EIGHTHS if a <= b]
+# shapes whose left envelope is below 1 at its own threshold, the mirror of
+# an open peak, so that costar's tail value is not always 1
+mirrored_peaks = open_peak_fns().map(t.reflect)
+# x on [0, 1/2], 1 on (1/2, 1]: reaches 1 only as a limit from the right
+OPEN_AT_HALF = t.PiecewiseFn((0, F(1, 2), 1), (0, F(1, 2), 1), ((1, 0), (0, 1)))
+
+
+def assert_costar_is_the_dual(f, g):
+    expected = piecewise.dumps(t.dualize(t.STAR)(f, g))
+    assert piecewise.dumps(t.costar(f, g)) == expected
+
+
+class TestCostarAgainstTheDual:
+    """costar is built directly from its inputs' envelopes; reflecting star,
+    dualize(STAR), is its reference, byte for byte."""
+
+    @given(
+        st.one_of(lattice_fns(), open_peak_fns(), mirrored_peaks),
+        st.one_of(lattice_fns(), open_peak_fns(), mirrored_peaks),
+    )
+    def test_matches_the_reflected_product(self, f, g):
+        assert_costar_is_the_dual(f, g)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (t.BOTTOM, t.indicator(F(1, 4), F(1, 2))),
+            (t.rising_ramp(F(1, 3)), t.BOTTOM),
+            (t.BOTTOM, t.BOTTOM),
+            (t.TOP, t.indicator(F(1, 4), F(1, 2))),
+            (t.falling_ramp(F(1, 3)), t.TOP),
+            (t.TOP, t.TOP),
+            # lo = 0: both left thresholds are 0
+            (t.indicator(0, F(1, 2)), t.falling_ramp(F(1, 3))),
+            # hi = 1 > lo: one right threshold is 1, so there is no head
+            (t.indicator(F(1, 4), 1), t.falling_ramp(F(1, 3))),
+            # the tail value at lo is f's left envelope there, 1/2
+            (OPEN_AT_HALF, t.indicator(F(1, 8), F(1, 4))),
+            # lo = hi: no plateau, only the tail value
+            (t.indicator(0, F(1, 2)), t.unit_spike(F(1, 2))),
+            (t.step(F(3, 4), 1, F(1, 2)), t.unit_spike(F(3, 4))),
+        ],
+        ids=[
+            "bottom-left", "bottom-right", "bottom-bottom",
+            "top-left", "top-right", "top-top",
+            "lo-zero", "hi-one", "open-lo", "lo-hi", "lo-hi-step",
+        ],
+    )
+    def test_edge_cases(self, f, g):
+        assert_costar_is_the_dual(f, g)
+
+    def test_indicators_on_eighths(self):
+        for f, g in iter_product(EIGHTHS_INDICATORS, repeat=2):
+            assert_costar_is_the_dual(f, g)
+
+    @given(lattice_fns(), lattice_fns())
+    def test_makes_no_reflect_calls(self, f, g):
+        calls = []
+        reflect = piecewise.reflect
+
+        def counting(h):
+            calls.append(h)
+            return reflect(h)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(piecewise, "reflect", counting)
+            mp.setattr(star_module, "reflect", counting)
+            clear_memos()
+            t.costar(f, g)
+        assert calls == []
 
 
 class TestCostar:
