@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .piecewise import (
     PiecewiseFn,
-    canonicalize,
     envelope_left,
     envelope_right,
     equals,

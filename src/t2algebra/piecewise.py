@@ -272,7 +272,7 @@ def from_affine(slope, intercept) -> PiecewiseFn:
     return PiecewiseFn((ZERO, ONE), (c, s + c), ((s, c),))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_CACHE)
 def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:
     breaks = sorted({ZERO, lo, hi, ONE})
     values = tuple(ONE if lo <= x <= hi else ZERO for x in breaks)
@@ -416,7 +416,6 @@ def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     return True
 
 
-@lru_cache(maxsize=_CACHE)
 def reflect(f: PiecewiseFn) -> PiecewiseFn:
     """The complementation x -> f(1-x); an involution."""
     breaks = tuple(ONE - b for b in reversed(f.breakpoints))
@@ -500,10 +499,7 @@ def envelope_left_strict(f: PiecewiseFn) -> PiecewiseFn:
 
 def envelope_right_strict(f: PiecewiseFn) -> PiecewiseFn:
     """Strict right envelope: sup over y > x, with value f(1) at x = 1."""
-    g = envelope_right(f)
-    values = [g.right_limit(i) for i in range(len(g.breakpoints) - 1)]
-    values.append(f.values[-1])
-    return _build_canonical(g.breakpoints, values, g.pieces)
+    return reflect(envelope_left_strict(reflect(f)))
 
 
 def sup_value(f: PiecewiseFn) -> Fraction:
@@ -555,27 +551,17 @@ class EnvelopeThresholds:
     xi: Fraction
 
 
-def _one_level_end(h: PiecewiseFn, rightward: bool) -> tuple[Fraction, Fraction]:
-    # The first breakpoint, walking from 0 (rightward) or from 1, at which
-    # the monotone envelope h is 1 or is 1 just beyond, with h's value there:
-    # the inf (rightward) or sup of {x | h(x) = 1}, maybe a piece's open end.
-    # There is none exactly when the function h envelops is not normal.
-    last = len(h.pieces)
-    for k in range(last + 1):
-        i = k if rightward else last - k
-        beyond = i if rightward else i - 1
-        if _same(h.values[i], ONE) or (
-            0 <= beyond < last and _same_piece(h.pieces[beyond], (ZERO, ONE))
-        ):
-            return h.breakpoints[i], h.values[i]
-    side = "left" if rightward else "right"
-    raise DomainError(f"{side}_threshold requires a normal function")
-
-
 @lru_cache(maxsize=_CACHE)
 def _left_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
-    # (left threshold of f, its left envelope's value there)
-    return _one_level_end(envelope_left(f), rightward=True)
+    # (left threshold of f, its left envelope's value there). The left
+    # envelope never falls, ends on sup f, and is canonical, so it has no
+    # two adjacent (0, 1) pieces: it is 1 on its last piece, open or closed
+    # at the piece's left end, if that piece is (0, 1), and else at 1 only.
+    h = envelope_left(f)
+    if not _same(h.values[-1], ONE):
+        raise DomainError("left_threshold requires a normal function")
+    i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
+    return h.breakpoints[i], h.values[i]
 
 
 def left_threshold(f: PiecewiseFn) -> Fraction:
@@ -585,8 +571,14 @@ def left_threshold(f: PiecewiseFn) -> Fraction:
 
 @lru_cache(maxsize=_CACHE)
 def _right_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
-    # (right threshold of f, its right envelope's value there)
-    return _one_level_end(envelope_right(f), rightward=False)
+    # (right threshold of f, its right envelope's value there). The mirror
+    # case: the right envelope never rises, starts on sup f and is
+    # canonical, so it is 1 on its first piece if that is (0, 1), else at 0.
+    h = envelope_right(f)
+    if not _same(h.values[0], ONE):
+        raise DomainError("right_threshold requires a normal function")
+    i = 1 if _same_piece(h.pieces[0], (ZERO, ONE)) else 0
+    return h.breakpoints[i], h.values[i]
 
 
 def right_threshold(f: PiecewiseFn) -> Fraction:
@@ -629,9 +621,8 @@ def from_json_dict(data) -> PiecewiseFn:
         pcs = data["pieces"]
         breaks = tuple(to_unit(entry["x"]) for entry in bks)
         values = tuple(to_unit(entry["v"]) for entry in bks)
-        pieces = tuple(
-            (to_rational(p["slope"]), to_rational(p["intercept"])) for p in pcs
-        )
+        # the slots as given: PiecewiseFn coerces each piece slot once
+        pieces = tuple((p["slope"], p["intercept"]) for p in pcs)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed function JSON: {exc}") from exc
     return PiecewiseFn(breaks, values, pieces)

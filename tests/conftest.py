@@ -114,3 +114,28 @@ def open_peak_fns(draw, den: int = 16):
     return t.PiecewiseFn(
         breaks + (b, Fraction(1)), values + (at_b, w2), pieces + (fall,)
     )
+
+
+# Normal convex functions at the edges of the threshold reads, by name:
+# envelopes of one piece, plateaus open at their inner end (the shapes of
+# the generator's kinds 6 and 7, and open peaks), and the named constants.
+THRESHOLD_EDGE_CASES = {
+    "FULL": t.FULL,
+    "TOP": t.TOP,
+    "BOTTOM": t.BOTTOM,
+    "rising ramp": t.rising_ramp(Fraction(1, 4)),
+    "falling ramp": t.falling_ramp(Fraction(1, 4)),
+    # 1 approached at x = 1 but not reached there (kind 6)
+    "open 1 at 1": t.PiecewiseFn((0, 1), ("1/4", "1/2"), (("3/4", "1/4"),)),
+    "open 1 at 1, 0 there": t.PiecewiseFn((0, 1), (0, 0), ((1, 0),)),
+    # 1 approached at x = 0 but not reached there (kind 7)
+    "open 1 at 0": t.PiecewiseFn((0, 1), ("1/2", "1/4"), (("-3/4", 1),)),
+    # 1 approached from the left at 1/2 and never reached
+    "open peak": t.PiecewiseFn(
+        (0, "1/2", 1), (0, "1/4", 0), ((2, 0), ("-1/2", "1/2"))
+    ),
+    # 1 on the open interval (1/4, 3/4) only
+    "open plateau": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, "1/2", "1/2", 0), ((0, 0), (0, 1), (0, 0))
+    ),
+}

@@ -19,7 +19,7 @@ from t2algebra.piecewise import (
 )
 
 from conftest import clear_memos as _clear_memos
-from conftest import lattice_fns, piecewise_fns, unit_fracs
+from conftest import THRESHOLD_EDGE_CASES, lattice_fns, piecewise_fns, unit_fracs
 from oracles import (
     exact_sup,
     exact_sup_full_scan,
@@ -496,6 +496,30 @@ class TestThresholds:
         else:
             assert (t.left_threshold(f), t.right_threshold(f)) == ends
 
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_EDGE_CASES))
+    def test_edge_cases_are_the_level_one_ends(self, name):
+        f = THRESHOLD_EDGE_CASES[name]
+        _clear_memos()
+        lo, hi = oracle_level_one_ends(f)
+        # each end with its envelope's value there, which may be below 1
+        assert piecewise._left_end(f) == (lo, t.evaluate(t.envelope_left(f), lo))
+        assert piecewise._right_end(f) == (hi, t.evaluate(t.envelope_right(f), hi))
+
+    # climbs toward 1 but tops out below it, as a limit and as a value
+    @pytest.mark.parametrize(
+        "f",
+        [
+            t.PiecewiseFn((0, 1), (0, 0), ((F(15, 16), 0),)),
+            t.PiecewiseFn((0, F(1, 2), 1), (0, F(15, 16), 0), ((F(15, 8), 0), (0, 0))),
+        ],
+    )
+    def test_messages_below_one(self, f):
+        assert oracle_level_one_ends(f) is None
+        with pytest.raises(DomainError, match=r"^left_threshold requires a normal function$"):
+            t.left_threshold(f)
+        with pytest.raises(DomainError, match=r"^right_threshold requires a normal function$"):
+            t.right_threshold(f)
+
     @given(lattice_fns(), lattice_fns())
     def test_eta_never_exceeds_xi(self, f, g):
         th = t.thresholds(f, g)
@@ -804,6 +828,29 @@ class TestJsonRoundTrip:
         result = getattr(t, name)(f)
         assert t.canonicalize(result) == result
         assert t.loads(t.dumps(result)) == result
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_loads_coerces_each_slot_once(self, monkeypatch, k):
+        # 2(k + 1) breakpoint and value slots and 2k piece slots
+        from t2algebra import rationals
+
+        f = t.PiecewiseFn(
+            tuple(F(i, k) for i in range(k + 1)),
+            tuple(F(i, k) for i in range(k + 1)),
+            tuple((F(0), F(i, k)) for i in range(k)),
+        )
+        text = t.dumps(f)
+        calls = []
+        original = rationals.to_rational
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(rationals, "to_rational", counting)
+        monkeypatch.setattr(piecewise, "to_rational", counting)
+        assert t.loads(text) == f
+        assert len(calls) == 4 * k + 2
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):

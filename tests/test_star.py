@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import t2algebra as t
 from t2algebra import DomainError, piecewise
 
-from conftest import clear_memos, lattice_fns, open_peak_fns
+from conftest import THRESHOLD_EDGE_CASES, clear_memos, lattice_fns, open_peak_fns
 from oracles import probe_points, reference_tail_value
 
 # the module; the package's name ``star`` is the function
@@ -163,6 +163,19 @@ class TestTailValue:
         assert star_module._plateau(f, g) == (t_fg.eta, xi, expected)
         if not (t.equals(f, t.TOP) or t.equals(g, t.TOP)):
             assert t.evaluate(t.star(f, g), xi) == expected
+
+    @pytest.mark.parametrize("first", sorted(THRESHOLD_EDGE_CASES))
+    def test_edge_cases_match_the_evaluated_envelopes(self, first):
+        f = THRESHOLD_EDGE_CASES[first]
+        for g in THRESHOLD_EDGE_CASES.values():
+            t_fg = t.thresholds(f, g)
+            expected = reference_tail_value(f, g, t_fg.xi)
+            assert star_module._plateau(f, g) == (t_fg.eta, t_fg.xi, expected)
+            # the dual's plateau is the mirror image of the reflections' one
+            rf, rg = t.reflect(f), t.reflect(g)
+            t_r = t.thresholds(rf, rg)
+            expected = (1 - t_r.eta, 1 - t_r.xi, reference_tail_value(rf, rg, t_r.xi))
+            assert star_module._plateau(f, g, rightward=False) == expected
 
     @given(lattice_fns(), lattice_fns())
     def test_products_make_no_evaluate_calls(self, f, g):
