@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError, ValidationError, piecewise
+from t2algebra import DomainError, ValidationError, piecewise, rationals
 from t2algebra.piecewise import (
     _affine_above,
     _affine_ratio,
@@ -832,8 +832,6 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_loads_coerces_each_slot_once(self, monkeypatch, k):
         # 2(k + 1) breakpoint and value slots and 2k piece slots
-        from t2algebra import rationals
-
         f = t.PiecewiseFn(
             tuple(F(i, k) for i in range(k + 1)),
             tuple(F(i, k) for i in range(k + 1)),
