@@ -3,19 +3,32 @@
 The defining forms are suprema over solution sets of min/max constraints.
 Because min(y, z) = x forces one coordinate to equal x and the other to sit
 above it (dually for max), the suprema collapse to closed forms in terms of
-one-sided envelopes:
+one-sided envelopes, and distributivity (f <= fL, fR) gives the second form:
 
-    (f meet g)(x) = (f(x) ^ gR(x)) v (fR(x) ^ g(x))
-    (f join g)(x) = (f(x) ^ gL(x)) v (fL(x) ^ g(x))
+    (f meet g)(x) = (f(x) ^ gR(x)) v (fR(x) ^ g(x)) = (f v g)(x) ^ fR(x) ^ gR(x)
+    (f join g)(x) = (f(x) ^ gL(x)) v (fL(x) ^ g(x)) = (f v g)(x) ^ fL(x) ^ gL(x)
 
-These are implementation devices; the brute-force grid convolution oracle
-independently validates them (see the acceptance suite).
+On normal convex inputs (Walker and Walker's envelope form) both right
+envelopes are 1 short of the lesser right threshold xi, f's, and fR = f
+beyond it, so the meet is f v g on [0, xi) and f ^ gR on (xi, 1], spliced
+at xi by ``piecewise._splice`` as the threshold product is. The join is the
+mirror case at g's greater left threshold. Off the lattice, and in
+``leq_sub_by_definition``, the envelope formula runs as written: it is the
+splice's test reference. The grid convolution oracle checks meet and join
+independently (see the acceptance suite).
 """
 
 from __future__ import annotations
 
 from .piecewise import (
     PiecewiseFn,
+    _combine_parts,
+    _cut,
+    _left_end,
+    _max,
+    _min,
+    _right_end,
+    _splice,
     envelope_left,
     envelope_right,
     equals,
@@ -35,17 +48,32 @@ FULL = indicator(ZERO, ONE)
 
 
 def meet(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    return pointwise_max(
-        pointwise_min(f, envelope_right(g)),
-        pointwise_min(envelope_right(f), g),
-    )
+    if not (in_lattice(f) and in_lattice(g)):
+        return _meet_by_envelopes(f, g)
+    f, g, cut, at_cut = _cut(f, g, _right_end, _min)  # at f's right threshold
+    # f is or tends to 1 at its threshold, a breakpoint: the head ends on it
+    head = _combine_parts(f, g, False, stop=cut)
+    tail = _combine_parts(f, envelope_right(g), True, start=cut)
+    return _splice(head, cut, head[1][-1], cut, at_cut, tail)
 
 
 def join(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    return pointwise_max(
-        pointwise_min(f, envelope_left(g)),
-        pointwise_min(envelope_left(f), g),
-    )
+    if not (in_lattice(f) and in_lattice(g)):
+        return _join_by_envelopes(f, g)
+    g, f, cut, at_cut = _cut(f, g, _left_end, _max)  # at g's left threshold
+    head = _combine_parts(g, envelope_left(f), True, stop=cut)
+    tail = _combine_parts(f, g, False, start=cut)
+    return _splice(head, cut, tail[1][0], cut, at_cut, tail)
+
+
+def _meet_by_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
+    left, right = pointwise_min(f, envelope_right(g)), pointwise_min(envelope_right(f), g)
+    return pointwise_max(left, right)
+
+
+def _join_by_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
+    left, right = pointwise_min(f, envelope_left(g)), pointwise_min(envelope_left(f), g)
+    return pointwise_max(left, right)
 
 
 def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -63,7 +91,9 @@ def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 
 
 def leq_sub_by_definition(f: PiecewiseFn, g: PiecewiseFn) -> bool:
-    return equals(meet(f, g), f)
+    """The defining equation meet(f, g) = f, with the meet taken by the
+    envelope formula: the reference that ``leq_sub`` is tested against."""
+    return equals(_meet_by_envelopes(f, g), f)
 
 
 def leq_pre(f: PiecewiseFn, g: PiecewiseFn) -> bool:

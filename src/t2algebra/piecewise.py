@@ -44,7 +44,7 @@ limit or a crossing stays an unreduced integer ratio until it wins.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +55,7 @@ from .rationals import ONE, UNPRINTABLE, ZERO, _in_unit, format_rational, to_rat
 Affine = tuple[Fraction, Fraction]
 
 _CACHE = 16384
+_ZERO_PARTS = ((ZERO, ONE), (ZERO, ZERO), ((ZERO, ZERO),))  # a zero _splice head or tail
 
 
 def _lt(p: Fraction, q: Fraction) -> bool:
@@ -178,10 +179,11 @@ class PiecewiseFn:
 
     def piece_containing(self, x) -> Affine:
         """Affine piece of the open interval strictly containing x."""
-        q, i, on_break = _locate(self, x)
-        if on_break:
+        q = to_unit(x)
+        i = _piece_index(self.breakpoints, q)
+        if _same(self.breakpoints[i], q):
             raise DomainError(f"{q} is a breakpoint, not interior to a piece")
-        return self.pieces[i - 1]
+        return self.pieces[i]
 
     def left_limit(self, i: int) -> Fraction:
         """Limit from below at breakpoint i (1 <= i <= len-1)."""
@@ -196,19 +198,22 @@ class PiecewiseFn:
         return Fraction(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
 
 
-def _locate(f: PiecewiseFn, x) -> tuple[Fraction, int, bool]:
-    # (x coerced to q in [0, 1], the first i with q <= b_i, whether q = b_i)
-    q = to_unit(x)
-    n, d = q._numerator, q._denominator
-    # b < q exactly when b.num * d - n * b.den < 0, so this is bisect_left
-    i = bisect_left(f.breakpoints, 0, key=lambda b: b._numerator * d - n * b._denominator)
-    return q, i, _same(f.breakpoints[i], q)  # q <= 1, the last breakpoint
+def _piece_index(breaks, x: Fraction) -> int:
+    # the i with breaks[i] <= x < breaks[i + 1], or the last index at x = 1
+    n, d = x._numerator, x._denominator
+    return bisect_right(breaks, 0, key=lambda b: b._numerator * d - n * b._denominator) - 1
+
+
+def _value_at(f: PiecewiseFn, i: int, q: Fraction) -> Fraction:
+    # f(q) for breakpoint i <= q short of breakpoint i + 1
+    on_break = _same(f.breakpoints[i], q)
+    return f.values[i] if on_break else Fraction(*_affine_ratio(f.pieces[i], q))
 
 
 def evaluate(f: PiecewiseFn, x) -> Fraction:
     """Exact value of f at x: breakpoint value or affine piece value."""
-    q, i, on_break = _locate(f, x)
-    return f.values[i] if on_break else Fraction(*_affine_ratio(f.pieces[i - 1], q))
+    q = to_unit(x)
+    return _value_at(f, _piece_index(f.breakpoints, q), q)
 
 
 def _canonical_parts(breaks, values, pieces):
@@ -274,13 +279,7 @@ def from_affine(slope, intercept) -> PiecewiseFn:
 
 @lru_cache(maxsize=_CACHE)
 def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:
-    breaks = sorted({ZERO, lo, hi, ONE})
-    values = tuple(ONE if lo <= x <= hi else ZERO for x in breaks)
-    pieces = tuple(
-        (ZERO, ONE) if lo <= l and r <= hi else (ZERO, ZERO)
-        for l, r in zip(breaks, breaks[1:])
-    )
-    return _build_canonical(breaks, values, pieces)
+    return _splice(_ZERO_PARTS, lo, ONE, hi, ONE, _ZERO_PARTS)
 
 
 def indicator(a, b) -> PiecewiseFn:
@@ -325,15 +324,18 @@ def falling_ramp(end) -> PiecewiseFn:
 # pointwise lattice operations and reflection
 
 
-def _merged(f: PiecewiseFn, g: PiecewiseFn):
+def _merged(f: PiecewiseFn, g: PiecewiseFn, start=ZERO, stop=None, i=0, j=0):
     """(a, b, p1, p2, fx, gx) for each open interval (a, b) between merged
     breakpoints of f and g, left to right, where f and g are the pieces p1
     and p2; fx = f(b) as (num, den > 0, kept), kept being f's stored value
-    at b or None off its breakpoints, and gx likewise. The last has b = 1."""
+    at b or None off its breakpoints, and gx likewise. The first has
+    a = start, which must lie in f's piece i and g's piece j, and the last
+    has b = 1, or the least b at or beyond stop if stop is not None."""
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     gb, gv, gp = g.breakpoints, g.values, g.pieces
-    a = ZERO
-    i = j = 0
+    if not _lt(start, ONE if stop is None else stop):
+        return
+    a = start
     last_f = len(fp) - 1
     while True:
         p1, p2 = fp[i], gp[j]
@@ -342,26 +344,31 @@ def _merged(f: PiecewiseFn, g: PiecewiseFn):
         d = bf._numerator * bg._denominator - bg._numerator * bf._denominator
         on_f, on_g = d <= 0, d >= 0
         b = bf if on_f else bg
+        last = on_f and i == last_f if stop is None else not _lt(b, stop)
         q, r = fv[i + 1], gv[j + 1]
         fx = (q._numerator, q._denominator, q) if on_f else (*_affine_ratio(p1, b), None)
         gx = (r._numerator, r._denominator, r) if on_g else (*_affine_ratio(p2, b), None)
         yield a, b, p1, p2, fx, gx
-        if on_f and i == last_f:
+        if last:
             return
         i += on_f
         j += on_g
         a = b
 
 
-def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool):
+def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, stop=None):
     """Breakpoints, values and pieces of min(f, g) or max(f, g), not yet
-    canonical: one pass over the merged intervals."""
+    canonical: one pass over the merged intervals, from start on and up to
+    the first merged breakpoint at or beyond stop, or to 1 (stop None)."""
     # Where the pieces of f and g cross strictly inside a merged interval,
     # the crossing becomes a breakpoint and the winner swaps there.
-    breaks = [ZERO]
-    values = [(_min if take_min else _max)(f.values[0], g.values[0])]
+    i = j = 0
+    if start._numerator:
+        i, j = _piece_index(f.breakpoints, start), _piece_index(g.breakpoints, start)
+    breaks = [start]
+    values = [(_min if take_min else _max)(_value_at(f, i, start), _value_at(g, j, start))]
     pieces: list[Affine] = []
-    for a, b, p1, p2, fx, gx in _merged(f, g):
+    for a, b, p1, p2, fx, gx in _merged(f, g, start, stop, i, j):
         (s1, c1), (s2, c2) = p1, p2
         # ds has the sign of s1 - s2, as has f - g right of a crossing
         ds = s1._numerator * s2._denominator - s2._numerator * s1._denominator
@@ -399,6 +406,26 @@ def pointwise_min(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     return _build_canonical(*_combine_parts(f, g, take_min=False))
+
+
+def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
+    """The function that follows head on [0, a), takes at_a at a, is 1 on
+    (a, b), takes at_b at b and follows tail on (b, 1]; at a = b it takes
+    the lesser of at_a and at_b. head and tail are (breakpoints, values,
+    pieces) parts that cover [0, a] and [b, 1]."""
+    (hb, hv, hp), (tb, tv, tp) = head, tail
+    i = _piece_index(hb, a)
+    i += _lt(hb[i], a)  # the number of head breakpoints short of a
+    k = _piece_index(tb, b)  # the tail's piece beyond b, none at b = 1
+    if _lt(a, b):
+        breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
+    else:
+        breaks, values, pieces = [a], [_min(at_a, at_b)], []
+    return _build_canonical(
+        [*hb[:i], *breaks, *tb[k + 1 :]],
+        [*hv[:i], *values, *tv[k + 1 :]],
+        [*hp[:i], *pieces, *tp[k:]],
+    )
 
 
 def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -514,8 +541,17 @@ def is_normal(f: PiecewiseFn) -> bool:
 
 @lru_cache(maxsize=_CACHE)
 def is_convex(f: PiecewiseFn) -> bool:
-    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes."""
-    return equals(f, pointwise_min(envelope_left(f), envelope_right(f)))
+    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes.
+
+    For normal f that meet is spliced, with no merged pass: fL short of the
+    left threshold eta, 1 between eta and the right threshold xi, and fR
+    beyond xi, each envelope taking its own value at its own threshold.
+    """
+    h, k = envelope_left(f), envelope_right(f)
+    if not is_normal(f):
+        return equals(f, pointwise_min(h, k))
+    head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
+    return canonicalize(f) == _splice(head, *_left_end(f), *_right_end(f), tail)
 
 
 def in_lattice(f: PiecewiseFn) -> bool:
@@ -579,6 +615,17 @@ def _right_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
         raise DomainError("right_threshold requires a normal function")
     i = 1 if _same_piece(h.pieces[0], (ZERO, ONE)) else 0
     return h.breakpoints[i], h.values[i]
+
+
+def _cut(f: PiecewiseFn, g: PiecewiseFn, end, first):
+    """(h, k, cut, value): the cut first(t_f, t_g) of the thresholds end
+    reads, h the one of f and g whose threshold it is, k the other, and the
+    meet of their envelopes at the cut, where each is 1 short of its own."""
+    (t_f, v_f), (t_g, v_g) = end(f), end(g)
+    cut = first(t_f, t_g)
+    at_f, at_g = _same(t_f, cut), _same(t_g, cut)
+    h, k = (f, g) if at_f else (g, f)
+    return h, k, cut, _min(v_f if at_f else ONE, v_g if at_g else ONE)
 
 
 def right_threshold(f: PiecewiseFn) -> Fraction:

@@ -88,6 +88,11 @@ def lattice_fns(draw, den: int = 16):
     )
 
 
+def normal_fns():
+    """Normal functions, often not convex: the join of two lattice members."""
+    return st.builds(t.pointwise_max, lattice_fns(), lattice_fns())
+
+
 @st.composite
 def open_peak_fns(draw, den: int = 16):
     """Normal convex functions that reach 1 only as a limit from the left at
@@ -114,6 +119,57 @@ def open_peak_fns(draw, den: int = 16):
     return t.PiecewiseFn(
         breaks + (b, Fraction(1)), values + (at_b, w2), pieces + (fall,)
     )
+
+
+@st.composite
+def plateau_fns(draw, a: Fraction, b: Fraction, den: int = 16):
+    """Normal convex functions that are 1 on the open interval (a, b), rise
+    to it over [0, a) and fall from it over (b, 1], each with one piece. The
+    value at a lies between the limit beside it and 1, and so does the one
+    at b; at a = b the peak is 1 or approached from one side. Two of these
+    with a common end have tied thresholds there."""
+
+    def between(lo, hi=Fraction(1)):
+        return Fraction(draw(st.integers(int(lo * den), int(hi * den))), den)
+
+    # the limits at a from the left and at b from the right
+    up = between(0) if a > 0 else Fraction(0)
+    down = between(0) if b < 1 else Fraction(0)
+    if a < b:
+        at_a, at_b = between(up), between(down)
+    else:
+        at_a = at_b = between(min(up, down)) if max(up, down) == 1 else Fraction(1)
+    breaks, values, pieces = [], [], []
+    if a > 0:
+        v0 = between(0, up)  # the limit at 0 from the right
+        breaks.append(Fraction(0))
+        values.append(between(0, v0))
+        pieces.append(((up - v0) / a, v0))
+    breaks.append(a)
+    values.append(at_a)
+    if a < b:
+        breaks.append(b)
+        values.append(at_b)
+        pieces.append((Fraction(0), Fraction(1)))
+    if b < 1:
+        w = between(0, down)  # the limit at 1 from the left
+        slope = (w - down) / (1 - b)
+        breaks.append(Fraction(1))
+        values.append(between(0, w))
+        pieces.append((slope, down - slope * b))
+    return t.PiecewiseFn(tuple(breaks), tuple(values), tuple(pieces))
+
+
+@st.composite
+def tied_pairs(draw, den: int = 16):
+    """Two plateau functions with a common left end or a common right end,
+    so with tied left or right thresholds (or both)."""
+    p, e1, e2 = (draw(unit_fracs(den)) for _ in range(3))
+    if draw(st.booleans()):
+        ends = [(min(e, p), p) for e in (e1, e2)]
+    else:
+        ends = [(p, max(e, p)) for e in (e1, e2)]
+    return tuple(draw(plateau_fns(a, b, den)) for a, b in ends)
 
 
 # Normal convex functions at the edges of the threshold reads, by name:

@@ -40,3 +40,55 @@ def test_the_check_sees_unused_names():
         "json.dumps(b)\n"
     )
     assert unused_imports(source) == ["d", "os"]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def dead_helpers(sources: list[str]) -> list[str]:
+    """Module-level private defs and classes (``_name``, not dunders) of the
+    given modules that no code of theirs refers to outside the definition."""
+    trees = [ast.parse(source) for source in sources]
+    helpers = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = set()
+    for tree in trees:
+        for top in tree.body:
+            own = top.name if isinstance(top, DEFINITIONS) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(helpers - used)
+
+
+def test_every_private_helper_has_a_caller():
+    package = Path(t2algebra.__file__).parent.glob("*.py")
+    assert dead_helpers([path.read_text() for path in package]) == []
+
+
+def test_the_check_sees_dead_helpers():
+    first = (
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "def _called():\n"
+        "    return 1\n"
+        "class _Orphan:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+    )
+    # an import is not a use; a call through a module attribute is
+    second = "from .first import _Orphan\nfrom . import first\nfirst._called()\n"
+    assert dead_helpers([first, second]) == ["_Orphan", "_recursive"]

@@ -1,12 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError
+from t2algebra import DomainError, lattice, piecewise
 
-from conftest import lattice_fns, piecewise_fns
+from conftest import (
+    THRESHOLD_EDGE_CASES,
+    lattice_fns,
+    normal_fns,
+    open_peak_fns,
+    piecewise_fns,
+    tied_pairs,
+)
 from oracles import oracle_join_value, oracle_meet_value, probe_points
 
 F = Fraction
@@ -139,3 +146,90 @@ class TestOrders:
             t.pointwise_min(f, t.envelope_left(g)), g
         ) and t.pointwise_leq(g, t.envelope_left(f))
         assert lhs == rhs
+
+
+def assert_splices_match_the_envelope_formula(f, g):
+    assert t.meet(f, g) == lattice._meet_by_envelopes(f, g)
+    assert t.join(f, g) == lattice._join_by_envelopes(f, g)
+
+
+class TestSpliceAgainstEnvelopeFormula:
+    """On lattice inputs meet and join splice two partial passes at a
+    threshold; the envelope formula, which runs everywhere else, must give
+    the same canonical function."""
+
+    @given(
+        st.one_of(lattice_fns(), open_peak_fns()),
+        st.one_of(lattice_fns(), open_peak_fns()),
+    )
+    def test_lattice_pairs(self, f, g):
+        assert_splices_match_the_envelope_formula(f, g)
+
+    @given(tied_pairs())
+    def test_tied_thresholds(self, pair):
+        f, g = pair
+        assert t.in_lattice(f) and t.in_lattice(g)
+        assert_splices_match_the_envelope_formula(f, g)
+        assert_splices_match_the_envelope_formula(g, f)
+
+    @pytest.mark.parametrize("first", sorted(THRESHOLD_EDGE_CASES))
+    def test_threshold_edge_cases(self, first):
+        f = THRESHOLD_EDGE_CASES[first]
+        for g in THRESHOLD_EDGE_CASES.values():
+            assert_splices_match_the_envelope_formula(f, g)
+
+    @given(lattice_fns())
+    def test_with_itself(self, f):
+        assert t.meet(f, f) == t.join(f, f) == t.canonicalize(f)
+
+    @given(
+        st.one_of(piecewise_fns(), normal_fns(), lattice_fns()),
+        st.one_of(piecewise_fns(), normal_fns()),
+    )
+    def test_fallback_off_the_lattice(self, f, g):
+        assert_splices_match_the_envelope_formula(f, g)
+        assert_splices_match_the_envelope_formula(g, f)
+
+
+class TestSpliceCounts:
+    @staticmethod
+    def _counted(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @given(lattice_fns(), lattice_fns())
+    def test_lattice_meet_and_join_build_once_without_a_max_pass(self, f, g):
+        for op in (t.meet, t.join):
+            op(f, g)  # fills the envelope and threshold memos
+            with pytest.MonkeyPatch.context() as mp:
+                maxes = self._counted(mp, lattice, "pointwise_max")
+                kernel_maxes = self._counted(mp, piecewise, "pointwise_max")
+                builds = self._counted(mp, piecewise, "_build_canonical")
+                op(f, g)
+            assert maxes == kernel_maxes == []
+            assert len(builds) == 1
+
+    def test_the_definition_takes_the_envelope_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("leq_sub_by_definition spliced")
+
+        monkeypatch.setattr(lattice, "_splice", refuse)
+        fns = seeded_lattice(20, seed=3)
+        for f, g in zip(fns, fns[1:]):
+            assert t.leq_sub_by_definition(f, g) == t.leq_sub(f, g)
+        with pytest.raises(AssertionError, match="spliced"):
+            t.meet(fns[0], fns[1])
+
+    def test_off_the_lattice_meet_and_join_take_the_formula(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_splice", None)  # any call would fail
+        f, g = t.constant(Fraction(1, 2)), t.pointwise_max(t.TOP, t.BOTTOM)
+        for h in (f, g, t.TOP):
+            assert t.equals(t.meet(h, f), lattice._meet_by_envelopes(h, f))
+            assert t.equals(t.join(g, h), lattice._join_by_envelopes(g, h))

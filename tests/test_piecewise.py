@@ -19,7 +19,15 @@ from t2algebra.piecewise import (
 )
 
 from conftest import clear_memos as _clear_memos
-from conftest import THRESHOLD_EDGE_CASES, lattice_fns, piecewise_fns, unit_fracs
+from conftest import (
+    THRESHOLD_EDGE_CASES,
+    lattice_fns,
+    normal_fns,
+    open_peak_fns,
+    piecewise_fns,
+    tied_pairs,
+    unit_fracs,
+)
 from oracles import (
     exact_sup,
     exact_sup_full_scan,
@@ -251,6 +259,30 @@ class TestSweepAgainstMidpointReference:
         self._agree(f, g)
         self._agree(g, f)
 
+    @given(
+        piecewise_fns(),
+        piecewise_fns(den=15),
+        unit_fracs(),
+        st.one_of(st.none(), unit_fracs()),
+        st.booleans(),
+    )
+    def test_ranged_pass_is_the_full_one_restricted(self, f, g, start, stop, take_min):
+        # from start up to the first merged breakpoint at or beyond stop
+        if stop is not None and stop < start:
+            start, stop = stop, start
+        full = reference_combine(f, g, take_min)
+        merged = set(f.breakpoints) | set(g.breakpoints)
+        end = min(b for b in merged if b >= (1 if stop is None else stop))
+        breaks, values, pieces = piecewise._combine_parts(f, g, take_min, start, stop)
+        assert breaks[0] == start
+        assert breaks[-1] == (start if start == stop else end)
+        assert values == [t.evaluate(full, x) for x in breaks]
+        assert len(pieces) == len(breaks) - 1
+        for (s, c), x, y in zip(pieces, breaks, breaks[1:]):
+            assert x < y
+            for z in (x + (y - x) / 3, x + 2 * (y - x) / 3):
+                assert s * z + c == t.evaluate(full, z)
+
     @given(piecewise_fns())
     def test_pairs_sharing_pieces(self, f):
         # pointwise ops of f with a function built from it share whole pieces
@@ -456,6 +488,61 @@ class TestSupNormalConvex:
         assert t.is_normal(f)
         assert t.is_convex(f)
         assert quasiconcave_violation(f) is None
+
+
+def convex_by_formula(f):
+    return t.equals(f, t.pointwise_min(t.envelope_left(f), t.envelope_right(f)))
+
+
+class TestConvexitySplice:
+    """For a normal function, is_convex splices its envelopes at its two
+    thresholds in place of their pointwise min; the min, the quasiconcavity
+    probe and the splice must agree."""
+
+    @staticmethod
+    def _agree(f):
+        convex = t.is_convex(f)
+        assert convex == convex_by_formula(f)
+        violation = quasiconcave_violation(f)
+        assert not (convex and violation is not None)
+
+    @given(st.one_of(lattice_fns(), open_peak_fns(), normal_fns(), piecewise_fns()))
+    def test_against_the_formula_and_the_probe(self, f):
+        self._agree(f)
+
+    @given(tied_pairs())
+    def test_joins_of_tied_plateaus(self, pair):
+        f, g = pair
+        self._agree(t.pointwise_max(f, g))
+        self._agree(t.pointwise_min(f, g))
+
+    @pytest.mark.parametrize("first", sorted(THRESHOLD_EDGE_CASES))
+    def test_threshold_edge_cases_and_their_joins(self, first):
+        f = THRESHOLD_EDGE_CASES[first]
+        self._agree(f)
+        for g in THRESHOLD_EDGE_CASES.values():
+            self._agree(t.pointwise_max(f, g))
+
+    def test_twin_plateaus_are_not_convex(self):
+        f = t.pointwise_max(t.indicator(0, F(1, 4)), t.indicator(F(3, 4), 1))
+        assert t.is_normal(f) and not t.is_convex(f)
+        assert quasiconcave_violation(f) is not None
+
+    @given(st.one_of(lattice_fns(), normal_fns()))
+    def test_normal_functions_take_no_merged_pass(self, f):
+        calls = []
+        original = piecewise._combine_parts
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(piecewise, "_combine_parts", counting)
+            _clear_memos()
+            t.is_convex(f)
+        assert t.is_normal(f)
+        assert calls == []
 
 
 class TestThresholds:
@@ -698,6 +785,7 @@ class TestKernelMakesNoFractionCompare:
         expected = [op(f, g) for f, g in pairs for op in ops]
         expected += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
         expected += [t.evaluate(f, x) for f in fns + odd for x in points]
+        expected += [t.is_convex(f) for f in fns + odd]
 
         def refuse(*args):
             raise AssertionError("Fraction comparison inside the kernel")
@@ -708,6 +796,8 @@ class TestKernelMakesNoFractionCompare:
         got = [op(f, g) for f, g in pairs for op in ops]
         got += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
         got += [t.evaluate(f, x) for f in fns + odd for x in points]
+        _clear_memos()
+        got += [t.is_convex(f) for f in fns + odd]
         monkeypatch.undo()
         assert got == expected
 
