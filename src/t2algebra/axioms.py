@@ -23,6 +23,7 @@ from .errors import DomainError, ValidationError
 from .lattice import BOTTOM, FULL, TOP, leq_sub, meet as lattice_meet
 from .piecewise import (
     PiecewiseFn,
+    _build_canonical,
     canonicalize,
     constant,
     envelope_left,
@@ -66,6 +67,9 @@ class GeneratorConfig:
     denominator_bound: int = 64
 
     def __post_init__(self):
+        for field in ("max_breakpoints", "denominator_bound"):
+            if type(getattr(self, field)) is not int:  # refuses bool as well
+                raise ValidationError(f"{field} must be an integer")
         if self.max_breakpoints < 2:
             raise ValidationError("max_breakpoints must be at least 2")
         if self.denominator_bound < 2:
@@ -79,21 +83,21 @@ class GeneratorConfig:
 
 
 def _coord(rng: Random, den: int, lo: Fraction = ZERO, hi: Fraction = ONE) -> Fraction:
-    lo_k = int(lo * den)
-    hi_k = int(hi * den)
+    lo_k = lo._numerator * den // lo._denominator
+    hi_k = hi._numerator * den // hi._denominator
     return Fraction(rng.randint(lo_k, hi_k), den)
 
 
 def _interior_coords(
     rng: Random, den: int, count: int, lo: Fraction, hi: Fraction
 ) -> list[Fraction]:
-    lo_k = int(lo * den) + 1
-    hi_k = int(hi * den) - 1
+    lo_k = lo._numerator * den // lo._denominator + 1
+    hi_k = hi._numerator * den // hi._denominator - 1
     avail = hi_k - lo_k + 1
     if avail <= 0 or count <= 0:
         return []
     picks = rng.sample(range(lo_k, hi_k + 1), min(count, avail))
-    return sorted(Fraction(k, den) for k in picks)
+    return [Fraction(k, den) for k in sorted(picks)]
 
 
 def _ladder(rng: Random, den: int, count: int, descending: bool) -> list[Fraction]:
@@ -103,8 +107,12 @@ def _ladder(rng: Random, den: int, count: int, descending: bool) -> list[Fractio
 
 
 def _affine_between(x0, y0, x1, y1) -> tuple[Fraction, Fraction]:
-    slope = (y1 - y0) / (x1 - x0)
-    return slope, y0 - slope * x0
+    # slope (y1 - y0) / (x1 - x0) and intercept (y0 x1 - y1 x0) / (x1 - x0)
+    a, b, c, d = x0._numerator, x0._denominator, y0._numerator, y0._denominator
+    e, f, g, h = x1._numerator, x1._denominator, y1._numerator, y1._denominator
+    den = d * h * (e * b - a * f)
+    slope = Fraction((g * d - c * h) * b * f, den)
+    return slope, Fraction(c * e * h * b - g * a * d * f, den)
 
 
 def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -181,7 +189,8 @@ def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
             )
             values.append(rungs[3 * i + 3])
         breaks.extend(pos[1:])
-    return canonicalize(PiecewiseFn(tuple(breaks), tuple(values), tuple(pieces)))
+    # valid by construction, so sealed unchecked (see piecewise)
+    return canonicalize(_build_canonical(breaks, values, pieces))
 
 
 def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -194,7 +203,7 @@ def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     pieces = []
     for a, b in zip(breaks, breaks[1:]):
         pieces.append(_affine_between(a, _coord(rng, den), b, _coord(rng, den)))
-    return canonicalize(PiecewiseFn(tuple(breaks), tuple(values), tuple(pieces)))
+    return canonicalize(_build_canonical(breaks, values, pieces))
 
 
 def random_normal_convex(config: GeneratorConfig, rng: Random | None = None) -> PiecewiseFn:

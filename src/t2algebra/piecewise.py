@@ -539,7 +539,6 @@ def is_normal(f: PiecewiseFn) -> bool:
     return _same(sup_value(f), ONE)
 
 
-@lru_cache(maxsize=_CACHE)
 def is_convex(f: PiecewiseFn) -> bool:
     """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes.
 
@@ -554,17 +553,27 @@ def is_convex(f: PiecewiseFn) -> bool:
     return canonicalize(f) == _splice(head, *_left_end(f), *_right_end(f), tail)
 
 
+@lru_cache(maxsize=_CACHE)
 def in_lattice(f: PiecewiseFn) -> bool:
-    """Membership in the normal-and-convex class the threshold product lives on."""
+    """Memoised membership in the normal convex class the threshold product lives on."""
     return is_normal(f) and is_convex(f)
 
 
-def _indicator_ones(f: PiecewiseFn) -> list[Fraction]:
-    # the breakpoints at which f is 1 if f is the indicator of the closed
-    # interval they span, and no breakpoints otherwise
+def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
+    """The breakpoints at which f is 1 if f is the indicator of the closed
+    interval they span, else none. Read off the canonical form in one scan:
+    values and flat pieces of 0 or 1, the 1s one run from value to value."""
     g = canonicalize(f)
-    ones = [b for b, v in zip(g.breakpoints, g.values) if _same(v, ONE)]
-    return ones if ones and g == _indicator(ones[0], ones[-1]) else []
+    run = []  # the levels in the order value, piece, value, ..., piece
+    for v, (s, c) in zip(g.values, g.pieces + ((ZERO, ZERO),)):
+        if s._numerator or c._denominator != 1 or v._denominator != 1:
+            return ()
+        run += (v._numerator, c._numerator)
+    if 1 not in run:
+        return ()
+    lo, hi = run.index(1), len(run) - run[::-1].index(1) - 1
+    closed = not (lo % 2 or hi % 2 or 0 in run[lo:hi])
+    return g.breakpoints[lo // 2 : hi // 2 + 1] if closed else ()
 
 
 def is_point_indicator(f: PiecewiseFn) -> bool:
@@ -573,7 +582,8 @@ def is_point_indicator(f: PiecewiseFn) -> bool:
 
 
 def is_interval_indicator(f: PiecewiseFn) -> bool:
-    """True iff f is the characteristic function of some closed interval."""
+    """True iff f is the characteristic function of some closed interval: in
+    canonical form, 0 but for one closed run of 1s (see ``_indicator_ones``)."""
     return bool(_indicator_ones(f))
 
 

@@ -58,8 +58,8 @@ class TruthValueOp:
         return self.fn(f, g)
 
 
-def _require_lattice(what: str, *fns: PiecewiseFn) -> None:
-    if not all(in_lattice(f) for f in fns):
+def _require_lattice(what: str, f: PiecewiseFn, g: PiecewiseFn) -> None:
+    if not (in_lattice(f) and in_lattice(g)):
         raise DomainError(f"{what} requires normal convex inputs")
 
 

@@ -20,6 +20,10 @@ library's one-sweep versions are checked against them.
 
 ``reference_tail_value`` is the threshold product's value at xi evaluated
 on both right envelopes, which the library reads off its threshold scan.
+
+``reference_indicator_ends`` finds the set where f is 1 from f's raw parts,
+canonical or not, and checks it is a closed interval by evaluation; the
+library reads the indicator shape off the canonical form instead.
 """
 
 from bisect import bisect_left, bisect_right
@@ -264,6 +268,33 @@ def reference_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 def reference_tail_value(f: PiecewiseFn, g: PiecewiseFn, xi: Fraction) -> Fraction:
     """The meet of the right envelopes of f and g at xi, by evaluation."""
     return min(evaluate(envelope_right(f), xi), evaluate(envelope_right(g), xi))
+
+
+def reference_indicator_ends(f: PiecewiseFn) -> tuple[Fraction, Fraction] | None:
+    """(lo, hi) if f is the characteristic function of the closed interval
+    [lo, hi], else None: every value and one-sided piece limit is 0 or 1, no
+    piece rises or falls between them, and f is 1 at every breakpoint and
+    piece midpoint from the least point of the set where f is 1 to its
+    greatest, both of which f must attain."""
+    bks = f.breakpoints
+    ones = []  # breakpoints bounding the parts of the set where f is 1
+    for b, v in zip(bks, f.values):
+        if v not in (ZERO, ONE):
+            return None
+        if v == ONE:
+            ones.append(b)
+    for a, b, (s, c) in zip(bks, bks[1:], f.pieces):
+        limits = {s * a + c, s * b + c}
+        if len(limits) > 1 or not limits <= {ZERO, ONE}:
+            return None
+        if limits == {ONE}:
+            ones += [a, b]
+    if not ones:
+        return None
+    lo, hi = min(ones), max(ones)
+    probes = [b for b in bks if lo <= b <= hi]
+    probes += [(a + b) / 2 for a, b in zip(bks, bks[1:]) if lo <= a and b <= hi]
+    return (lo, hi) if all(evaluate(f, x) == ONE for x in probes) else None
 
 
 def brute_convolution_grid(

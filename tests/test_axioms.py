@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -5,12 +6,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import ValidationError
-from t2algebra.axioms import _interpolate_through, _shrink_points
+from t2algebra.axioms import _affine_between, _interpolate_through, _shrink_points
 from conftest import lattice_fns, piecewise_fns
 
 F = Fraction
@@ -52,12 +53,58 @@ class TestGenerator:
                 {"denominator_bound": sys.maxsize + 1},
                 f"denominator_bound must be at most {sys.maxsize}",
             ),
+            ({"max_breakpoints": 2.5}, "max_breakpoints must be an integer"),
+            ({"max_breakpoints": "7"}, "max_breakpoints must be an integer"),
+            ({"max_breakpoints": True}, "max_breakpoints must be an integer"),
+            ({"denominator_bound": 2.5}, "denominator_bound must be an integer"),
+            ({"denominator_bound": Fraction(64)}, "denominator_bound must be an integer"),
+            ({"denominator_bound": True}, "denominator_bound must be an integer"),
         ],
-        ids=["breakpoints", "denominator-low", "denominator-high"],
+        ids=[
+            "breakpoints",
+            "denominator-low",
+            "denominator-high",
+            "breakpoints-float",
+            "breakpoints-str",
+            "breakpoints-bool",
+            "denominator-float",
+            "denominator-fraction",
+            "denominator-bool",
+        ],
     )
     def test_config_out_of_bounds_rejected(self, kwargs, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             t.GeneratorConfig(**kwargs)
+
+    # sha256 of the dumps of every draw below, one per line: a change to the
+    # random stream, or to any draw's value, fails
+    DRAW_DIGEST = "ebc58239fb8c2f4ec2f96e9c57a2b83c87a1b1244e214d8609141e552116ee4c"
+
+    def test_draws_match_the_recorded_stream(self):
+        digest = hashlib.sha256()
+        for seed, breakpoints, den in [
+            (0, 7, 64),
+            (7321, 7, 64),
+            (3, 2, 2),
+            (11, 12, 1000),
+            (5, 5, 2**40),
+            (9, 9, 3),
+        ]:
+            cfg = t.GeneratorConfig(seed, breakpoints, den)
+            fns = t.generate_lattice_functions(cfg, 40)
+            fns += t.generate_nonlattice_functions(cfg, 20)
+            rng = Random(seed)
+            for _ in range(20):
+                fns.extend(t.comparable_pair(rng, cfg))
+            for f in fns:
+                digest.update(t.dumps(f).encode() + b"\n")
+        assert digest.hexdigest() == self.DRAW_DIGEST
+
+    @given(st.fractions(), st.fractions(), st.fractions(), st.fractions())
+    def test_integer_affine_between(self, x0, y0, x1, y1):
+        assume(x0 != x1)
+        slope = (y1 - y0) / (x1 - x0)
+        assert _affine_between(x0, y0, x1, y1) == (slope, y0 - slope * x0)
 
     def test_largest_denominator_bound_draws(self):
         # past it, sampling coordinates raises OverflowError

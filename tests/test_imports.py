@@ -92,3 +92,59 @@ def test_the_check_sees_dead_helpers():
     # an import is not a use; a call through a module attribute is
     second = "from .first import _Orphan\nfrom . import first\nfirst._called()\n"
     assert dead_helpers([first, second]) == ["_Orphan", "_recursive"]
+
+
+MEMO_FACTORIES = {"lru_cache", "cache"}
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unsized_memos(source: str) -> list[int]:
+    """Lines that make an ``lru_cache`` (or an unbounded ``cache``) other
+    than ``lru_cache(maxsize=_CACHE)``, the one memo size of the package."""
+    tree = ast.parse(source)
+    sized = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node.func) == "lru_cache"
+        and not node.args
+        and [(k.arg, getattr(k.value, "id", None)) for k in node.keywords]
+        == [("maxsize", "_CACHE")]
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _called_name(node) in MEMO_FACTORIES and id(node) not in sized
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(t2algebra.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_memo_is_sized_by_cache(path):
+    assert unsized_memos(path.read_text()) == []
+
+
+def test_the_check_sees_unsized_memos():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=_CACHE)\n"
+        "def sized(x): ...\n"
+        "@lru_cache\n"
+        "def bare(x): ...\n"
+        "@functools.lru_cache(maxsize=128)\n"
+        "def literal(x): ...\n"
+        "@cache\n"
+        "def unbounded(x): ...\n"
+        "wrapped = lru_cache(maxsize=_CACHE)(len)\n"
+        "positional = lru_cache(_CACHE)(len)\n"
+    )
+    assert unsized_memos(source) == [5, 7, 9, 12]

@@ -39,6 +39,7 @@ from oracles import (
     probe_points,
     quasiconcave_violation,
     reference_combine,
+    reference_indicator_ends,
     reference_leq,
 )
 
@@ -627,6 +628,105 @@ class TestIndicator:
             t.indicator(F(3, 5), F(1, 5))
 
 
+@st.composite
+def zero_one_fns(draw, den: int = 8):
+    """Functions with values 0 and 1 and flat pieces at 0 or 1, now and then
+    a piece sloping between them: interval indicators and their near misses
+    (ends open, gaps, slopes), often with removable breakpoints."""
+    ks = draw(st.lists(st.integers(1, den - 1), max_size=4, unique=True))
+    breaks = [F(0)] + sorted(F(k, den) for k in ks) + [F(1)]
+    values = tuple(F(draw(st.integers(0, 1))) for _ in breaks)
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
+        y0 = F(draw(st.integers(0, 1)))
+        y1 = 1 - y0 if draw(st.integers(0, 5)) == 0 else y0
+        slope = (y1 - y0) / (b - a)
+        pieces.append((slope, y0 - slope * a))
+    return t.PiecewiseFn(tuple(breaks), values, tuple(pieces))
+
+
+def _open_run(lo, hi, at_lo, at_hi):
+    # 1 on the open interval (lo, hi) and 0 elsewhere but at_lo, at_hi there
+    return t.PiecewiseFn(
+        (0, lo, hi, 1), (0, at_lo, at_hi, 0), ((0, 0), (0, 1), (0, 0))
+    )
+
+
+INDICATOR_CASES = {
+    "spike at 0": (t.unit_spike(0), (0, 0)),
+    "spike at 1": (t.unit_spike(1), (1, 1)),
+    "FULL": (t.FULL, (0, 1)),
+    "TOP": (t.TOP, (1, 1)),
+    "BOTTOM": (t.BOTTOM, (0, 0)),
+    "constant 0": (t.constant(0), None),
+    "(1/4, 3/4)": (_open_run(F(1, 4), F(3, 4), 0, 0), None),
+    "[1/4, 3/4)": (_open_run(F(1, 4), F(3, 4), 1, 0), None),
+    "(1/4, 3/4]": (_open_run(F(1, 4), F(3, 4), 0, 1), None),
+    "[1/2, 1)": (t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 0), ((0, 0), (0, 1))), None),
+    "[0, 1/2)": (t.PiecewiseFn((0, F(1, 2), 1), (1, 0, 0), ((0, 1), (0, 0))), None),
+    "(0, 1/2]": (t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 0), ((0, 1), (0, 0))), None),
+    "two runs": (
+        t.pointwise_max(t.indicator(F(1, 8), F(1, 4)), t.indicator(F(1, 2), 1)),
+        None,
+    ),
+    "two spikes": (t.pointwise_max(t.unit_spike(F(1, 4)), t.unit_spike(F(3, 4))), None),
+    "slope": (t.rising_ramp(0), None),
+    "slope to a spike": (
+        t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 0), ((2, 0), (0, 0))),
+        None,
+    ),
+    "removable in the run": (
+        t.PiecewiseFn(
+            (0, F(1, 4), F(1, 2), F(3, 4), 1),
+            (0, 1, 1, 1, 0),
+            ((0, 0), (0, 1), (0, 1), (0, 0)),
+        ),
+        (F(1, 4), F(3, 4)),
+    ),
+    "removable outside a spike": (
+        t.PiecewiseFn((0, F(1, 4), F(1, 2), 1), (0, 0, 1, 0), ((0, 0),) * 3),
+        (F(1, 2), F(1, 2)),
+    ),
+    "removable in FULL": (
+        t.PiecewiseFn((0, F(1, 2), 1), (1, 1, 1), ((0, 1),) * 2),
+        (0, 1),
+    ),
+}
+
+
+class TestIndicatorShape:
+    """The indicator predicates read the shape off the canonical form; the
+    oracle finds the set where f is 1 from the raw parts, by evaluation."""
+
+    @staticmethod
+    def _agree(f):
+        ends = reference_indicator_ends(f)
+        assert t.is_interval_indicator(f) == (ends is not None)
+        assert t.is_point_indicator(f) == (ends is not None and ends[0] == ends[1])
+
+    @given(lattice_fns())
+    def test_lattice_functions(self, f):
+        self._agree(f)
+
+    @given(piecewise_fns())
+    def test_arbitrary_functions(self, f):
+        self._agree(f)
+
+    @given(zero_one_fns())
+    def test_zero_one_functions(self, f):
+        self._agree(f)
+
+    @pytest.mark.parametrize("name", THRESHOLD_EDGE_CASES)
+    def test_threshold_edge_cases(self, name):
+        self._agree(THRESHOLD_EDGE_CASES[name])
+
+    @pytest.mark.parametrize("name", INDICATOR_CASES)
+    def test_fixed_cases(self, name):
+        f, ends = INDICATOR_CASES[name]
+        assert reference_indicator_ends(f) == ends
+        self._agree(f)
+
+
 class TestValidation:
     def test_unsorted_breakpoints(self):
         with pytest.raises(ValidationError):
@@ -786,6 +886,7 @@ class TestKernelMakesNoFractionCompare:
         expected += [op(f, g) for f, g in pairs[:11] for op in lattice_ops]
         expected += [t.evaluate(f, x) for f in fns + odd for x in points]
         expected += [t.is_convex(f) for f in fns + odd]
+        expected += [t.is_interval_indicator(f) for f in fns + odd]
 
         def refuse(*args):
             raise AssertionError("Fraction comparison inside the kernel")
@@ -798,6 +899,7 @@ class TestKernelMakesNoFractionCompare:
         got += [t.evaluate(f, x) for f in fns + odd for x in points]
         _clear_memos()
         got += [t.is_convex(f) for f in fns + odd]
+        got += [t.is_interval_indicator(f) for f in fns + odd]
         monkeypatch.undo()
         assert got == expected
 
@@ -839,6 +941,17 @@ def _small_batteries():
         t.check_tr_axioms(t.STAR, "tr-norm", config, closure_denominator=4, **sizes),
         t.check_tr_axioms(t.COSTAR, "tr-conorm", config, closure_denominator=4, **sizes),
     ]
+
+
+def _generator_draws():
+    config = t.GeneratorConfig(seed=4)
+    rng = random.Random(4)
+    pairs = [t.comparable_pair(rng, config) for _ in range(20)]
+    return (
+        t.generate_lattice_functions(config, 40)
+        + t.generate_nonlattice_functions(config, 20)
+        + [f for pair in pairs for f in pair]
+    )
 
 
 class TestSealedBuilds:
@@ -890,6 +1003,10 @@ class TestSealedBuilds:
 
     def test_reference_path_through_the_batteries(self):
         got, expected = self._through_constructor(_small_batteries)
+        assert got == expected
+
+    def test_reference_path_through_the_generators(self):
+        got, expected = self._through_constructor(_generator_draws)
         assert got == expected
 
 
