@@ -393,6 +393,11 @@ def check_tr_axioms(
         boundary_expected = lambda a, b: indicator(a, ONE)
     else:
         raise ValidationError(f"kind must be {TR_NORM!r} or {TR_CONORM!r}")
+    sizes = dict(pairs=pairs, triples=triples, neutral_trials=neutral_trials)
+    sizes.update(monotone_trials=monotone_trials, closure_denominator=closure_denominator)
+    for name, value in sizes.items():
+        if type(value) is not int or value < 1:  # refuses bool as well
+            raise ValidationError(f"{name} must be a positive integer")
 
     rng = Random(config.seed)
 

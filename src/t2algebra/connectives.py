@@ -121,6 +121,13 @@ def _scalar_witness(**values) -> dict:
     return {k: str(v) for k, v in values.items()}
 
 
+def _unit_sample(sample) -> list[Fraction]:
+    pts = sorted(to_unit(x) for x in sample)
+    if ZERO not in pts or ONE not in pts:
+        raise DomainError("sample must be nonempty and contain 0 and 1")
+    return pts
+
+
 def check_connective_axioms(
     op: ScalarConnective, sample: tuple | list
 ) -> list[AxiomReport]:
@@ -130,9 +137,7 @@ def check_connective_axioms(
     reported (tuples enumerated in sorted-lexicographic order). Monotonicity
     counts only the triples with x <= y as trials.
     """
-    pts = sorted(to_unit(x) for x in sample)
-    if not pts or ZERO not in pts or ONE not in pts:
-        raise DomainError("sample must be nonempty and contain 0 and 1")
+    pts = _unit_sample(sample)
     neutral = ZERO if op.profile == T_CONORM else ONE
     return [
         falsify(
@@ -170,11 +175,11 @@ def check_boundary_characterization(
     """The extremal-value characterization forced on t-norms and t-conorms.
 
     For a t-norm, x*y = 1 exactly at (1,1); for a t-conorm, x*y = 0 exactly
-    at (0,0). Checked over sample x sample.
+    at (0,0). Checked over sample x sample, which must contain 0 and 1.
     """
     if op.profile not in (T_NORM, T_CONORM):
         raise DomainError("profile must be t-norm or t-conorm")
-    pts = sorted(to_unit(x) for x in sample)
+    pts = _unit_sample(sample)
     extreme = ONE if op.profile == T_NORM else ZERO
     return falsify(
         "boundary",

@@ -12,10 +12,12 @@ On normal convex inputs (Walker and Walker's envelope form) both right
 envelopes are 1 short of the lesser right threshold xi, f's, and fR = f
 beyond it, so the meet is f v g on [0, xi) and f ^ gR on (xi, 1], spliced
 at xi by ``piecewise._splice`` as the threshold product is. The join is the
-mirror case at g's greater left threshold. Off the lattice, and in
-``leq_sub_by_definition``, the envelope formula runs as written: it is the
-splice's test reference. The grid convolution oracle checks meet and join
-independently (see the acceptance suite).
+mirror case at g's greater left threshold. Both read the inputs' envelopes
+and threshold ends off ``piecewise._shape``, and ``piecewise._cut`` picks
+the cut from the two ends. Off the lattice, and in ``leq_sub_by_definition``,
+the envelope formula runs as written: it is the splice's test reference.
+The grid convolution oracle checks meet and join independently (see the
+acceptance suite).
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
-    _left_end,
     _max,
     _min,
-    _right_end,
+    _shape,
     _splice,
     envelope_left,
     envelope_right,
@@ -48,20 +49,24 @@ FULL = indicator(ZERO, ONE)
 
 
 def meet(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    if not (in_lattice(f) and in_lattice(g)):
+    sf, sg = _shape(f), _shape(g)
+    if not (sf.lattice and sg.lattice):
         return _meet_by_envelopes(f, g)
-    f, g, cut, at_cut = _cut(f, g, _right_end, _min)  # at f's right threshold
+    at_f, cut, at_cut = _cut(sf.right_end, sg.right_end, _min)
+    f, g, sg = (f, g, sg) if at_f else (g, f, sf)  # the cut is f's right threshold
     # f is or tends to 1 at its threshold, a breakpoint: the head ends on it
     head = _combine_parts(f, g, False, stop=cut)
-    tail = _combine_parts(f, envelope_right(g), True, start=cut)
+    tail = _combine_parts(f, sg.right, True, start=cut)
     return _splice(head, cut, head[1][-1], cut, at_cut, tail)
 
 
 def join(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    if not (in_lattice(f) and in_lattice(g)):
+    sf, sg = _shape(f), _shape(g)
+    if not (sf.lattice and sg.lattice):
         return _join_by_envelopes(f, g)
-    g, f, cut, at_cut = _cut(f, g, _left_end, _max)  # at g's left threshold
-    head = _combine_parts(g, envelope_left(f), True, stop=cut)
+    at_f, cut, at_cut = _cut(sf.left_end, sg.left_end, _max)
+    f, g, sf = (g, f, sg) if at_f else (f, g, sf)  # the cut is g's left threshold
+    head = _combine_parts(g, sf.left, True, stop=cut)
     tail = _combine_parts(f, g, False, start=cut)
     return _splice(head, cut, tail[1][0], cut, at_cut, tail)
 
@@ -83,10 +88,9 @@ def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     criterion (left envelopes reversed, right envelopes aligned); elsewhere
     by the defining equation. Both paths agree on the convex class.
     """
-    if in_lattice(f) and in_lattice(g):
-        return pointwise_leq(envelope_left(g), envelope_left(f)) and pointwise_leq(
-            envelope_right(f), envelope_right(g)
-        )
+    sf, sg = _shape(f), _shape(g)
+    if sf.lattice and sg.lattice:
+        return pointwise_leq(sg.left, sf.left) and pointwise_leq(sf.right, sg.right)
     return leq_sub_by_definition(f, g)
 
 

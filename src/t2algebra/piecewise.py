@@ -27,8 +27,9 @@ parts by an operation closed on the class, so a check could only re-prove
 that on every build. A test routes ``_sealed`` through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
-construction; Fraction hashing is too slow to sit under the memoized
-envelope operators otherwise.
+construction; Fraction hashing is too slow to sit under the memos otherwise.
+The envelopes, thresholds and lattice membership of a function are fields
+of one memoised record, ``_shape``.
 
 This module (and ``star``, through its helpers) compares rationals by
 cross-multiplying their integer slots ``_numerator`` and ``_denominator``
@@ -48,6 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .rationals import ONE, UNPRINTABLE, ZERO, _in_unit, format_rational, to_rational, to_unit
@@ -496,20 +498,49 @@ def _running_sup(f: PiecewiseFn, rightward: bool):
     return breaks[::-1], values[::-1], pieces[::-1]
 
 
+class _Shape(NamedTuple):
+    left: PiecewiseFn  # the left and right envelopes
+    right: PiecewiseFn
+    # (threshold, that envelope's value there) at each end, None unless normal
+    left_end: tuple[Fraction, Fraction] | None
+    right_end: tuple[Fraction, Fraction] | None
+    lattice: bool  # normal and convex
+
+
 @lru_cache(maxsize=_CACHE)
+def _shape(f: PiecewiseFn) -> _Shape:
+    """f's envelopes, their ends at f's thresholds, and its lattice membership.
+
+    The left envelope never falls, ends on sup f and is canonical, so for
+    normal f it is 1 on its last piece if that is (0, 1), open or closed at
+    the piece's left end, and else at 1 only; the right envelope mirrors it.
+    A normal f is convex iff it is the meet of its envelopes, spliced with no
+    merged pass: the left one short of its threshold, 1, then the right one.
+    """
+    h = _build_canonical(*_running_sup(f, rightward=True))
+    k = _build_canonical(*_running_sup(f, rightward=False))
+    if not _same(h.values[-1], ONE):
+        return _Shape(h, k, None, None, False)
+    i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
+    j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
+    ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
+    head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
+    lattice = canonicalize(f) == _splice(head, *ends[0], *ends[1], tail)
+    return _Shape(h, k, *ends, lattice)
+
+
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
     """Running supremum from the left: x -> sup{f(y) | y <= x}.
 
     Increasing, idempotent, and exact: one-sided limits of pieces count
     toward the supremum even where the bound is not attained.
     """
-    return _build_canonical(*_running_sup(f, rightward=True))
+    return _shape(f).left
 
 
-@lru_cache(maxsize=_CACHE)
 def envelope_right(f: PiecewiseFn) -> PiecewiseFn:
     """Running supremum from the right: x -> sup{f(y) | y >= x}. Decreasing."""
-    return _build_canonical(*_running_sup(f, rightward=False))
+    return _shape(f).right
 
 
 def envelope_left_strict(f: PiecewiseFn) -> PiecewiseFn:
@@ -532,31 +563,25 @@ def envelope_right_strict(f: PiecewiseFn) -> PiecewiseFn:
 def sup_value(f: PiecewiseFn) -> Fraction:
     """Exact supremum over [0, 1], attained or approached: the value the left
     envelope ends on."""
-    return envelope_left(f).values[-1]
+    return _shape(f).left.values[-1]
 
 
 def is_normal(f: PiecewiseFn) -> bool:
-    return _same(sup_value(f), ONE)
+    return _shape(f).left_end is not None
 
 
 def is_convex(f: PiecewiseFn) -> bool:
-    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes.
-
-    For normal f that meet is spliced, with no merged pass: fL short of the
-    left threshold eta, 1 between eta and the right threshold xi, and fR
-    beyond xi, each envelope taking its own value at its own threshold.
-    """
-    h, k = envelope_left(f), envelope_right(f)
-    if not is_normal(f):
-        return equals(f, pointwise_min(h, k))
-    head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
-    return canonicalize(f) == _splice(head, *_left_end(f), *_right_end(f), tail)
+    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes,
+    spliced for normal f (see ``_shape``)."""
+    shape = _shape(f)
+    if shape.left_end is None:
+        return equals(f, pointwise_min(shape.left, shape.right))
+    return shape.lattice
 
 
-@lru_cache(maxsize=_CACHE)
 def in_lattice(f: PiecewiseFn) -> bool:
-    """Memoised membership in the normal convex class the threshold product lives on."""
-    return is_normal(f) and is_convex(f)
+    """Membership in the normal convex class the threshold product lives on."""
+    return _shape(f).lattice
 
 
 def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
@@ -597,50 +622,31 @@ class EnvelopeThresholds:
     xi: Fraction
 
 
-@lru_cache(maxsize=_CACHE)
-def _left_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
-    # (left threshold of f, its left envelope's value there). The left
-    # envelope never falls, ends on sup f, and is canonical, so it has no
-    # two adjacent (0, 1) pieces: it is 1 on its last piece, open or closed
-    # at the piece's left end, if that piece is (0, 1), and else at 1 only.
-    h = envelope_left(f)
-    if not _same(h.values[-1], ONE):
-        raise DomainError("left_threshold requires a normal function")
-    i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
-    return h.breakpoints[i], h.values[i]
+def _threshold(end: tuple[Fraction, Fraction] | None, side: str) -> Fraction:
+    if end is None:
+        raise DomainError(f"{side}_threshold requires a normal function")
+    return end[0]
 
 
 def left_threshold(f: PiecewiseFn) -> Fraction:
     """inf{x | left envelope of f reaches 1}; requires f normal."""
-    return _left_end(f)[0]
-
-
-@lru_cache(maxsize=_CACHE)
-def _right_end(f: PiecewiseFn) -> tuple[Fraction, Fraction]:
-    # (right threshold of f, its right envelope's value there). The mirror
-    # case: the right envelope never rises, starts on sup f and is
-    # canonical, so it is 1 on its first piece if that is (0, 1), else at 0.
-    h = envelope_right(f)
-    if not _same(h.values[0], ONE):
-        raise DomainError("right_threshold requires a normal function")
-    i = 1 if _same_piece(h.pieces[0], (ZERO, ONE)) else 0
-    return h.breakpoints[i], h.values[i]
-
-
-def _cut(f: PiecewiseFn, g: PiecewiseFn, end, first):
-    """(h, k, cut, value): the cut first(t_f, t_g) of the thresholds end
-    reads, h the one of f and g whose threshold it is, k the other, and the
-    meet of their envelopes at the cut, where each is 1 short of its own."""
-    (t_f, v_f), (t_g, v_g) = end(f), end(g)
-    cut = first(t_f, t_g)
-    at_f, at_g = _same(t_f, cut), _same(t_g, cut)
-    h, k = (f, g) if at_f else (g, f)
-    return h, k, cut, _min(v_f if at_f else ONE, v_g if at_g else ONE)
+    return _threshold(_shape(f).left_end, "left")
 
 
 def right_threshold(f: PiecewiseFn) -> Fraction:
     """sup{x | right envelope of f reaches 1}; requires f normal."""
-    return _right_end(f)[0]
+    return _threshold(_shape(f).right_end, "right")
+
+
+def _cut(end_f, end_g, first):
+    """(at_f, cut, value): the cut first(t_f, t_g) of the ends (threshold,
+    envelope value there) of f and g, whether it is f's threshold (ties are
+    f's), and the meet of their envelopes at the cut, where each is 1 short
+    of its own."""
+    (t_f, v_f), (t_g, v_g) = end_f, end_g
+    cut = first(t_f, t_g)
+    at_f, at_g = _same(t_f, cut), _same(t_g, cut)
+    return at_f, cut, _min(v_f if at_f else ONE, v_g if at_g else ONE)
 
 
 def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:

@@ -15,9 +15,10 @@ stops at eta, the plateau, and a zero tail.
 The dual of any closed binary operation conjugates by reflection:
 (f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
 co-product is the threshold product's dual, built directly as its mirror
-image from the inputs' own memoised envelopes and thresholds, with no
-reflection: a zero head, and a tail of one right-envelope-join pass from
-the greater right threshold on. ``dualize(STAR)`` is its reference.
+image with no reflection: a zero head, and a tail of one right-envelope-join
+pass from the greater right threshold on. ``dualize(STAR)`` is its
+reference. Both products read the inputs' envelopes and threshold ends off
+``piecewise._shape``, one lookup per input.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
-    _left_end,
     _max,
     _min,
-    _right_end,
+    _shape,
     _splice,
     canonicalize,
-    envelope_left,
-    envelope_right,
     equals,
-    in_lattice,
     reflect,
 )
 from .rationals import ONE, ZERO
@@ -58,21 +55,24 @@ class TruthValueOp:
         return self.fn(f, g)
 
 
-def _require_lattice(what: str, f: PiecewiseFn, g: PiecewiseFn) -> None:
-    if not (in_lattice(f) and in_lattice(g)):
+def _lattice_shapes(what: str, f: PiecewiseFn, g: PiecewiseFn):
+    """The ``_shape`` of f and of g, which must be normal and convex."""
+    sf, sg = _shape(f), _shape(g)
+    if not (sf.lattice and sg.lattice):
         raise DomainError(f"{what} requires normal convex inputs")
+    return sf, sg
 
 
 def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Threshold product of two normal convex functions."""
-    _require_lattice("star", f, g)
+    sf, sg = _lattice_shapes("star", f, g)
     if equals(f, TOP):
         return canonicalize(g)
     if equals(g, TOP):
         return canonicalize(f)
-    eta = _min(_left_end(f)[0], _left_end(g)[0])
-    head = _combine_parts(envelope_left(f), envelope_left(g), False, stop=eta)
-    *_, xi, tail_value = _cut(f, g, _right_end, _min)
+    eta = _min(sf.left_end[0], sg.left_end[0])
+    head = _combine_parts(sf.left, sg.left, False, stop=eta)
+    _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
     # canonicalize's memo hands back the first object built for each value,
     # so callers that keep many products hold each distinct one only once
     return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS))
@@ -81,14 +81,14 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Dual of the threshold product, built directly from the inputs' own
     envelopes and thresholds; ``dualize(STAR)`` is its reference."""
-    _require_lattice("costar", f, g)
+    sf, sg = _lattice_shapes("costar", f, g)
     if equals(f, BOTTOM):
         return canonicalize(g)
     if equals(g, BOTTOM):
         return canonicalize(f)
-    xi = _max(_right_end(f)[0], _right_end(g)[0])
-    tail = _combine_parts(envelope_right(f), envelope_right(g), False, start=xi)
-    *_, eta, at_eta = _cut(f, g, _left_end, _max)
+    xi = _max(sf.right_end[0], sg.right_end[0])
+    tail = _combine_parts(sf.right, sg.right, False, start=xi)
+    _, eta, at_eta = _cut(sf.left_end, sg.left_end, _max)
     return canonicalize(_splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail))
 
 
@@ -100,12 +100,12 @@ def star_envelopes(
     Defined away from the neutral element only. Must agree exactly with
     re-running the envelope operators on the product itself.
     """
-    _require_lattice("star_envelopes", f, g)
+    sf, sg = _lattice_shapes("star_envelopes", f, g)
     if equals(f, TOP) or equals(g, TOP):
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
-    eta = _min(_left_end(f)[0], _left_end(g)[0])
-    head = _combine_parts(envelope_left(f), envelope_left(g), False, stop=eta)
-    *_, xi, tail_value = _cut(f, g, _right_end, _min)
+    eta = _min(sf.left_end[0], sg.left_end[0])
+    head = _combine_parts(sf.left, sg.left, False, stop=eta)
+    _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
     left = _splice(head, eta, ONE, ONE, ONE, _ZERO_PARTS)
     right = _splice(_ZERO_PARTS, ZERO, ONE, xi, tail_value, _ZERO_PARTS)
     return canonicalize(left), canonicalize(right)

@@ -197,6 +197,29 @@ class TestSuiteVerdicts:
         with pytest.raises(ValidationError):
             t.check_tr_axioms(t.STAR, "norm", t.GeneratorConfig(seed=0))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("closure_denominator", 0),  # divided by zero
+            ("closure_denominator", -1),  # passed O5-O7 with no trials
+            ("pairs", -3),  # passed O1 with no trials
+            ("closure_denominator", 2.5),  # a TypeError from range()
+            ("triples", True),
+            ("neutral_trials", 0),
+            ("monotone_trials", "4"),
+        ],
+    )
+    def test_sizes_must_be_positive_integers(self, name, value):
+        with pytest.raises(ValidationError, match=rf"^{name} must be a positive integer$"):
+            t.check_tr_axioms(t.STAR, "tr-norm", t.GeneratorConfig(seed=0), **{name: value})
+
+    def test_sizes_of_one_run_every_axiom(self):
+        sizes = dict(pairs=1, triples=1, neutral_trials=1, monotone_trials=1)
+        reports = t.check_tr_axioms(
+            t.STAR, "tr-norm", t.GeneratorConfig(seed=0), closure_denominator=1, **sizes
+        )
+        assert all(r.passed and r.trials >= 1 for r in reports)
+
 
 class TestWitnessShrinking:
     def test_shrinks_noncommutative_projection_op(self):

@@ -154,9 +154,14 @@ def test_conorm_neutrality_axiom_id():
     assert all(r.passed for r in reports)
 
 
-def test_sample_must_contain_extremes():
-    with pytest.raises(DomainError):
-        t.check_connective_axioms(t.MINIMUM, (F(1, 2),))
+LACKING_AN_EXTREME = [(), (F(1, 2),), (F(0), F(1, 2)), (F(1, 2), F(1))]
+EXTREMES_MESSAGE = r"^sample must be nonempty and contain 0 and 1$"
+
+
+@pytest.mark.parametrize("sample", LACKING_AN_EXTREME)
+def test_sample_must_contain_extremes(sample):
+    with pytest.raises(DomainError, match=EXTREMES_MESSAGE):
+        t.check_connective_axioms(t.MINIMUM, sample)
 
 
 class TestBoundaryCharacterization:
@@ -176,6 +181,14 @@ class TestBoundaryCharacterization:
     def test_all_builtins_pass(self):
         for conn in t.builtin_connectives():
             assert t.check_boundary_characterization(conn, SIXTEENTHS).passed
+
+    # an empty sample passed with no trials, and one without the extreme
+    # corner passed without trying it
+    @pytest.mark.parametrize("sample", LACKING_AN_EXTREME)
+    def test_sample_must_contain_extremes(self, sample):
+        for conn in (t.PRODUCT, t.MAXIMUM):
+            with pytest.raises(DomainError, match=EXTREMES_MESSAGE):
+                t.check_boundary_characterization(conn, sample)
 
     def test_requires_declared_profile(self):
         with pytest.raises(DomainError):

@@ -125,11 +125,41 @@ def unsized_memos(source: str) -> list[int]:
     )
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(t2algebra.__file__).parent.glob("*.py")), ids=lambda path: path.name
-)
+def _makes_memo(node) -> bool:
+    # lru_cache or cache, bare or called, and whatever it is then called on
+    while isinstance(node, ast.Call):
+        node = node.func
+    return _called_name(node) in MEMO_FACTORIES
+
+
+def memoised_names(source: str) -> set[str]:
+    """Names bound to a memo: functions with a memo decorator, and names
+    assigned a memo-wrapped callable."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_makes_memo(d) for d in node.decorator_list):
+                names.add(node.name)
+        elif isinstance(node, ast.Assign) and _makes_memo(node.value):
+            names.update(n.id for n in node.targets if isinstance(n, ast.Name))
+    return names
+
+
+PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
+# canonicalize interns equal functions; _indicator serves indicator(), which
+# the axiom battery calls for every interval; _shape holds each function's
+# envelopes, threshold ends and lattice membership. A new memo is a
+# deliberate edit here.
+MEMOS = {"canonicalize", "_indicator", "_shape"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_every_memo_is_sized_by_cache(path):
     assert unsized_memos(path.read_text()) == []
+
+
+def test_the_package_memoises_exactly_these_names():
+    assert set().union(*(memoised_names(path.read_text()) for path in PACKAGE)) == MEMOS
 
 
 def test_the_check_sees_unsized_memos():
@@ -148,3 +178,11 @@ def test_the_check_sees_unsized_memos():
         "positional = lru_cache(_CACHE)(len)\n"
     )
     assert unsized_memos(source) == [5, 7, 9, 12]
+    assert memoised_names(source + "plain = len\ndef undecorated(x): ...\n") == {
+        "sized",
+        "bare",
+        "literal",
+        "unbounded",
+        "wrapped",
+        "positional",
+    }

@@ -216,6 +216,17 @@ class TestSpliceCounts:
             assert maxes == kernel_maxes == []
             assert len(builds) == 1
 
+    @given(lattice_fns(), lattice_fns())
+    def test_each_operand_shape_is_looked_up_once(self, f, g):
+        # star, costar, meet, join and leq_sub read all they need of an
+        # operand off one _shape lookup, on warm operands a hit
+        for op in (t.star, t.costar, t.meet, t.join, t.leq_sub):
+            op(f, g)
+            before = piecewise._shape.cache_info()
+            op(f, g)
+            after = piecewise._shape.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
     def test_the_definition_takes_the_envelope_formula(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("leq_sub_by_definition spliced")

@@ -546,6 +546,42 @@ class TestConvexitySplice:
         assert calls == []
 
 
+class TestShape:
+    """The one memoised record of a function's envelopes, threshold ends and
+    lattice membership, against references that do not read it."""
+
+    @staticmethod
+    def _agree(f):
+        shape = piecewise._shape(f)
+        for x in probe_points(f, shape.left, shape.right, splits=3):
+            assert t.evaluate(shape.left, x) == oracle_envelope_left(f, x)
+            assert t.evaluate(shape.right, x) == oracle_envelope_right(f, x)
+        ends = oracle_level_one_ends(f)  # None exactly when f is not normal
+        if ends is None:
+            assert shape.left_end is shape.right_end is None
+        else:
+            lo, hi = ends
+            assert shape.left_end == (lo, oracle_envelope_left(f, lo))
+            assert shape.right_end == (hi, oracle_envelope_right(f, hi))
+        assert shape.lattice == (ends is not None and convex_by_formula(f))
+
+    @given(st.one_of(lattice_fns(), piecewise_fns()))
+    def test_against_the_references(self, f):
+        self._agree(f)
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_EDGE_CASES))
+    def test_threshold_edge_cases(self, name):
+        _clear_memos()
+        self._agree(THRESHOLD_EDGE_CASES[name])
+
+    @pytest.mark.parametrize("c", [F(0), F(1, 3), F(15, 16)])
+    def test_non_normal_constants(self, c):
+        f = t.constant(c)
+        self._agree(f)
+        assert piecewise._shape(f).left_end is None and not t.is_normal(f)
+        assert t.is_convex(f) and not t.in_lattice(f)
+
+
 class TestThresholds:
     def test_spike_pair(self, spike_pair):
         lo, hi = spike_pair
@@ -590,8 +626,9 @@ class TestThresholds:
         _clear_memos()
         lo, hi = oracle_level_one_ends(f)
         # each end with its envelope's value there, which may be below 1
-        assert piecewise._left_end(f) == (lo, t.evaluate(t.envelope_left(f), lo))
-        assert piecewise._right_end(f) == (hi, t.evaluate(t.envelope_right(f), hi))
+        shape = piecewise._shape(f)
+        assert shape.left_end == (lo, t.evaluate(t.envelope_left(f), lo))
+        assert shape.right_end == (hi, t.evaluate(t.envelope_right(f), hi))
 
     # climbs toward 1 but tops out below it, as a limit and as a value
     @pytest.mark.parametrize(

@@ -150,9 +150,10 @@ def scanned_end(f, g, rightward=True):
     # (xi, the right envelopes' meet there) as star reads them off the
     # threshold scans, or (the greater left threshold, the left envelopes'
     # meet there) as costar does
+    sf, sg = piecewise._shape(f), piecewise._shape(g)
     if rightward:
-        return piecewise._cut(f, g, piecewise._right_end, piecewise._min)[2:]
-    return piecewise._cut(f, g, piecewise._left_end, piecewise._max)[2:]
+        return piecewise._cut(sf.right_end, sg.right_end, piecewise._min)[1:]
+    return piecewise._cut(sf.left_end, sg.left_end, piecewise._max)[1:]
 
 
 class TestTailValue:
