@@ -21,7 +21,6 @@ from .convolution import GridSpec, convolve_join, convolve_meet
 from .errors import DomainError, ValidationError
 from .piecewise import (
     PiecewiseFn,
-    canonicalize,
     dumps,
     envelope_left,
     envelope_right,
@@ -139,7 +138,6 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"{name} takes exactly two function files")
         result = op(_load_function(args.files[0]), _load_function(args.files[1]))
 
-    result = canonicalize(result)
     rows = sample_rows(result, args.samples, decimal=args.decimal)
     csv = "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
     # both texts are built before either is written: a failure writes nothing
@@ -178,7 +176,7 @@ def _cmd_plot(args) -> int:
     series = []
     for i, path in enumerate(args.files):
         label = labels[i] if labels else path
-        series.append((label, canonicalize(_load_function(path))))
+        series.append((label, _load_function(path)))
     _write_text(args.out, render_svg(series))
     return EXIT_OK
 

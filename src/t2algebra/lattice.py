@@ -32,7 +32,6 @@ from .piecewise import (
     _splice,
     envelope_left,
     envelope_right,
-    equals,
     in_lattice,
     indicator,
     pointwise_leq,
@@ -97,12 +96,12 @@ def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 def leq_sub_by_definition(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     """The defining equation meet(f, g) = f, with the meet taken by the
     envelope formula: the reference that ``leq_sub`` is tested against."""
-    return equals(_meet_by_envelopes(f, g), f)
+    return _meet_by_envelopes(f, g) == f
 
 
 def leq_pre(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     """The join-induced order: f below g iff join(f, g) = g."""
-    return equals(join(f, g), g)
+    return join(f, g) == g
 
 
 def order_equivalence_check(f: PiecewiseFn, g: PiecewiseFn) -> bool:

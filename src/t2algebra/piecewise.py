@@ -16,15 +16,18 @@ starting at 0 and ending at 1; ``values[i]`` is the function value at
 ``slope*x + intercept`` on the open interval between breakpoints i and i+1.
 Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
-canonical forms are equal componentwise.
+canonical forms are equal componentwise. Every instance is canonical: the
+constructor stores the canonical parts, and the library builds directly in
+canonical form (``_build_canonical``). So ``==`` (and ``equals``) is
+pointwise equality, and ``canonicalize`` only interns.
 
 Validation happens once, at the boundary: ``PiecewiseFn(...)``,
 ``from_json_dict``/``loads`` and the named constructors check every part.
 A function the library computes from valid ones (pointwise min/max,
-reflection, envelopes, canonical forms, the threshold product) is sealed by
-``_sealed`` unchecked: its parts are exact rationals derived from valid
-parts by an operation closed on the class, so a check could only re-prove
-that on every build. A test routes ``_sealed`` through the constructor.
+reflection, envelopes, the threshold product) is sealed by ``_sealed``
+unchecked: its parts are exact rationals derived from valid parts by an
+operation closed on the class, so a check could only re-prove that on every
+build. A test routes ``_sealed`` through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
 construction; Fraction hashing is too slow to sit under the memos otherwise.
@@ -142,7 +145,8 @@ class PiecewiseFn:
                     raise ValidationError(
                         f"piece {i} reaches outside [0, 1] at breakpoint {k}"
                     )
-        self._seal(breaks, values, pieces)
+        parts = _canonical_parts(breaks, values, pieces)
+        self._seal(*(parts or (breaks, values, pieces)))
 
     def _seal(self, breaks, values, pieces) -> PiecewiseFn:
         """Store the parts, unchecked, and the integer key of equality."""
@@ -252,16 +256,14 @@ def _build_canonical(breaks, values, pieces) -> PiecewiseFn:
 
 @lru_cache(maxsize=_CACHE)
 def canonicalize(f: PiecewiseFn) -> PiecewiseFn:
-    """Unique minimal representation of the same pointwise function."""
-    parts = _canonical_parts(f.breakpoints, f.values, f.pieces)
-    if parts is None:
-        return f
-    return _sealed(*parts)
+    """The first object stored equal to f. Every instance is canonical, so
+    this only interns: callers that keep many equal results hold one."""
+    return f
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:
-    """Pointwise equality, decided via canonical forms."""
-    return canonicalize(f) == canonicalize(g)
+    """Pointwise equality: ``f == g``, as every instance is canonical."""
+    return f == g
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +516,9 @@ def _shape(f: PiecewiseFn) -> _Shape:
     The left envelope never falls, ends on sup f and is canonical, so for
     normal f it is 1 on its last piece if that is (0, 1), open or closed at
     the piece's left end, and else at 1 only; the right envelope mirrors it.
-    A normal f is convex iff it is the meet of its envelopes, spliced with no
-    merged pass: the left one short of its threshold, 1, then the right one.
+    A normal f is convex iff it equals (``==``, both being canonical) the meet
+    of its envelopes, spliced with no merged pass: the left one short of its
+    threshold, 1, then the right one.
     """
     h = _build_canonical(*_running_sup(f, rightward=True))
     k = _build_canonical(*_running_sup(f, rightward=False))
@@ -525,7 +528,7 @@ def _shape(f: PiecewiseFn) -> _Shape:
     j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
     ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
     head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
-    lattice = canonicalize(f) == _splice(head, *ends[0], *ends[1], tail)
+    lattice = f == _splice(head, *ends[0], *ends[1], tail)
     return _Shape(h, k, *ends, lattice)
 
 
@@ -575,7 +578,7 @@ def is_convex(f: PiecewiseFn) -> bool:
     spliced for normal f (see ``_shape``)."""
     shape = _shape(f)
     if shape.left_end is None:
-        return equals(f, pointwise_min(shape.left, shape.right))
+        return f == pointwise_min(shape.left, shape.right)
     return shape.lattice
 
 
@@ -586,11 +589,10 @@ def in_lattice(f: PiecewiseFn) -> bool:
 
 def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
     """The breakpoints at which f is 1 if f is the indicator of the closed
-    interval they span, else none. Read off the canonical form in one scan:
-    values and flat pieces of 0 or 1, the 1s one run from value to value."""
-    g = canonicalize(f)
+    interval they span, else none. Read off f, which is canonical, in one
+    scan: values and flat pieces of 0 or 1, the 1s one run from value to value."""
     run = []  # the levels in the order value, piece, value, ..., piece
-    for v, (s, c) in zip(g.values, g.pieces + ((ZERO, ZERO),)):
+    for v, (s, c) in zip(f.values, f.pieces + ((ZERO, ZERO),)):
         if s._numerator or c._denominator != 1 or v._denominator != 1:
             return ()
         run += (v._numerator, c._numerator)
@@ -598,7 +600,7 @@ def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
         return ()
     lo, hi = run.index(1), len(run) - run[::-1].index(1) - 1
     closed = not (lo % 2 or hi % 2 or 0 in run[lo:hi])
-    return g.breakpoints[lo // 2 : hi // 2 + 1] if closed else ()
+    return f.breakpoints[lo // 2 : hi // 2 + 1] if closed else ()
 
 
 def is_point_indicator(f: PiecewiseFn) -> bool:
@@ -709,6 +711,8 @@ def sample_rows(
     f: PiecewiseFn, sample_count: int = 11, decimal: bool = False
 ) -> list[tuple[str, str]]:
     """(x, value) rows at evenly spaced samples plus all breakpoints."""
+    if type(sample_count) is not int:  # refuses bool as well
+        raise ValidationError("sample count must be an integer")
     if sample_count < 2:
         raise ValidationError("need at least 2 sample points")
     xs = {Fraction(k, sample_count - 1) for k in range(sample_count)}

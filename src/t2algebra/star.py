@@ -38,7 +38,6 @@ from .piecewise import (
     _shape,
     _splice,
     canonicalize,
-    equals,
     reflect,
 )
 from .rationals import ONE, ZERO
@@ -66,15 +65,15 @@ def _lattice_shapes(what: str, f: PiecewiseFn, g: PiecewiseFn):
 def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Threshold product of two normal convex functions."""
     sf, sg = _lattice_shapes("star", f, g)
-    if equals(f, TOP):
-        return canonicalize(g)
-    if equals(g, TOP):
-        return canonicalize(f)
+    if f == TOP:
+        return g
+    if g == TOP:
+        return f
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    # canonicalize's memo hands back the first object built for each value,
-    # so callers that keep many products hold each distinct one only once
+    # canonicalize interns: it hands back the first object built equal to
+    # each product, so callers that keep many products hold each one once
     return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS))
 
 
@@ -82,10 +81,10 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Dual of the threshold product, built directly from the inputs' own
     envelopes and thresholds; ``dualize(STAR)`` is its reference."""
     sf, sg = _lattice_shapes("costar", f, g)
-    if equals(f, BOTTOM):
-        return canonicalize(g)
-    if equals(g, BOTTOM):
-        return canonicalize(f)
+    if f == BOTTOM:
+        return g
+    if g == BOTTOM:
+        return f
     xi = _max(sf.right_end[0], sg.right_end[0])
     tail = _combine_parts(sf.right, sg.right, False, start=xi)
     _, eta, at_eta = _cut(sf.left_end, sg.left_end, _max)
@@ -101,14 +100,14 @@ def star_envelopes(
     re-running the envelope operators on the product itself.
     """
     sf, sg = _lattice_shapes("star_envelopes", f, g)
-    if equals(f, TOP) or equals(g, TOP):
+    if f == TOP or g == TOP:
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
     left = _splice(head, eta, ONE, ONE, ONE, _ZERO_PARTS)
     right = _splice(_ZERO_PARTS, ZERO, ONE, xi, tail_value, _ZERO_PARTS)
-    return canonicalize(left), canonicalize(right)
+    return left, right
 
 
 def dualize(op: TruthValueOp) -> TruthValueOp:

@@ -35,8 +35,9 @@ def unit_fracs(den: int = 16):
 
 
 @st.composite
-def piecewise_fns(draw, den: int = 16, max_interior: int = 4):
-    """Arbitrary members of the representable class (usually not convex)."""
+def raw_parts(draw, den: int = 16, max_interior: int = 4):
+    """(breakpoints, values, pieces) of an arbitrary member of the
+    representable class, as tuples of Fractions, not yet canonical."""
     interior_count = draw(st.integers(0, max_interior))
     ks = draw(
         st.lists(
@@ -54,7 +55,30 @@ def piecewise_fns(draw, den: int = 16, max_interior: int = 4):
         y1 = draw(unit_fracs(den))
         slope = (y1 - y0) / (b - a)
         pieces.append((slope, y0 - slope * a))
-    return t.PiecewiseFn(tuple(breaks), values, tuple(pieces))
+    return tuple(breaks), values, tuple(pieces)
+
+
+@st.composite
+def split_parts(draw, den: int = 16, max_interior: int = 4):
+    """Raw parts with up to three pieces split at an interior point, where
+    the new breakpoint takes the piece's own value (removable) or another."""
+    breaks, values, pieces = map(list, draw(raw_parts(den, max_interior)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        a, b = breaks[i], breaks[i + 1]
+        x = a + (b - a) * draw(st.sampled_from([Fraction(1, 3), HALF, Fraction(3, 4)]))
+        s, c = pieces[i]
+        on_piece = s * x + c
+        v = draw(st.one_of(st.just(on_piece), unit_fracs(den)))
+        breaks.insert(i + 1, x)
+        values.insert(i + 1, v)
+        pieces.insert(i + 1, pieces[i])
+    return tuple(breaks), tuple(values), tuple(pieces)
+
+
+def piecewise_fns(den: int = 16, max_interior: int = 4):
+    """Arbitrary members of the representable class (usually not convex)."""
+    return raw_parts(den, max_interior).map(lambda parts: t.PiecewiseFn(*parts))
 
 
 @st.composite

@@ -24,6 +24,10 @@ on both right envelopes, which the library reads off its threshold scan.
 ``reference_indicator_ends`` finds the set where f is 1 from f's raw parts,
 canonical or not, and checks it is a closed interval by evaluation; the
 library reads the indicator shape off the canonical form instead.
+
+``raw_value`` evaluates raw (breakpoints, values, pieces) parts, canonical
+or not, without building a ``PiecewiseFn``: the constructor's canonical form
+is checked against it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -34,6 +38,20 @@ from t2algebra import PiecewiseFn, canonicalize, envelope_right, evaluate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def raw_value(parts, x: Fraction) -> Fraction:
+    """The value at x of the raw parts (breakpoints, values, pieces): the
+    value stored at a breakpoint, else that of the piece whose open interval
+    holds x."""
+    breaks, values, pieces = parts
+    for b, v in zip(breaks, values):
+        if b == x:
+            return v
+    for a, b, (s, c) in zip(breaks, breaks[1:], pieces):
+        if a < x < b:
+            return s * x + c
+    raise ValueError(f"{x} lies outside [0, 1]")
 
 
 def exact_sup(

@@ -59,6 +59,12 @@ class TestGenerator:
             ({"denominator_bound": 2.5}, "denominator_bound must be an integer"),
             ({"denominator_bound": Fraction(64)}, "denominator_bound must be an integer"),
             ({"denominator_bound": True}, "denominator_bound must be an integer"),
+            # None would draw from the clock and [1] fail inside random
+            ({"seed": None}, "seed must be an integer"),
+            ({"seed": [1]}, "seed must be an integer"),
+            ({"seed": 1.0}, "seed must be an integer"),
+            ({"seed": "7"}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
         ],
         ids=[
             "breakpoints",
@@ -70,6 +76,11 @@ class TestGenerator:
             "denominator-float",
             "denominator-fraction",
             "denominator-bool",
+            "seed-none",
+            "seed-list",
+            "seed-float",
+            "seed-str",
+            "seed-bool",
         ],
     )
     def test_config_out_of_bounds_rejected(self, kwargs, message):

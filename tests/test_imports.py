@@ -186,3 +186,58 @@ def test_the_check_sees_unsized_memos():
         "wrapped",
         "positional",
     }
+
+
+def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each top-level definition (``module.<module>`` for
+    other top-level code) of the given modules that calls ``canonicalize``,
+    by name or as an attribute, anywhere in its body."""
+    callers = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, DEFINITIONS) else "<module>"
+            if any(
+                isinstance(node, ast.Call) and _called_name(node.func) == "canonicalize"
+                for node in ast.walk(top)
+            ):
+                callers.add(f"{module}.{own}")
+    return callers
+
+
+# canonicalize only interns (every PiecewiseFn is canonical): the products
+# and the draws call it so that callers keeping many equal results hold one.
+# A new canonicalizing call is a deliberate edit here.
+CANONICALIZING = {
+    "star.star",
+    "star.costar",
+    "axioms._draw_lattice",
+    "axioms._draw_arbitrary",
+}
+
+
+def test_only_these_functions_call_canonicalize():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert canonicalizing_functions(sources) == CANONICALIZING
+
+
+def test_the_check_sees_canonicalizing_calls():
+    source = (
+        "from . import piecewise\n"
+        "from .piecewise import canonicalize\n"
+        "def direct(f):\n"
+        "    return canonicalize(f)\n"
+        "def nested(fs):\n"
+        "    return list(map(lambda f: piecewise.canonicalize(f), fs))\n"
+        "def named_only(f):\n"
+        "    return canonicalize\n"
+        "class Box:\n"
+        "    def method(self, f):\n"
+        "        return canonicalize(f)\n"
+        "INTERNED = canonicalize(None)\n"
+    )
+    assert canonicalizing_functions({"mod": source}) == {
+        "mod.direct",
+        "mod.nested",
+        "mod.Box",
+        "mod.<module>",
+    }

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -25,6 +26,7 @@ from conftest import (
     normal_fns,
     open_peak_fns,
     piecewise_fns,
+    split_parts,
     tied_pairs,
     unit_fracs,
 )
@@ -38,6 +40,7 @@ from oracles import (
     oracle_level_one_ends,
     probe_points,
     quasiconcave_violation,
+    raw_value,
     reference_combine,
     reference_indicator_ends,
     reference_leq,
@@ -129,6 +132,25 @@ class TestCanonicalize:
         for x in probe_points(f, splits=3):
             assert t.evaluate(f, x) == t.evaluate(g, x)
 
+    @given(split_parts())
+    def test_constructor_stores_the_canonical_form_of_raw_parts(self, parts):
+        f = t.PiecewiseFn(*parts)
+        raw = parts[0]
+        assert set(f.breakpoints) <= set(raw)
+        probes = set(probe_points(f, splits=3)) | set(raw)
+        probes.update((a + b) / 2 for a, b in zip(raw, raw[1:]))
+        for x in probes:
+            assert t.evaluate(f, x) == raw_value(parts, x)
+        for i in range(1, len(f.breakpoints) - 1):
+            (s, c), b = f.pieces[i], f.breakpoints[i]
+            assert f.pieces[i - 1] != (s, c) or s * b + c != f.values[i]
+
+    def test_constructor_drops_a_removable_breakpoint(self):
+        half = t.PiecewiseFn((0, F(1, 2), 1), (1, 1, 1), ((0, 1), (0, 1)))
+        assert half.breakpoints == (0, 1)
+        assert t.dumps(half) == t.dumps(t.constant(1))
+        assert piecewise.sample_rows(half, 2) == [("0", "1"), ("1", "1")]
+
 
 class TestEquals:
     def test_degenerate_interval_is_spike(self):
@@ -143,6 +165,105 @@ class TestEquals:
         assert t.equals(f, g)
         for x in rational_points(50, seed=7):
             assert t.evaluate(f, x) == t.evaluate(g, x)
+
+
+def _is_canonical(f):
+    return piecewise._canonical_parts(f.breakpoints, f.values, f.pieces) is None
+
+
+def _json_text(parts):
+    breaks, values, pieces = parts
+    return json.dumps(
+        {
+            "breakpoints": [{"x": str(b), "v": str(v)} for b, v in zip(breaks, values)],
+            "pieces": [{"slope": str(s), "intercept": str(c)} for s, c in pieces],
+        }
+    )
+
+
+class TestEveryInstanceIsCanonical:
+    @given(split_parts())
+    def test_constructor_and_loads(self, parts):
+        assert _is_canonical(t.PiecewiseFn(*parts))
+        assert _is_canonical(t.loads(_json_text(parts)))
+
+    @given(unit_fracs(), unit_fracs(), unit_fracs())
+    def test_named_constructors(self, a, b, c):
+        lo, hi = min(a, b), max(a, b)
+        built = [
+            t.constant(a),
+            t.from_affine(hi - lo, lo),
+            t.indicator(lo, hi),
+            t.unit_spike(a),
+            t.step(a, b, c),
+            t.rising_ramp(a),
+            t.falling_ramp(a),
+        ]
+        assert all(map(_is_canonical, built))
+
+    @given(split_parts(), split_parts())
+    def test_pointwise_operations_and_envelopes(self, p, q):
+        f, g = t.PiecewiseFn(*p), t.PiecewiseFn(*q)
+        built = [
+            t.pointwise_min(f, g),
+            t.pointwise_max(f, g),
+            t.reflect(f),
+            t.envelope_left(f),
+            t.envelope_right(f),
+            t.envelope_left_strict(f),
+            t.envelope_right_strict(f),
+            t.meet(f, g),
+            t.join(f, g),
+        ]
+        assert all(map(_is_canonical, built))
+
+    @given(lattice_fns(), lattice_fns())
+    def test_products_and_lattice_operations(self, f, g):
+        built = [t.star(f, g), t.costar(f, g), t.meet(f, g), t.join(f, g)]
+        if not (f == t.TOP or g == t.TOP):
+            built.extend(t.star_envelopes(f, g))
+        assert all(map(_is_canonical, built))
+
+    def test_draws(self):
+        config = t.GeneratorConfig(seed=6)
+        draws = _generator_draws()
+        draws += [t.random_normal_convex(config), t.random_piecewise(config)]
+        assert all(map(_is_canonical, draws))
+
+
+class TestCanonicalizeLookups:
+    """canonicalize only interns, and only the products and the draws call it."""
+
+    @staticmethod
+    def _lookups(compute):
+        compute()  # warms the operands' memos
+        before = piecewise.canonicalize.cache_info()
+        compute()
+        after = piecewise.canonicalize.cache_info()
+        return after.hits + after.misses - before.hits - before.misses
+
+    @given(lattice_fns(), lattice_fns())
+    def test_warm_operands(self, f, g):
+        for op in (t.equals, t.meet, t.join, t.leq_sub):
+            assert self._lookups(lambda: op(f, g)) == 0
+        for pred in (t.in_lattice, t.is_interval_indicator):
+            assert self._lookups(lambda: pred(f)) == 0
+        star_neutral = t.TOP in (f, g)
+        assert self._lookups(lambda: t.star(f, g)) == (0 if star_neutral else 1)
+        costar_neutral = t.BOTTOM in (f, g)
+        assert self._lookups(lambda: t.costar(f, g)) == (0 if costar_neutral else 1)
+
+    def test_interning_hands_back_the_first_equal_object(self):
+        _clear_memos()
+        first = t.PiecewiseFn((0, 1), (0, 1), ((1, 0),))
+        again = t.from_affine(1, 0)
+        assert again is not first
+        assert t.canonicalize(first) is first
+        assert t.canonicalize(again) is first
+        # two products of interval indicators, both the indicator of [1/8, 1/2]
+        p = t.star(t.indicator(F(1, 4), F(1, 2)), t.indicator(F(1, 8), F(3, 4)))
+        q = t.star(t.indicator(F(1, 8), F(1, 2)), t.indicator(F(1, 4), F(3, 4)))
+        assert p is q
 
 
 class TestPointwiseMinMax:
@@ -764,6 +885,22 @@ class TestIndicatorShape:
         self._agree(f)
 
 
+class TestSampleRows:
+    @pytest.mark.parametrize("count", [2.5, "5", None, True, F(5)])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValidationError, match="^sample count must be an integer$"):
+            piecewise.sample_rows(t.constant(0), count)
+
+    @pytest.mark.parametrize("count", [-1, 0, 1])
+    def test_count_below_two_rejected(self, count):
+        with pytest.raises(ValidationError, match="^need at least 2 sample points$"):
+            piecewise.sample_rows(t.constant(0), count)
+
+    def test_rows_at_the_samples_and_the_breakpoints(self):
+        rows = piecewise.sample_rows(t.indicator(F(1, 3), F(1, 2)), 3)
+        assert rows == [("0", "0"), ("1/3", "1"), ("1/2", "1"), ("1", "0")]
+
+
 class TestValidation:
     def test_unsorted_breakpoints(self):
         with pytest.raises(ValidationError):
@@ -796,7 +933,7 @@ class TestValidation:
             return t.PiecewiseFn(breaks, (F(0),) * 3, (piece, piece))
 
         if inside:
-            assert build().pieces == (piece, piece)
+            assert all(p == piece for p in build().pieces)
         else:
             with pytest.raises(ValidationError, match="outside"):
                 build()
