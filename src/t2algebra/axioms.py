@@ -23,7 +23,7 @@ from .errors import DomainError, ValidationError
 from .lattice import BOTTOM, FULL, TOP, leq_sub, meet as lattice_meet
 from .piecewise import (
     PiecewiseFn,
-    _build_canonical,
+    _sealed,
     canonicalize,
     constant,
     envelope_left,
@@ -189,7 +189,7 @@ def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
             values.append(rungs[3 * i + 3])
         breaks.extend(pos[1:])
     # valid by construction, so sealed unchecked (see piecewise)
-    return canonicalize(_build_canonical(breaks, values, pieces))
+    return canonicalize(_sealed(breaks, values, pieces))
 
 
 def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -202,7 +202,7 @@ def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     pieces = []
     for a, b in zip(breaks, breaks[1:]):
         pieces.append(_affine_between(a, _coord(rng, den), b, _coord(rng, den)))
-    return canonicalize(_build_canonical(breaks, values, pieces))
+    return canonicalize(_sealed(breaks, values, pieces))
 
 
 def random_normal_convex(config: GeneratorConfig, rng: Random | None = None) -> PiecewiseFn:
@@ -286,17 +286,18 @@ def _shrink_points(f: PiecewiseFn) -> Iterable[list[tuple[Fraction, Fraction]]]:
     coarser grids. Each starts at 0 and ends at 1, as f does (and 0 and 1
     snap to themselves), strictly increases in x and has values in [0, 1],
     so it always interpolates to a valid function."""
-    if len(f.breakpoints) > 2:
-        kept = list(f.breakpoints[::2])
-        if kept[-1] != ONE:
-            kept.append(ONE)
-        yield [(b, evaluate(f, b)) for b in kept]
+    points = list(zip(f.breakpoints, f.values))
+    if len(points) > 2:
+        kept = points[::2]
+        if kept[-1][0] != ONE:
+            kept.append(points[-1])
+        yield kept
     for den in (16, 8, 4, 2):
         snapped: dict[Fraction, Fraction] = {}
-        for b in f.breakpoints:
+        for b, v in points:
             x = Fraction(round(b * den), den)
             if x not in snapped:
-                snapped[x] = Fraction(round(evaluate(f, b) * den), den)
+                snapped[x] = Fraction(round(v * den), den)
         yield sorted(snapped.items())
 
 
@@ -538,29 +539,29 @@ def neutrality_gap_rows(
     ramp = rising_ramp(HALF)
     descent = falling_ramp(ZERO)
     half_spike = unit_spike(HALF)
+    # the same for every inner connective
+    pts = grid.points()
+    bottom_at = [evaluate(BOTTOM, x) for x in pts]
+    spike_at = [evaluate(half_spike, x) for x in pts]
+    ramp_at_zero, descent_at_half = evaluate(ramp, ZERO), evaluate(descent, HALF)
     for sc in star_choices:
         at_zero = convolve_join_at(ramp, TOP, sc, tconorm, grid, ZERO)
         at_half = convolve_join_at(descent, TOP, sc, tconorm, grid, HALF)
         meet_grid = convolve_meet(half_spike, BOTTOM, sc, MINIMUM, grid)
-        pts = grid.points()
-        matches_bottom = all(
-            v == evaluate(BOTTOM, x) for x, v in zip(pts, meet_grid.values)
-        )
-        differs_from_spike = any(
-            v != evaluate(half_spike, x) for x, v in zip(pts, meet_grid.values)
-        )
+        matches_bottom = all(v == b for v, b in zip(meet_grid.values, bottom_at))
+        differs_from_spike = any(v != s for v, s in zip(meet_grid.values, spike_at))
         rows.append(
             {
                 "star": sc.name,
                 "join_with_top_at_0": "" if at_zero is None else str(at_zero),
-                "expected_if_neutral_at_0": str(evaluate(ramp, ZERO)),
+                "expected_if_neutral_at_0": str(ramp_at_zero),
                 "join_with_top_at_half": "" if at_half is None else str(at_half),
-                "expected_if_neutral_at_half": str(evaluate(descent, HALF)),
+                "expected_if_neutral_at_half": str(descent_at_half),
                 "meet_with_bottom_is_bottom": matches_bottom,
                 "meet_with_bottom_differs_from_input": differs_from_spike,
                 "gap_confirmed": (
-                    at_zero != evaluate(ramp, ZERO)
-                    and at_half != evaluate(descent, HALF)
+                    at_zero != ramp_at_zero
+                    and at_half != descent_at_half
                     and matches_bottom
                     and differs_from_spike
                 ),

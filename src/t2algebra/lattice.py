@@ -15,7 +15,7 @@ at xi by ``piecewise._splice`` as the threshold product is. The join is the
 mirror case at g's greater left threshold. Both read the inputs' envelopes
 and threshold ends off ``piecewise._shape``, and ``piecewise._cut`` picks
 the cut from the two ends. Off the lattice, and in ``leq_sub_by_definition``,
-the envelope formula runs as written: it is the splice's test reference.
+the envelope formula runs as written (``_by_envelopes``): the splice's reference.
 The grid convolution oracle checks meet and join independently (see the
 acceptance suite).
 """
@@ -50,7 +50,7 @@ FULL = indicator(ZERO, ONE)
 def meet(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     sf, sg = _shape(f), _shape(g)
     if not (sf.lattice and sg.lattice):
-        return _meet_by_envelopes(f, g)
+        return _by_envelopes(f, g, envelope_right)
     at_f, cut, at_cut = _cut(sf.right_end, sg.right_end, _min)
     f, g, sg = (f, g, sg) if at_f else (g, f, sf)  # the cut is f's right threshold
     # f is or tends to 1 at its threshold, a breakpoint: the head ends on it
@@ -62,7 +62,7 @@ def meet(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 def join(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     sf, sg = _shape(f), _shape(g)
     if not (sf.lattice and sg.lattice):
-        return _join_by_envelopes(f, g)
+        return _by_envelopes(f, g, envelope_left)
     at_f, cut, at_cut = _cut(sf.left_end, sg.left_end, _max)
     f, g, sf = (g, f, sg) if at_f else (f, g, sf)  # the cut is g's left threshold
     head = _combine_parts(g, sf.left, True, stop=cut)
@@ -70,14 +70,9 @@ def join(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     return _splice(head, cut, tail[1][0], cut, at_cut, tail)
 
 
-def _meet_by_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    left, right = pointwise_min(f, envelope_right(g)), pointwise_min(envelope_right(f), g)
-    return pointwise_max(left, right)
-
-
-def _join_by_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    left, right = pointwise_min(f, envelope_left(g)), pointwise_min(envelope_left(f), g)
-    return pointwise_max(left, right)
+def _by_envelopes(f: PiecewiseFn, g: PiecewiseFn, envelope) -> PiecewiseFn:
+    # (f ^ gE) v (fE ^ g): the meet for E the right envelope, the join for the left
+    return pointwise_max(pointwise_min(f, envelope(g)), pointwise_min(envelope(f), g))
 
 
 def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -96,7 +91,7 @@ def leq_sub(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 def leq_sub_by_definition(f: PiecewiseFn, g: PiecewiseFn) -> bool:
     """The defining equation meet(f, g) = f, with the meet taken by the
     envelope formula: the reference that ``leq_sub`` is tested against."""
-    return _meet_by_envelopes(f, g) == f
+    return _by_envelopes(f, g, envelope_right) == f
 
 
 def leq_pre(f: PiecewiseFn, g: PiecewiseFn) -> bool:

@@ -16,18 +16,18 @@ starting at 0 and ending at 1; ``values[i]`` is the function value at
 ``slope*x + intercept`` on the open interval between breakpoints i and i+1.
 Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
-canonical forms are equal componentwise. Every instance is canonical: the
-constructor stores the canonical parts, and the library builds directly in
-canonical form (``_build_canonical``). So ``==`` (and ``equals``) is
-pointwise equality, and ``canonicalize`` only interns.
+canonical forms are equal componentwise. Every instance is canonical: every
+build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
+is pointwise equality, and ``canonicalize`` only interns.
 
-Validation happens once, at the boundary: ``PiecewiseFn(...)``,
-``from_json_dict``/``loads`` and the named constructors check every part.
-A function the library computes from valid ones (pointwise min/max,
-reflection, envelopes, the threshold product) is sealed by ``_sealed``
-unchecked: its parts are exact rationals derived from valid parts by an
-operation closed on the class, so a check could only re-prove that on every
-build. A test routes ``_sealed`` through the constructor.
+Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
+slot once and checks every part; ``from_json_dict``/``loads`` pass it the
+slots as given, and the named constructors check their arguments. A function
+the library computes from valid ones (pointwise min/max, reflection,
+envelopes, the threshold product) is built by ``_sealed`` unchecked: its
+parts are exact rationals derived from valid parts by an operation closed
+on the class, so a check could only re-prove that on every build. A test
+routes ``_sealed`` through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
 construction; Fraction hashing is too slow to sit under the memos otherwise.
@@ -55,7 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .rationals import ONE, UNPRINTABLE, ZERO, _in_unit, format_rational, to_rational, to_unit
+from .rationals import ONE, UNPRINTABLE, ZERO, format_rational, to_rational, to_unit
 
 Affine = tuple[Fraction, Fraction]
 
@@ -108,12 +108,6 @@ def _affine_above(p1: Affine, p2: Affine, x: Fraction) -> bool:
     return n1 * d2 > n2 * d1
 
 
-def _fraction_tuple(items, coerce) -> tuple[Fraction, ...]:
-    if isinstance(items, tuple) and all(type(x) is Fraction for x in items):
-        return items
-    return tuple(coerce(x) for x in items)
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseFn:
     breakpoints: tuple[Fraction, ...]
@@ -121,9 +115,14 @@ class PiecewiseFn:
     pieces: tuple[Affine, ...]
 
     def __post_init__(self):
-        breaks = _fraction_tuple(self.breakpoints, to_unit)
-        values = _fraction_tuple(self.values, to_unit)
-        pieces = tuple((to_rational(p[0]), to_rational(p[1])) for p in self.pieces)
+        try:
+            breaks = tuple(map(to_unit, self.breakpoints))
+            values = tuple(map(to_unit, self.values))
+            pieces = tuple((to_rational(s), to_rational(c)) for s, c in self.pieces)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # a part not iterable, a piece not a pair
+            raise ValidationError(f"malformed function parts: {exc}") from exc
         if len(breaks) < 2:
             raise ValidationError("need at least the two endpoint breakpoints")
         if not (_same(breaks[0], ZERO) and _same(breaks[-1], ONE)):
@@ -134,9 +133,6 @@ class PiecewiseFn:
             raise ValidationError("one value per breakpoint required")
         if len(pieces) != len(breaks) - 1:
             raise ValidationError("one affine piece per open interval required")
-        for q in values:
-            if not _in_unit(q):
-                raise ValidationError(f"value {q} outside [0, 1]")
         for i, piece in enumerate(pieces):
             for k in (i, i + 1):
                 num, den = _affine_ratio(piece, breaks[k])
@@ -145,11 +141,11 @@ class PiecewiseFn:
                     raise ValidationError(
                         f"piece {i} reaches outside [0, 1] at breakpoint {k}"
                     )
-        parts = _canonical_parts(breaks, values, pieces)
-        self._seal(*(parts or (breaks, values, pieces)))
+        self._seal(breaks, values, pieces)
 
     def _seal(self, breaks, values, pieces) -> PiecewiseFn:
-        """Store the parts, unchecked, and the integer key of equality."""
+        """Store the canonical parts, unchecked, and the integer key of equality."""
+        breaks, values, pieces = _canonical_parts(breaks, values, pieces)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pieces", pieces)
@@ -233,7 +229,7 @@ def _canonical_parts(breaks, values, pieces):
         keep.append(i)
     keep.append(len(breaks) - 1)
     if len(keep) == len(breaks):
-        return None
+        return tuple(breaks), tuple(values), tuple(pieces)
     return (
         tuple(breaks[i] for i in keep),
         tuple(values[i] for i in keep),
@@ -242,16 +238,8 @@ def _canonical_parts(breaks, values, pieces):
 
 
 def _sealed(breaks, values, pieces) -> PiecewiseFn:
-    """A library-built function, sealed unchecked (see the module docstring)."""
+    """The one trusted build: a library-built function, sealed unchecked."""
     return object.__new__(PiecewiseFn)._seal(breaks, values, pieces)
-
-
-def _build_canonical(breaks, values, pieces) -> PiecewiseFn:
-    # construct once, directly in canonical form (hot-path constructor)
-    parts = _canonical_parts(breaks, values, pieces)
-    if parts is None:
-        return _sealed(tuple(breaks), tuple(values), tuple(pieces))
-    return _sealed(*parts)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -307,7 +295,7 @@ def step(drop_at, high, low) -> PiecewiseFn:
         return PiecewiseFn((ZERO, ONE), (hi, lo), ((ZERO, lo),))
     if d == ONE:
         return constant(hi)
-    return _build_canonical(
+    return _sealed(
         (ZERO, d, ONE), (hi, hi, lo), ((ZERO, hi), (ZERO, lo))
     )
 
@@ -405,11 +393,11 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, s
 
 
 def pointwise_min(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    return _build_canonical(*_combine_parts(f, g, take_min=True))
+    return _sealed(*_combine_parts(f, g, take_min=True))
 
 
 def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    return _build_canonical(*_combine_parts(f, g, take_min=False))
+    return _sealed(*_combine_parts(f, g, take_min=False))
 
 
 def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
@@ -425,7 +413,7 @@ def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
         breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
     else:
         breaks, values, pieces = [a], [_min(at_a, at_b)], []
-    return _build_canonical(
+    return _sealed(
         [*hb[:i], *breaks, *tb[k + 1 :]],
         [*hv[:i], *values, *tv[k + 1 :]],
         [*hp[:i], *pieces, *tp[k:]],
@@ -452,7 +440,7 @@ def reflect(f: PiecewiseFn) -> PiecewiseFn:
     breaks = tuple(ONE - b for b in reversed(f.breakpoints))
     values = tuple(reversed(f.values))
     pieces = tuple((-s, s + c) for (s, c) in reversed(f.pieces))
-    return _build_canonical(breaks, values, pieces)
+    return _sealed(breaks, values, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +508,8 @@ def _shape(f: PiecewiseFn) -> _Shape:
     of its envelopes, spliced with no merged pass: the left one short of its
     threshold, 1, then the right one.
     """
-    h = _build_canonical(*_running_sup(f, rightward=True))
-    k = _build_canonical(*_running_sup(f, rightward=False))
+    h = _sealed(*_running_sup(f, rightward=True))
+    k = _sealed(*_running_sup(f, rightward=False))
     if not _same(h.values[-1], ONE):
         return _Shape(h, k, None, None, False)
     i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
@@ -555,7 +543,7 @@ def envelope_left_strict(f: PiecewiseFn) -> PiecewiseFn:
     g = envelope_left(f)
     values = [f.values[0]]
     values.extend(g.left_limit(i) for i in range(1, len(g.breakpoints)))
-    return _build_canonical(g.breakpoints, values, g.pieces)
+    return _sealed(g.breakpoints, values, g.pieces)
 
 
 def envelope_right_strict(f: PiecewiseFn) -> PiecewiseFn:
@@ -684,9 +672,9 @@ def from_json_dict(data) -> PiecewiseFn:
     try:
         bks = data["breakpoints"]
         pcs = data["pieces"]
-        breaks = tuple(to_unit(entry["x"]) for entry in bks)
-        values = tuple(to_unit(entry["v"]) for entry in bks)
-        # the slots as given: PiecewiseFn coerces each piece slot once
+        # the slots as given: PiecewiseFn coerces each slot once
+        breaks = tuple(entry["x"] for entry in bks)
+        values = tuple(entry["v"] for entry in bks)
         pieces = tuple((p["slope"], p["intercept"]) for p in pcs)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed function JSON: {exc}") from exc

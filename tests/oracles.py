@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import ge, le
 
-from t2algebra import PiecewiseFn, canonicalize, envelope_right, evaluate
+from t2algebra import PiecewiseFn, envelope_right, evaluate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -266,7 +266,7 @@ def reference_combine(f: PiecewiseFn, g: PiecewiseFn, take_min: bool) -> Piecewi
         mid = (a + b) / 2
         winner = pick((p1[0] * mid + p1[1], p1), (p2[0] * mid + p2[1], p2))
         pieces.append(winner[1])
-    return canonicalize(PiecewiseFn(tuple(refined), values, tuple(pieces)))
+    return PiecewiseFn(tuple(refined), values, tuple(pieces))
 
 
 def reference_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:

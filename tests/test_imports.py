@@ -188,20 +188,31 @@ def test_the_check_sees_unsized_memos():
     }
 
 
+def callers(sources: dict[str, str], callee: str) -> set[str]:
+    """``module.Class.method`` (or ``module.function``, or ``module.<module>``
+    for code outside any definition) of the innermost definition of the given
+    modules whose body calls ``callee``, by name or as an attribute."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _called_name(child.func) == callee:
+                found.add(".".join(path) if len(path) > 1 else f"{path[0]}.<module>")
+            visit(child, path)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return found
+
+
 def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
     """``module.name`` of each top-level definition (``module.<module>`` for
     other top-level code) of the given modules that calls ``canonicalize``,
     by name or as an attribute, anywhere in its body."""
-    callers = set()
-    for module, source in sources.items():
-        for top in ast.parse(source).body:
-            own = top.name if isinstance(top, DEFINITIONS) else "<module>"
-            if any(
-                isinstance(node, ast.Call) and _called_name(node.func) == "canonicalize"
-                for node in ast.walk(top)
-            ):
-                callers.add(f"{module}.{own}")
-    return callers
+    return {".".join(name.split(".")[:2]) for name in callers(sources, "canonicalize")}
 
 
 # canonicalize only interns (every PiecewiseFn is canonical): the products
@@ -239,5 +250,42 @@ def test_the_check_sees_canonicalizing_calls():
         "mod.direct",
         "mod.nested",
         "mod.Box",
+        "mod.<module>",
+    }
+
+
+# Every PiecewiseFn is canonical because every build canonicalizes in one
+# place: the constructor and the trusted build both store through _seal. A
+# second build path, or a second canonicalizer, is a deliberate edit here.
+def test_only_seal_canonicalizes_and_only_the_two_builds_seal():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert callers(sources, "_canonical_parts") == {"piecewise.PiecewiseFn._seal"}
+    assert callers(sources, "_seal") == {
+        "piecewise.PiecewiseFn.__post_init__",
+        "piecewise._sealed",
+    }
+
+
+def test_the_check_sees_each_caller():
+    source = (
+        "class Fn:\n"
+        "    def build(self):\n"
+        "        return self._seal()\n"
+        "    def nested(self):\n"
+        "        def inner():\n"
+        "            return _seal()\n"
+        "        return inner\n"
+        "    def named_only(self):\n"
+        "        return self._seal\n"
+        "def lambda_call(fs):\n"
+        "    return map(lambda f: f._seal(), fs)\n"
+        "def other():\n"
+        "    return _canonical_parts()\n"
+        "SEALED = Fn()._seal()\n"
+    )
+    assert callers({"mod": source}, "_seal") == {
+        "mod.Fn.build",
+        "mod.Fn.nested.inner",
+        "mod.lambda_call",
         "mod.<module>",
     }

@@ -149,8 +149,8 @@ class TestOrders:
 
 
 def assert_splices_match_the_envelope_formula(f, g):
-    assert t.meet(f, g) == lattice._meet_by_envelopes(f, g)
-    assert t.join(f, g) == lattice._join_by_envelopes(f, g)
+    assert t.meet(f, g) == lattice._by_envelopes(f, g, t.envelope_right)
+    assert t.join(f, g) == lattice._by_envelopes(f, g, t.envelope_left)
 
 
 class TestSpliceAgainstEnvelopeFormula:
@@ -211,7 +211,7 @@ class TestSpliceCounts:
             with pytest.MonkeyPatch.context() as mp:
                 maxes = self._counted(mp, lattice, "pointwise_max")
                 kernel_maxes = self._counted(mp, piecewise, "pointwise_max")
-                builds = self._counted(mp, piecewise, "_build_canonical")
+                builds = self._counted(mp, piecewise, "_sealed")
                 op(f, g)
             assert maxes == kernel_maxes == []
             assert len(builds) == 1
@@ -242,5 +242,5 @@ class TestSpliceCounts:
         monkeypatch.setattr(lattice, "_splice", None)  # any call would fail
         f, g = t.constant(Fraction(1, 2)), t.pointwise_max(t.TOP, t.BOTTOM)
         for h in (f, g, t.TOP):
-            assert t.equals(t.meet(h, f), lattice._meet_by_envelopes(h, f))
-            assert t.equals(t.join(g, h), lattice._join_by_envelopes(g, h))
+            assert t.equals(t.meet(h, f), lattice._by_envelopes(h, f, t.envelope_right))
+            assert t.equals(t.join(g, h), lattice._by_envelopes(g, h, t.envelope_left))
