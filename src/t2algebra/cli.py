@@ -44,7 +44,7 @@ EXIT_INTERNAL = 5
 # --grid: an exact (min/max) grid convolution takes time linear in the
 # resolution, a banded one quadratic. With builtin connectives an exact one
 # takes 0.1-2.5 ms at the default 200 and 1-32 ms at 2,000, a banded one
-# 0.03-0.05 s and 4.6-6.4 s (2-core box, Python 3.11); a user-built
+# 0.015-0.04 s and 1.6-3.9 s (2-core box, Python 3.11); a user-built
 # connective is called on every pair, several times slower.
 MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.

@@ -17,35 +17,33 @@ the grid, min(x_i, x_j) = x_k (resp. max) exactly when that band of (i, j)
 holds k, so the grid value is the true supremum over grid pairs.
 
 Fast paths. The library's own t-norms and t-conorms
-(``builtin_connectives()``) are matched by identity in one table,
-``_INDEX_FORMS``. Each is nondecreasing in each argument (T3), has a
-neutral element, and has a closed form on grid indices: at the grid points
-(i/n, j/n) it is the integer ratio (p, q), for instance (i*j, n*n) for the
-product and (max(i + j - n, 0), n) for Lukasiewicz.
-
-A builtin combiner is never called on the banded path: each pair's band
-ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic on
-(p, q). A single banded point (``convolve_*_at``) visits only the run of
-partners in each row whose band can hold it, found by bisection.
-
-A builtin inner connective is called through its function ``fn``, with no
-per-call check: its arguments are grid values of built functions, inside
-[0, 1], and a property test checks that every builtin maps [0, 1]^2 into
-[0, 1]. It is nondecreasing, so a supremum of x * y over a set of y is
-x * (the largest y). Grid values are attained maxima, so this is an
-equality, not a bound, and both fast paths return exactly what the per-pair
-path returns:
+(``builtin_connectives()``) are matched by identity in two tables of integer
+forms. Each is nondecreasing in each argument (T3) and has a neutral
+element. ``_ROW_FORMS`` gives row i of its values at (i/n, j/n) as
+numerators p over one q, (i*j for each j, n*n) for the product, so a band
+ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic and a
+builtin combiner is never called. ``_SLOT_FORMS`` gives x * y for x = a/b,
+y = c/d as an unreduced integer ratio, (a*c, b*d) for the product.
+Elsewhere a builtin * is called through its ``fn``, unchecked: its
+arguments are grid values of built functions, and a property test checks
+that every builtin maps [0, 1]^2 into [0, 1]. As * is nondecreasing, a
+supremum of x * y over a set of y is x * (the largest y), an attained
+maximum on the grid, so each fast path returns what the per-pair path does:
 
 - exact path (min/max combiner), O(n) and no Fraction compare: the value
   at x_k is max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet
   form, with j <= k for the join form. The grid values come from an
   integer walk over each piece (``_grid_values``), both maxima from one
   running-max sweep, and every max compares integer slots (``_max``);
-- banded path, at most one * per row and reached grid point: row i
-  contributes f_i * (the largest g_j over the partners j whose band holds
-  x_k), found in integer ranks of g's grid values. Rows go by descending
-  f_i, and a row whose rank at x_k is no higher than an earlier row's is
-  dominated (T3): it makes no * call there.
+- the whole banded grid (``_banded_window``), at most one * per row and
+  reached point: a row's band ends are nondecreasing in j, so the partners
+  whose band holds x_k are one run of j that slides right with k, and row i
+  gives f_i * (the largest g_j over it), kept by one monotone deque of g's
+  ranks. Rows go by descending f_i, and a row whose rank at x_k is no
+  higher than an earlier row's is dominated (T3): no * there. Values are
+  integer slots; a Fraction is built only for each value returned;
+- a single banded point (``convolve_*_at``) takes the per-pair path on the
+  run of partners in each row whose band can hold it, found by bisection.
 
 Every other connective, including a user-built one that declares a t-norm
 or t-conorm profile or wraps a builtin's function, is called through
@@ -53,8 +51,8 @@ or t-conorm profile or wraps a builtin's function, is called through
 combiner on every pair of the grid, a user-built inner connective, under
 any combiner, on every pair whose band meets the requested points. A
 declared profile is not checked for monotonicity, and a non-monotone one
-would make the fast paths wrong. This one per-pair path is the reference
-the fast paths are tested against.
+would make the fast paths wrong. This one per-pair path (``_banded_pairs``)
+is the reference the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from __future__ import annotations
 import io
 import operator
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -182,53 +181,53 @@ def _running_max(values: list[Fraction], reverse: bool) -> list[Fraction]:
     return list(accumulate(values, _max))
 
 
-def _drastic_index(i, j, n):
-    return (i if j == n else j if i == n else 0), n
+# the integer forms of the library's own t-norms and t-conorms, keyed by
+# identity, so that a user-built connective, even one wrapping a builtin's
+# function, takes the reference path: row i of the values at (i/n, j/n),
+# j = 0..n, as numerators over one denominator, nondecreasing in j (T3) ...
+_ROW_FORMS = {
+    id(MINIMUM): lambda i, n: ([min(i, j) for j in range(n + 1)], n),
+    id(PRODUCT): lambda i, n: ([i * j for j in range(n + 1)], n * n),
+    id(LUKASIEWICZ): lambda i, n: ([0] * (n - i) + list(range(i + 1)), n),
+    id(DRASTIC): lambda i, n: ([0] * n + [i] if i < n else list(range(n + 1)), n),
+    id(MAXIMUM): lambda i, n: ([max(i, j) for j in range(n + 1)], n),
+    id(PROBABILISTIC_SUM): lambda i, n: ([n * i + (n - i) * j for j in range(n + 1)], n * n),
+    id(BOUNDED_SUM): lambda i, n: (list(range(i, n)) + [n] * (i + 1), n),
+    id(DRASTIC_CONORM): lambda i, n: ([i] + [n] * n if i else list(range(n + 1)), n),
+}
 
-
-def _drastic_conorm_index(i, j, n):
-    return (i if j == 0 else j if i == 0 else n), n
-
-
-# the library's own t-norms and t-conorms, each with its value at the grid
-# points (i/n, j/n) as a ratio (p, q) of integers. All are nondecreasing in
-# each argument (T3) and each has a neutral element. Keyed by identity, so a
-# user-built connective, even one wrapping a builtin's function, is not found
-# and takes the reference paths.
-_INDEX_FORMS = {
-    id(MINIMUM): lambda i, j, n: (min(i, j), n),
-    id(PRODUCT): lambda i, j, n: (i * j, n * n),
-    id(LUKASIEWICZ): lambda i, j, n: (max(i + j - n, 0), n),
-    id(DRASTIC): _drastic_index,
-    id(MAXIMUM): lambda i, j, n: (max(i, j), n),
-    id(PROBABILISTIC_SUM): lambda i, j, n: (n * (i + j) - i * j, n * n),
-    id(BOUNDED_SUM): lambda i, j, n: (min(i + j, n), n),
-    id(DRASTIC_CONORM): _drastic_conorm_index,
+# ... and x * y for x = a/b and y = c/d (b, d > 0) as an unreduced ratio
+_SLOT_FORMS = {
+    id(MINIMUM): lambda a, b, c, d: (a, b) if a * d <= c * b else (c, d),
+    id(PRODUCT): lambda a, b, c, d: (a * c, b * d),
+    id(LUKASIEWICZ): lambda a, b, c, d: (max(a * d + c * b - b * d, 0), b * d),
+    id(DRASTIC): lambda a, b, c, d: (a, b) if c == d else (c, d) if a == b else (0, 1),
+    id(MAXIMUM): lambda a, b, c, d: (a, b) if a * d >= c * b else (c, d),
+    id(PROBABILISTIC_SUM): lambda a, b, c, d: (a * d + c * b - a * c, b * d),
+    id(BOUNDED_SUM): lambda a, b, c, d: (min(a * d + c * b, b * d), b * d),
+    id(DRASTIC_CONORM): lambda a, b, c, d: (a, b) if not c else (c, d) if not a else (1, 1),
 }
 
 
 def _bands(combiner, pts, tol, lo, hi, i):
     """Row i's bands as one list of (j, k_lo, k_hi): each partner j of x_i
     whose tolerance band around combiner(x_i, x_j) meets lo..hi, clipped to
-    lo..hi.
-
-    For a builtin combiner (monotone) and a single point only the run of j
-    whose band meets lo..hi is visited, found by bisection.
-    """
+    lo..hi. For a builtin combiner only the run of j whose band meets lo..hi
+    is visited, found by bisection in its row form."""
     n = len(pts) - 1
     a, b = tol.as_integer_ratio()
-    ratio = _INDEX_FORMS.get(id(combiner))
-    js = range(n + 1)
-    if ratio is None:
-        ratio = lambda i, j, n: combiner(pts[i], pts[j]).as_integer_ratio()
-    elif (lo, hi) != (0, n):
-        # the run of j with x_lo - tol <= combiner(x_i, x_j) <= x_hi + tol
-        w = lambda j: Fraction(*ratio(i, j, n))
-        js = range(
-            bisect_left(js, pts[lo] - tol, key=w), bisect_right(js, pts[hi] + tol, key=w)
-        )
+    form = _ROW_FORMS.get(id(combiner))
+    if form is None:
+        js = range(n + 1)
+        ratios = [combiner(pts[i], x).as_integer_ratio() for x in pts]
+    else:
+        ps, q = form(i, n)
+        # the run of j with x_lo - tol <= p_j/q <= x_hi + tol, in integers
+        low, high = -((a * n - lo * b) * q // (n * b)), (hi * b + a * n) * q // (n * b)
+        js = range(bisect_left(ps, low), bisect_right(ps, high))
+        ratios = [(ps[j], q) for j in js]
     out = []
-    for j, (p, q) in zip(js, [ratio(i, j, n) for j in js]):
+    for j, (p, q) in zip(js, ratios):
         # ceil((p/q - tol) * n) and floor((p/q + tol) * n), in integers
         d = q * b
         k_lo = -((a * q - p * b) * n // d)
@@ -241,49 +240,55 @@ def _bands(combiner, pts, tol, lo, hi, i):
 
 def _banded_pairs(fv, gv, star, bands, lo, hi):
     """Banded values at k = lo..hi, one star call per pair whose band meets
-    lo..hi."""
+    lo..hi; values are compared in integer slots (_lt)."""
     best: list[Fraction | None] = [None] * len(fv)
     for i in range(len(fv)):
         for j, k_lo, k_hi in bands(i):
             value = star(fv[i], gv[j])
             for k in range(k_lo, k_hi + 1):
-                if best[k] is None or value > best[k]:
-                    best[k] = value
-    return best[lo : hi + 1]
-
-
-def _banded_rows(fv, gv, star, bands, lo, hi):
-    """_banded_pairs for a monotone star, one star call per row and reached k
-    at most.
-
-    Row i's supremum at k is star(fv[i], m) for m the largest gv[j] over the
-    partners j whose band holds k, since star is nondecreasing in g's value.
-    Row maxima are ranks among gv's distinct values, so finding them compares
-    integers. Rows go by descending fv, and top[k] is the largest rank met at
-    k so far: a row not above it there is dominated by an earlier row (T3),
-    so star is not called. Kept values are compared in integers (_lt).
-    """
-    levels = sorted(set(gv))
-    rank = {v: r for r, v in enumerate(levels)}
-    gr = [rank[v] for v in gv]
-    size = len(fv)
-    best: list[Fraction | None] = [None] * size
-    top = [-1] * size
-    for i in sorted(range(size), key=fv.__getitem__, reverse=True):
-        row = top[:]  # raised only where this row beats every earlier one
-        for j, k_lo, k_hi in bands(i):
-            r = gr[j]
-            for k in range(k_lo, k_hi + 1):
-                if r > row[k]:
-                    row[k] = r
-        for k in range(lo, hi + 1):
-            r = row[k]
-            if r > top[k]:
-                top[k] = r
-                value = star(fv[i], levels[r])
                 if best[k] is None or _lt(best[k], value):
                     best[k] = value
     return best[lo : hi + 1]
+
+
+def _banded_window(fv, gv, slot, row_form, tol):
+    """_banded_pairs over the whole grid, for a builtin combiner (row_form)
+    and a builtin inner connective (slot); see the module docstring. Row i's
+    partner j holds k = kl[j]..kh[j] and joins the deque at k = kl[j];
+    top[k] is the largest g rank met at k so far."""
+    n = len(fv) - 1
+    a, b = tol.as_integer_ratio()
+    levels = sorted(set(gv))
+    rank = {v: r for r, v in enumerate(levels)}
+    gr = [rank[v] for v in gv]
+    top = [-1] * (n + 1)
+    nums, dens = [-1] * (n + 1), [1] * (n + 1)  # -1/1: below every value
+    m = b * n
+    for i in sorted(range(n + 1), key=fv.__getitem__, reverse=True):
+        ps, q = row_form(i, n)
+        # ceil((p/q - tol) * n) and floor((p/q + tol) * n), in integers
+        d, e = q * b, a * q * n
+        kl = [-((e - p * m) // d) for p in ps] + [n + 1]  # a sentinel past every k
+        kh = [(p * m + e) // d for p in ps]
+        x = fv[i]
+        run = deque()  # partners whose band holds k, g ranks falling
+        j = 0
+        for k in range(max(kl[0], 0), min(kh[n], n) + 1):
+            while kl[j] <= k:
+                r = gr[j]
+                while run and gr[run[-1]] <= r:
+                    run.pop()
+                run.append(j)
+                j += 1
+            while run and kh[run[0]] < k:
+                run.popleft()
+            if run and gr[run[0]] > top[k]:
+                r = top[k] = gr[run[0]]
+                y = levels[r]
+                p, q = slot(x._numerator, x._denominator, y._numerator, y._denominator)
+                if p * dens[k] > nums[k] * q:
+                    nums[k], dens[k] = p, q
+    return [Fraction(p, q) if p >= 0 else None for p, q in zip(nums, dens)]
 
 
 # per form: the profile its combiner must declare, the combiner whose solution
@@ -304,11 +309,11 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, at=None):
     lo, hi = (0, n) if at is None else (at, at)
     fv = _grid_values(f, n)
     gv = _grid_values(g, n)
-    monotone = id(star) in _INDEX_FORMS
-    if monotone:
+    slot = _SLOT_FORMS.get(id(star))
+    if slot is not None:
         # a builtin, on grid values of built functions: both lie in [0, 1]
         star = star.fn
-    if combiner == exact and monotone:
+    if combiner == exact and slot is not None:
         # sup_j star(fv[k], gv[j]) = star(fv[k], sup_j gv[j]) for a star
         # nondecreasing in each argument, and likewise with f and g swapped
         fm = _running_max(fv, above)
@@ -320,9 +325,11 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, at=None):
         # the exact combiner's solution set is its zero-width band
         pts = grid.points()
         tol = ZERO if combiner == exact else grid.tolerance
-        bands = partial(_bands, combiner, pts, tol, lo, hi)
-        banded = _banded_rows if monotone else _banded_pairs
-        values = banded(fv, gv, star, bands, lo, hi)
+        if at is None and slot is not None and id(combiner) in _ROW_FORMS:
+            values = _banded_window(fv, gv, slot, _ROW_FORMS[id(combiner)], tol)
+        else:
+            bands = partial(_bands, combiner, pts, tol, lo, hi)
+            values = _banded_pairs(fv, gv, star, bands, lo, hi)
         # a band gives each point it holds a value, so the constraint set is
         # empty everywhere only if no row of the full grid has a band
         if values.count(None) == len(values) and not any(

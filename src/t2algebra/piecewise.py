@@ -116,9 +116,13 @@ class PiecewiseFn:
 
     def __post_init__(self):
         try:
+            pieces = tuple(self.pieces)
+            parts = (self.breakpoints, self.values, self.pieces, *pieces)
+            if any(isinstance(part, str) for part in parts):  # it iterates as characters
+                raise TypeError("a string is not a sequence of slots")
             breaks = tuple(map(to_unit, self.breakpoints))
             values = tuple(map(to_unit, self.values))
-            pieces = tuple((to_rational(s), to_rational(c)) for s, c in self.pieces)
+            pieces = tuple((to_rational(s), to_rational(c)) for s, c in pieces)
         except ValidationError:
             raise
         except (TypeError, ValueError) as exc:  # a part not iterable, a piece not a pair

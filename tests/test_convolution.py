@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
 from t2algebra.convolution import (
-    _INDEX_FORMS,
+    _ROW_FORMS,
+    _SLOT_FORMS,
     _banded_pairs,
-    _banded_rows,
+    _banded_window,
     _bands,
     _grid_values,
 )
@@ -457,9 +458,10 @@ class TestMonotoneFastPaths:
 
 
 class TestDominatedRowsAreSkipped:
-    """_banded_rows calls star at most once per row and grid point the row
-    reaches, and not at all where an earlier row (a larger f value) with a
-    rank at least as high dominates; its values are _banded_pairs'."""
+    """_banded_window calls the slot function at most once per row and grid
+    point the row reaches, and not at all where an earlier row (a larger f
+    value) with a rank at least as high dominates; its values are
+    _banded_pairs'."""
 
     @staticmethod
     def calls_and_reached(f, g, combiner, spec):
@@ -468,12 +470,13 @@ class TestDominatedRowsAreSkipped:
         fv, gv = _grid_values(f, n), _grid_values(g, n)
         bands = partial(_bands, combiner, pts, spec.tolerance, 0, n)
         calls = []
+        product = _SLOT_FORMS[id(t.PRODUCT)]
 
-        def star(x, y):
-            calls.append((x, y))
-            return t.PRODUCT.fn(x, y)
+        def slot(*args):
+            calls.append(args)
+            return product(*args)
 
-        got = _banded_rows(fv, gv, star, bands, 0, n)
+        got = _banded_window(fv, gv, slot, _ROW_FORMS[id(combiner)], spec.tolerance)
         assert got == _banded_pairs(fv, gv, t.PRODUCT.fn, bands, 0, n)
         reached = 0
         for i in range(n + 1):
@@ -503,6 +506,59 @@ class TestDominatedRowsAreSkipped:
         spec = grid(16, tol)
         calls, reached = self.calls_and_reached(rising, t.constant(F(1, 2)), t.PRODUCT, spec)
         assert calls == 17 < reached
+
+
+def _pool(count):
+    fns = t.generate_lattice_functions(t.GeneratorConfig(seed=1908), 2 * count)
+    return list(zip(fns[::2], fns[1::2]))
+
+
+BUILTINS = t.builtin_connectives()
+ALL_COMBINERS = pytest.mark.parametrize(
+    "form, combiner",
+    [(form, EXACT_COMBINER[form]) for form in CONVOLVE]
+    + [(form, c) for form, cs in BANDED_COMBINERS.items() for c in cs],
+    ids=lambda v: getattr(v, "name", v),
+)
+
+
+def assert_window_equals_pairs(f, g, combiner, inners, n, tol):
+    """_banded_window against the reference _banded_pairs for each inner
+    connective, on bands found once."""
+    fv, gv = _grid_values(f, n), _grid_values(g, n)
+    pts = grid(n).points()
+    rows = [_bands(combiner, pts, tol, 0, n, i) for i in range(n + 1)]
+    for inner in inners:
+        slot, row_form = _SLOT_FORMS[id(inner)], _ROW_FORMS[id(combiner)]
+        got = _banded_window(fv, gv, slot, row_form, tol)
+        assert got == _banded_pairs(fv, gv, inner.fn, rows.__getitem__, 0, n), (
+            inner.name,
+            tol,
+        )
+
+
+def _pool(count):
+    fns = t.generate_lattice_functions(t.GeneratorConfig(seed=1908), 2 * count)
+    return list(zip(fns[::2], fns[1::2]))
+
+
+@ALL_COMBINERS
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_window_equals_the_per_pair_path(form, combiner, n):
+    for f, g in _pool(3):
+        for tol in (grid(n).tolerance, F(0), F(1, 5)):
+            assert_window_equals_pairs(f, g, combiner, BUILTINS, n, tol)
+
+
+@ALL_COMBINERS
+def test_window_equals_the_per_pair_path_at_resolution_200(form, combiner):
+    # the reference takes up to 0.6 s a call here, so each tolerance takes one
+    # inner connective per combiner, turning so that it meets all eight
+    c = BUILTINS.index(combiner)
+    ((f, g),) = _pool(1)
+    for turn, tol in enumerate((grid(200).tolerance, F(0), F(1, 5))):
+        inner = BUILTINS[(c + 3 * turn) % len(BUILTINS)]
+        assert_window_equals_pairs(f, g, combiner, [inner], 200, tol)
 
 
 class TestDeclaredProfileIsNotTrusted:
@@ -626,20 +682,34 @@ class TestExactPathMakesNoFractionCompare:
         assert got == expected
 
 
-class TestIndexForms:
-    """The integer forms of the builtin combiners on grid indices."""
+class TestRowAndSlotForms:
+    """The integer forms of the builtin connectives: rows of combiner values
+    on grid indices, and inner connective values on integer slots."""
 
     def test_keys_are_exactly_the_builtins(self):
-        assert set(_INDEX_FORMS) == {id(c) for c in t.builtin_connectives()}
+        builtins = {id(c) for c in t.builtin_connectives()}
+        assert set(_ROW_FORMS) == builtins
+        assert set(_SLOT_FORMS) == builtins
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 45])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40, 45])
     @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
-    def test_ratio_equals_the_connective_on_grid_points(self, conn, n):
-        form = _INDEX_FORMS[id(conn)]
+    def test_row_equals_the_connective_on_grid_points(self, conn, n):
         for i in range(n + 1):
-            for j in range(n + 1):
-                p, q = form(i, j, n)
-                assert F(p, q) == conn(F(i, n), F(j, n)), (i, j)
+            ps, q = _ROW_FORMS[id(conn)](i, n)
+            row = [conn(F(i, n), F(j, n)) for j in range(n + 1)]
+            assert [F(p, q) for p in ps] == row, i
+            assert ps == sorted(ps), i  # nondecreasing in j
+
+    @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+    @given(
+        x=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        y=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    )
+    def test_slot_equals_the_connective(self, conn, x, y):
+        slot = _SLOT_FORMS[id(conn)]
+        p, q = slot(x.numerator, x.denominator, y.numerator, y.denominator)
+        assert q > 0
+        assert F(p, q) == conn.fn(x, y)
 
     @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
     @given(

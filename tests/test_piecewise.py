@@ -988,6 +988,23 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             t.PiecewiseFn(breaks, (0, 0), pieces)
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ("01", (1, 0), ((-1, 1),)),
+            ((0, 1), "10", ((-1, 1),)),
+            ((0, 1), (1, 0), "01"),  # the pieces
+            ((0, 1), (1, 0), ("01",)),  # a single piece
+            ("01", "10", ["10"]),
+        ],
+        ids=["breakpoints", "values", "pieces", "piece", "all"],
+    )
+    def test_a_string_part_is_not_read_as_slots(self, parts):
+        # each string here iterates as characters that are valid slots
+        message = "malformed function parts: a string is not a sequence of slots"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            t.PiecewiseFn(*parts)
+
     def test_float_rejected(self):
         with pytest.raises(ValidationError):
             t.indicator(0.2, 0.6)
