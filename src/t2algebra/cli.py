@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from . import axioms as ax
 from .connectives import connective_by_name
@@ -74,15 +75,23 @@ def _load_function(path: str) -> PiecewiseFn:
     return loads(text)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_text(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text) whose text is not None, a None path to stdout.
+    Every file is opened before any text is written, so one that cannot be
+    opened leaves every output unwritten; a path named twice gets its last text."""
+    texts = {path: text for path, text in outputs if text is not None}
+    stdout = texts.pop(None, "")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with ExitStack() as stack:
+            handles = {}
+            for path in texts:
+                handles[path] = stack.enter_context(open(path, "w", encoding="utf-8"))
+            for path, handle in handles.items():
+                with handle:
+                    handle.write(texts[path])
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
+    sys.stdout.write(stdout)
 
 
 def _parse_conv_name(name: str):
@@ -119,7 +128,7 @@ def _cmd_eval(args) -> int:
         grid = GridSpec(args.grid, args.tolerance)
         conv = convolve_meet if form == "conv-meet" else convolve_join
         result = conv(f, g, star_conn, combiner, grid)
-        _write_text(args.out, result.to_csv(decimal=args.decimal))
+        _write_text((args.out, result.to_csv(decimal=args.decimal)))
         return EXIT_OK
 
     if name in _UNARY_OPS:
@@ -142,9 +151,7 @@ def _cmd_eval(args) -> int:
     csv = "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
     # both texts are built before either is written: a failure writes nothing
     json_text = dumps(result, indent=2) + "\n" if args.json_out else None
-    _write_text(args.out, csv)
-    if json_text is not None:
-        _write_text(args.json_out, json_text)
+    _write_text((args.out, csv), (args.json_out, json_text))
     return EXIT_OK
 
 
@@ -177,7 +184,7 @@ def _cmd_plot(args) -> int:
     for i, path in enumerate(args.files):
         label = labels[i] if labels else path
         series.append((label, _load_function(path)))
-    _write_text(args.out, render_svg(series))
+    _write_text((args.out, render_svg(series)))
     return EXIT_OK
 
 

@@ -65,6 +65,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from math import lcm
 
 from .connectives import (
     BOUNDED_SUM,
@@ -258,13 +259,16 @@ def _banded_window(fv, gv, slot, row_form, tol):
     top[k] is the largest g rank met at k so far."""
     n = len(fv) - 1
     a, b = tol.as_integer_ratio()
-    levels = sorted(set(gv))
+    # f and g as numerators over one denominator: integer keys to order them
+    cd = lcm(*{v._denominator for v in fv + gv})
+    fk, gk = ([v._numerator * (cd // v._denominator) for v in vs] for vs in (fv, gv))
+    levels = sorted(set(gk))
     rank = {v: r for r, v in enumerate(levels)}
-    gr = [rank[v] for v in gv]
+    gr = [rank[v] for v in gk]
     top = [-1] * (n + 1)
     nums, dens = [-1] * (n + 1), [1] * (n + 1)  # -1/1: below every value
     m = b * n
-    for i in sorted(range(n + 1), key=fv.__getitem__, reverse=True):
+    for i in sorted(range(n + 1), key=fk.__getitem__, reverse=True):
         ps, q = row_form(i, n)
         # ceil((p/q - tol) * n) and floor((p/q + tol) * n), in integers
         d, e = q * b, a * q * n
@@ -284,8 +288,7 @@ def _banded_window(fv, gv, slot, row_form, tol):
                 run.popleft()
             if run and gr[run[0]] > top[k]:
                 r = top[k] = gr[run[0]]
-                y = levels[r]
-                p, q = slot(x._numerator, x._denominator, y._numerator, y._denominator)
+                p, q = slot(x._numerator, x._denominator, levels[r], cd)
                 if p * dens[k] > nums[k] * q:
                     nums[k], dens[k] = p, q
     return [Fraction(p, q) if p >= 0 else None for p, q in zip(nums, dens)]
@@ -323,19 +326,18 @@ def _convolve(form, f, g, star, combiner, grid: GridSpec, at=None):
         ]
     else:
         # the exact combiner's solution set is its zero-width band
-        pts = grid.points()
         tol = ZERO if combiner == exact else grid.tolerance
         if at is None and slot is not None and id(combiner) in _ROW_FORMS:
             values = _banded_window(fv, gv, slot, _ROW_FORMS[id(combiner)], tol)
         else:
-            bands = partial(_bands, combiner, pts, tol, lo, hi)
+            bands = partial(_bands, combiner, grid.points(), tol, lo, hi)
             values = _banded_pairs(fv, gv, star, bands, lo, hi)
         # a band gives each point it holds a value, so the constraint set is
         # empty everywhere only if no row of the full grid has a band
-        if values.count(None) == len(values) and not any(
-            _bands(combiner, pts, tol, 0, n, i) for i in range(n + 1)
-        ):
-            raise DomainError("empty constraint set at every grid point")
+        if values.count(None) == len(values):
+            pts = grid.points()
+            if not any(_bands(combiner, pts, tol, 0, n, i) for i in range(n + 1)):
+                raise DomainError("empty constraint set at every grid point")
     if at is not None:
         return values[0]
     result = object.__new__(GridFn)  # sealed unchecked: its slots are built here

@@ -659,15 +659,11 @@ def thresholds(f: PiecewiseFn, g: PiecewiseFn) -> EnvelopeThresholds:
 
 
 def to_json_dict(f: PiecewiseFn) -> dict:
-    try:
-        return {
-            "breakpoints": [
-                {"x": str(b), "v": str(v)} for b, v in zip(f.breakpoints, f.values)
-            ],
-            "pieces": [{"slope": str(s), "intercept": str(c)} for s, c in f.pieces],
-        }
-    except ValueError:  # str() of a rational past the digit limit
-        raise ValidationError(UNPRINTABLE) from None
+    fmt = format_rational  # raises ValidationError(UNPRINTABLE) past the digit limit
+    return {
+        "breakpoints": [{"x": fmt(b), "v": fmt(v)} for b, v in zip(f.breakpoints, f.values)],
+        "pieces": [{"slope": fmt(s), "intercept": fmt(c)} for s, c in f.pieces],
+    }
 
 
 def from_json_dict(data) -> PiecewiseFn:
@@ -686,7 +682,16 @@ def from_json_dict(data) -> PiecewiseFn:
 
 
 def dumps(f: PiecewiseFn, indent: int | None = None) -> str:
-    return json.dumps(to_json_dict(f), indent=indent)
+    """Compact text is written directly; ``json.dumps(to_json_dict(f))``, the
+    indented path, is its reference. A slot, str(Fraction), needs no escaping."""
+    if indent is not None:
+        return json.dumps(to_json_dict(f), indent=indent)
+    try:
+        bks = ", ".join(f'{{"x": "{b!s}", "v": "{v!s}"}}' for b, v in zip(f.breakpoints, f.values))
+        pcs = ", ".join(f'{{"slope": "{s!s}", "intercept": "{c!s}"}}' for s, c in f.pieces)
+    except ValueError:  # str() of a rational past the digit limit
+        raise ValidationError(UNPRINTABLE) from None
+    return f'{{"breakpoints": [{bks}], "pieces": [{pcs}]}}'
 
 
 def loads(text: str) -> PiecewiseFn:

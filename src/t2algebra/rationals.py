@@ -5,8 +5,9 @@ rejected at every boundary: float literals such as ``0.8`` are binary
 approximations of the intended rational, and silently admitting them would
 poison the exact-equality guarantees everything else relies on. Decimal
 strings ("0.8") and ratio strings ("4/5") parse exactly. An integer or "p/q"
-string of ASCII digits, as ``dumps`` writes, is read by ``int()``, any other
-string by ``Fraction(str)``'s parser.
+string of ASCII digits, as ``dumps`` writes, is read by ``int()`` first if it
+is shorter than ``_MAX_DIGITS`` (its digit bound) with a nonzero denominator;
+any other value takes the type checks, the digit bound and ``Fraction(str)``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ def _digit_bound(text: str) -> int:
 
 def to_rational(value) -> Fraction:
     """Coerce an int, Fraction, or string to an exact Fraction."""
+    if type(value) is str and len(value) < _MAX_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() and den.strip("0") or not slash):
+            return Fraction(int(num), int(den or 1))
     if isinstance(value, float):
         raise ValidationError(
             f"float {value!r} rejected: pass a string like '4/5' or a Fraction"
@@ -45,10 +50,6 @@ def to_rational(value) -> Fraction:
     # bool is an int subclass, but JSON true/false are not numbers
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            if isinstance(value, str) and value.isascii():
-                num, slash, den = value.partition("/")
-                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                    return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {value!r}") from exc

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra.cli import MAX_GRID, MAX_SAMPLES, MAX_TRIALS, main
+from t2algebra.rationals import UNPRINTABLE
 
 F = Fraction
 
@@ -160,14 +161,23 @@ class TestEval:
         assert err.startswith("invalid input: result too long to print")
         assert err.count("\n") == 1
 
-    @staticmethod
-    def _unprintable_reflection(tmp_path):
-        # the reflection's one piece has intercept 1/P + 1/(P+Q+2), about 4,400
-        # digits; its sampled values, at 0 and 1, are short
-        ends = (F(0), F(1))
+    # the reflection's one piece has intercept 1/P + 1/(P+Q+2), about 4,400
+    # digits; its sampled values, at 0 and 1, are short
+    _UNPRINTABLE_INPUT = t.PiecewiseFn((F(0), F(1)), (F(0), F(1)), ((F(1, P), F(1, P + Q + 2)),))
+
+    @classmethod
+    def _unprintable_reflection(cls, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(t.dumps(t.PiecewiseFn(ends, ends, ((F(1, P), F(1, P + Q + 2)),))))
+        path.write_text(t.dumps(cls._UNPRINTABLE_INPUT))
         return ["eval", "neg", str(path), "--samples", "2"]
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_unprintable_result_in_json(self, indent):
+        # the compact text is written directly, the indented one by json.dumps
+        result = t.reflect(self._UNPRINTABLE_INPUT)
+        with pytest.raises(t.ValidationError) as info:
+            t.dumps(result, indent=indent)
+        assert str(info.value) == UNPRINTABLE
 
     def test_unprintable_json_result_after_its_csv(self, capsys, tmp_path):
         # the CSV can be built, but a failed command writes nothing
@@ -254,6 +264,15 @@ class TestEval:
         expected = t.indicator(0, F(3, 5))
         assert result == expected
         assert t.dumps(result, indent=2) + "\n" == out_json.read_text()
+
+    def test_unwritable_json_out_writes_no_csv(self, capsys, tmp_path, files):
+        # every destination is opened before any text is written
+        argv = ["eval", "star", files["full"], files["band"], "--json-out", str(tmp_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"i/o error: cannot write {tmp_path}")
+        assert err.count("\n") == 1
 
     def test_out_flag_writes_file(self, capsys, tmp_path, files):
         target = tmp_path / "rows.csv"

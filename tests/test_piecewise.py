@@ -1230,6 +1230,11 @@ class TestJsonRoundTrip:
     def test_round_trip_arbitrary(self, f):
         assert t.loads(t.dumps(f)) == f
 
+    @given(st.one_of(piecewise_fns(den=97), lattice_fns()))
+    def test_compact_text_equals_the_json_module(self, f):
+        # dumps writes its compact text directly; this is its reference
+        assert t.dumps(f) == json.dumps(t.to_json_dict(f))
+
     @pytest.mark.parametrize("name", ["meet", "join", "star", "costar"])
     @given(f=lattice_fns(), g=lattice_fns())
     def test_binary_results_are_canonical_and_round_trip(self, name, f, g):

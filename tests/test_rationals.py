@@ -65,6 +65,7 @@ class TestIntegerPathParity:
             "+1/2", " 1/2", "1/2 ", "1_000/3", "٣/4", "3/٤", "²", "-", "/2", "1/",
             "1/-2", "--1", "1/2/3", "1/0", "0/0", "-0", "-0/5", "2/4", "-6/4",
             "0", "1", "007/010", "1.5", "3e2", UNDER_THE_BOUND,
+            "1/00", "-0/0", "0/007", "-1/0",
         ],
     )
     def test_fixed_strings(self, text):
@@ -84,6 +85,15 @@ class TestIntegerPathParity:
     )
     def test_ratio_strings_take_the_integer_path(self, text, ints):
         assert fraction_calls(text) == [ints]
+
+    def test_ratio_strings_skip_the_digit_bound(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rationals, "_digit_bound", lambda text: calls.append(text) or 0)
+        assert to_rational("3/4") == Fraction(3, 4)
+        assert to_rational("-12") == -12
+        assert calls == []
+        assert to_rational("1.5") == Fraction(3, 2)  # the general path reads the bound
+        assert calls == ["1.5"]
 
     @pytest.mark.parametrize("text", ["+1/2", " 1/2", "1_000/3", "٣/4", "1.5", "1/-2"])
     def test_other_strings_take_the_fraction_parser(self, text):
