@@ -13,6 +13,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 
@@ -77,19 +78,25 @@ def _load_function(path: str) -> PiecewiseFn:
 
 def _write_text(*outputs: tuple[str | None, str]) -> None:
     """Write each (path, text) whose text is not None, a None path to stdout.
-    Every file is opened before any text is written, so one that cannot be
-    opened leaves every output unwritten; a path named twice gets its last text."""
+    Every file is opened, in append mode so that none is truncated yet, before
+    any is written: if one cannot be opened, the files this command created are
+    removed and the others left as they were. A path named twice gets its last text."""
     texts = {path: text for path, text in outputs if text is not None}
     stdout = texts.pop(None, "")
+    created = [path for path in texts if not os.path.lexists(path)]
     try:
         with ExitStack() as stack:
             handles = {}
             for path in texts:
-                handles[path] = stack.enter_context(open(path, "w", encoding="utf-8"))
+                handles[path] = stack.enter_context(open(path, "a", encoding="utf-8"))
             for path, handle in handles.items():
                 with handle:
+                    if os.path.isfile(path):  # a device or a pipe cannot be truncated
+                        handle.truncate(0)
                     handle.write(texts[path])
     except OSError as exc:
+        for made in filter(os.path.lexists, created):
+            os.remove(made)
         raise IOError(f"cannot write {path}: {exc}") from exc
     sys.stdout.write(stdout)
 

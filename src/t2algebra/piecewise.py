@@ -31,8 +31,8 @@ routes ``_sealed`` through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
 construction; Fraction hashing is too slow to sit under the memos otherwise.
-The envelopes, thresholds and lattice membership of a function are fields
-of one memoised record, ``_shape``.
+The envelopes, thresholds, lattice membership and indicator ends of a
+function are fields of one memoised record, ``_shape``.
 
 This module (and ``star``, through its helpers) compares rationals by
 cross-multiplying their integer slots ``_numerator`` and ``_denominator``
@@ -408,11 +408,15 @@ def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
     """The function that follows head on [0, a), takes at_a at a, is 1 on
     (a, b), takes at_b at b and follows tail on (b, 1]; at a = b it takes
     the lesser of at_a and at_b. head and tail are (breakpoints, values,
-    pieces) parts that cover [0, a] and [b, 1]."""
+    pieces) parts that cover [0, a] and [b, 1]. Each cut is a walk in from the
+    part's near end, exact anywhere and a step or two for every caller: heads
+    stop at a, tails start at b, and ``_shape``'s thresholds are two steps in."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
-    i = _piece_index(hb, a)
-    i += _lt(hb[i], a)  # the number of head breakpoints short of a
-    k = _piece_index(tb, b)  # the tail's piece beyond b, none at b = 1
+    i, k, last = len(hb), 0, len(tb) - 1
+    while i and not _lt(hb[i - 1], a):  # i: the number of head breakpoints short of a
+        i -= 1
+    while k < last and not _lt(b, tb[k + 1]):  # k: the tail's piece beyond b, none at b = 1
+        k += 1
     if _lt(a, b):
         breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
     else:
@@ -499,11 +503,12 @@ class _Shape(NamedTuple):
     left_end: tuple[Fraction, Fraction] | None
     right_end: tuple[Fraction, Fraction] | None
     lattice: bool  # normal and convex
+    ones: tuple[Fraction, ...]  # _indicator_ones(f): () unless normal, as is every indicator
 
 
 @lru_cache(maxsize=_CACHE)
 def _shape(f: PiecewiseFn) -> _Shape:
-    """f's envelopes, their ends at f's thresholds, and its lattice membership.
+    """f's envelopes, threshold ends, lattice membership and indicator ends.
 
     The left envelope never falls, ends on sup f and is canonical, so for
     normal f it is 1 on its last piece if that is (0, 1), open or closed at
@@ -515,13 +520,13 @@ def _shape(f: PiecewiseFn) -> _Shape:
     h = _sealed(*_running_sup(f, rightward=True))
     k = _sealed(*_running_sup(f, rightward=False))
     if not _same(h.values[-1], ONE):
-        return _Shape(h, k, None, None, False)
+        return _Shape(h, k, None, None, False, ())
     i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
     j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
     ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
     head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
     lattice = f == _splice(head, *ends[0], *ends[1], tail)
-    return _Shape(h, k, *ends, lattice)
+    return _Shape(h, k, *ends, lattice, _indicator_ones(f))
 
 
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
@@ -597,13 +602,13 @@ def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
 
 def is_point_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some singleton."""
-    return len(_indicator_ones(f)) == 1
+    return len(_shape(f).ones) == 1
 
 
 def is_interval_indicator(f: PiecewiseFn) -> bool:
-    """True iff f is the characteristic function of some closed interval: in
-    canonical form, 0 but for one closed run of 1s (see ``_indicator_ones``)."""
-    return bool(_indicator_ones(f))
+    """True iff f is the characteristic function of some closed interval (see
+    ``_indicator_ones``), read off ``_shape``: a known f costs one memo hit."""
+    return bool(_shape(f).ones)
 
 
 # ---------------------------------------------------------------------------

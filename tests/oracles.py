@@ -25,6 +25,16 @@ on both right envelopes, which the library reads off its threshold scan.
 canonical or not, and checks it is a closed interval by evaluation; the
 library reads the indicator shape off the canonical form instead.
 
+``reference_star_value`` is the threshold product's value at x away from
+its neutral element, from its definition: the join of the left envelopes
+below eta, 1 on [eta, xi), the meet of the right envelopes at xi and 0
+beyond, with every envelope value an ``exact_sup`` and the thresholds from
+``oracle_level_one_ends``.
+
+``reference_splice`` finds ``_splice``'s cuts by bisection, where the library
+walks in from the near ends, and builds the result through the checked
+constructor.
+
 ``raw_value`` evaluates raw (breakpoints, values, pieces) parts, canonical
 or not, without building a ``PiecewiseFn``: the constructor's canonical form
 is checked against it.
@@ -313,6 +323,40 @@ def reference_indicator_ends(f: PiecewiseFn) -> tuple[Fraction, Fraction] | None
     probes = [b for b in bks if lo <= b <= hi]
     probes += [(a + b) / 2 for a, b in zip(bks, bks[1:]) if lo <= a and b <= hi]
     return (lo, hi) if all(evaluate(f, x) == ONE for x in probes) else None
+
+
+def reference_star_value(f: PiecewiseFn, g: PiecewiseFn, x: Fraction) -> Fraction:
+    """star(f, g) at x for normal convex f and g, neither the unit spike at 1."""
+    (eta_f, xi_f), (eta_g, xi_g) = oracle_level_one_ends(f), oracle_level_one_ends(g)
+    eta, xi = min(eta_f, eta_g), min(xi_f, xi_g)
+    if x > xi:
+        return ZERO
+    if x == xi:
+        return min(oracle_envelope_right(f, xi), oracle_envelope_right(g, xi))
+    if x < eta:
+        return max(oracle_envelope_left(f, x), oracle_envelope_left(g, x))
+    return ONE
+
+
+def reference_splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
+    """head on [0, a), at_a at a, 1 on (a, b), at_b at b and tail on (b, 1],
+    the lesser of at_a and at_b at a = b: head and tail are (breakpoints,
+    values, pieces) parts that cover [0, a] and [b, 1]. Each cut is the piece
+    index found by bisection: breaks[i] <= x < breaks[i + 1], or the last
+    index at x = 1."""
+    (hb, hv, hp), (tb, tv, tp) = head, tail
+    i = bisect_right(hb, a) - 1
+    i += hb[i] < a  # the number of head breakpoints short of a
+    k = bisect_right(tb, b) - 1  # the tail's piece beyond b, none at b = 1
+    if a < b:
+        breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
+    else:
+        breaks, values, pieces = [a], [min(at_a, at_b)], []
+    return PiecewiseFn(
+        (*hb[:i], *breaks, *tb[k + 1 :]),
+        (*hv[:i], *values, *tv[k + 1 :]),
+        (*hp[:i], *pieces, *tp[k:]),
+    )
 
 
 def brute_convolution_grid(

@@ -274,6 +274,39 @@ class TestEval:
         assert err.startswith(f"i/o error: cannot write {tmp_path}")
         assert err.count("\n") == 1
 
+    def test_unwritable_json_out_keeps_an_existing_out_file(self, capsys, tmp_path, files):
+        target = tmp_path / "F.csv"
+        target.write_text("kept\n")
+        argv = ["eval", "star", files["full"], files["band"], "--out", str(target)]
+        code, out, err = run(capsys, argv + ["--json-out", str(tmp_path)])
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"i/o error: cannot write {tmp_path}")
+        assert err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
+    def test_unwritable_json_out_creates_no_out_file(self, capsys, tmp_path, files):
+        target = tmp_path / "NEW.csv"
+        argv = ["eval", "star", files["full"], files["band"], "--out", str(target)]
+        code, out, err = run(capsys, argv + ["--json-out", str(tmp_path)])
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"i/o error: cannot write {tmp_path}")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
+    def test_out_flag_replaces_a_longer_file(self, capsys, tmp_path, files):
+        target = tmp_path / "rows.csv"
+        target.write_text("x" * 10_000)
+        code, _, _ = run(capsys, ["eval", "neg", files["band"], "--out", str(target)])
+        assert code == 0
+        code, expected, _ = run(capsys, ["eval", "neg", files["band"]])
+        assert target.read_text() == expected
+
+    def test_out_flag_takes_a_device(self, capsys, files):
+        code, out, err = run(capsys, ["eval", "neg", files["band"], "--out", os.devnull])
+        assert (code, out, err) == (0, "", "")
+
     def test_out_flag_writes_file(self, capsys, tmp_path, files):
         target = tmp_path / "rows.csv"
         code, out, _ = run(

@@ -26,6 +26,7 @@ from conftest import (
     normal_fns,
     open_peak_fns,
     piecewise_fns,
+    raw_parts,
     split_parts,
     tied_pairs,
     unit_fracs,
@@ -44,6 +45,7 @@ from oracles import (
     reference_combine,
     reference_indicator_ends,
     reference_leq,
+    reference_splice,
 )
 
 F = Fraction
@@ -866,6 +868,75 @@ class TestIndicatorShape:
         f, ends = INDICATOR_CASES[name]
         assert reference_indicator_ends(f) == ends
         self._agree(f)
+
+
+class TestIndicatorField:
+    """The indicator ends are a field of the _shape record, computed once per
+    miss by the one-scan reading, so a known function's check is one hit."""
+
+    @given(st.one_of(lattice_fns(), piecewise_fns(), normal_fns(), zero_one_fns()))
+    def test_field_is_the_scan(self, f):
+        assert piecewise._shape(f).ones == piecewise._indicator_ones(f)
+
+    @given(st.one_of(lattice_fns(), piecewise_fns(), zero_one_fns()))
+    def test_warm_check_is_one_shape_hit(self, f):
+        for pred in (t.is_interval_indicator, t.is_point_indicator):
+            pred(f)
+            before = piecewise._shape.cache_info()
+            pred(f)
+            after = piecewise._shape.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def _parts(f):
+    return f.breakpoints, f.values, f.pieces
+
+
+@st.composite
+def splice_cases(draw):
+    """(head, a, at_a, b, at_b, tail) for _splice: raw or canonical parts
+    that cover [0, 1], and cuts a <= b anywhere in them, on a breakpoint of
+    either part or between, with a = b, a = 0 and b = 1 drawn on purpose."""
+    parts = st.one_of(raw_parts(), split_parts(), lattice_fns().map(_parts))
+    head, tail = draw(parts), draw(parts)
+    cuts = sorted({*head[0], *tail[0], *(F(k, 32) for k in range(33))})
+    a = draw(st.sampled_from(cuts))
+    b = draw(st.sampled_from([c for c in cuts if c >= a]))
+    mode = draw(st.sampled_from(["any", "a = b", "a = 0", "b = 1"]))
+    if mode == "a = b":
+        b = a
+    elif mode == "a = 0":
+        a = F(0)
+    elif mode == "b = 1":
+        b = F(1)
+    return head, a, draw(unit_fracs()), b, draw(unit_fracs()), tail
+
+
+class TestSpliceWalk:
+    """_splice walks in from the near end of each part to its cut; the
+    reference finds the cuts by bisection and builds through the constructor."""
+
+    @given(splice_cases())
+    def test_equals_the_bisection_reference(self, case):
+        assert piecewise._splice(*case) == reference_splice(*case)
+
+    def test_makes_no_bisection(self, monkeypatch):
+        fns = t.generate_lattice_functions(t.GeneratorConfig(seed=4), 8)
+        fns += [t.FULL, t.BOTTOM, t.TOP, t.step(F(3, 4), 1, F(1, 2))]
+        cases = []
+        for f, g in zip(fns, fns[1:] + fns[:1]):
+            cuts = sorted({*f.breakpoints, *g.breakpoints})
+            cuts += [(p + q) / 2 for p, q in zip(cuts, cuts[1:])]
+            for a in cuts:
+                for b in (c for c in cuts if c >= a):
+                    cases.append((_parts(f), a, F(1, 3), b, F(2, 3), _parts(g)))
+        expected = [reference_splice(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("_splice bisected")
+
+        monkeypatch.setattr(piecewise, "_piece_index", refuse)
+        assert [piecewise._splice(*case) for case in cases] == expected
 
 
 class TestSampleRows:

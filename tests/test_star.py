@@ -10,7 +10,7 @@ import t2algebra as t
 from t2algebra import DomainError, piecewise
 
 from conftest import THRESHOLD_EDGE_CASES, clear_memos, lattice_fns, open_peak_fns
-from oracles import probe_points, reference_tail_value
+from oracles import probe_points, reference_star_value, reference_tail_value
 
 # the module; the package's name ``star`` is the function
 star_module = importlib.import_module("t2algebra.star")
@@ -74,6 +74,34 @@ class TestStarClosedFormsOnIndicators:
         for (a1, b1), (a2, b2) in iter_product(intervals, repeat=2):
             got = t.star(t.indicator(a1, b1), t.indicator(a2, b2))
             assert t.equals(got, t.indicator(min(a1, a2), min(b1, b2)))
+
+
+# FULL, BOTTOM, a spike, the separation fixture and the 153 indicators on 16ths
+STAR_FIXTURES = (
+    t.FULL,
+    t.BOTTOM,
+    t.unit_spike(F(5, 16)),
+    t.step(F(3, 4), 1, F(1, 2)),
+    *(t.indicator(a, b) for a in SIXTEENTHS for b in SIXTEENTHS if a <= b),
+)
+
+
+class TestStarAgainstItsDefinition:
+    """star equals, at every probe, the pointwise reference built from the
+    oracle envelopes and level-one ends; at TOP it is the other operand. The
+    open peaks reach 1 only as a limit, so the value at xi can fall short of 1."""
+
+    @given(
+        st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
+        st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
+    )
+    def test_pointwise(self, f, g):
+        product = t.star(f, g)
+        if t.TOP in (f, g):
+            assert product == (g if f == t.TOP else f)
+            return
+        for x in probe_points(f, g, product):
+            assert t.evaluate(product, x) == reference_star_value(f, g, x)
 
 
 class TestStarStructure:
