@@ -18,7 +18,8 @@ Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
 canonical forms are equal componentwise. Every instance is canonical: every
 build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
-is pointwise equality, and ``canonicalize`` only interns.
+is pointwise equality, and ``canonicalize`` only interns; the products are
+looked up there by their raw parts before they are sealed.
 
 Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
 slot once and checks every part; ``from_json_dict``/``loads`` pass it the
@@ -147,25 +148,15 @@ class PiecewiseFn:
                     )
         self._seal(breaks, values, pieces)
 
-    def _seal(self, breaks, values, pieces) -> PiecewiseFn:
+    def _seal(self, breaks, values, pieces, key=None) -> PiecewiseFn:
         """Store the canonical parts, unchecked, and the integer key of equality."""
+        count = len(breaks)
         breaks, values, pieces = _canonical_parts(breaks, values, pieces)
+        if key is None or len(breaks) < count:  # a given key is of the parts as given
+            key = _key_of(breaks, values, pieces)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pieces", pieces)
-        key = []
-        for q in breaks:
-            key.append(q._numerator)
-            key.append(q._denominator)
-        for q in values:
-            key.append(q._numerator)
-            key.append(q._denominator)
-        for s, c in pieces:
-            key.append(s._numerator)
-            key.append(s._denominator)
-            key.append(c._numerator)
-            key.append(c._denominator)
-        key = tuple(key)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         return self
@@ -202,6 +193,38 @@ class PiecewiseFn:
         if not 0 <= i < len(self.pieces):
             raise DomainError(f"no limit from above at breakpoint {i}")
         return Fraction(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
+
+
+def _key_of(breaks, values, pieces) -> tuple[int, ...]:
+    key = []  # the integer slots of the parts in order: equal keys, equal parts
+    for q in breaks:
+        key.append(q._numerator)
+        key.append(q._denominator)
+    for q in values:
+        key.append(q._numerator)
+        key.append(q._denominator)
+    for s, c in pieces:
+        key.append(s._numerator)
+        key.append(s._denominator)
+        key.append(c._numerator)
+        key.append(c._denominator)
+    return tuple(key)
+
+
+class _Parts:
+    """Raw parts as a ``canonicalize`` key: equal to a function iff its canonical parts."""
+
+    __slots__ = ("parts", "_key", "_hash")
+    __hash__ = PiecewiseFn.__hash__
+
+    def __init__(self, *parts):  # breakpoints, values, pieces
+        self.parts, self._key = parts, _key_of(*parts)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):  # PiecewiseFn.__eq__ defers to this one
+        if not hasattr(other, "_key"):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
 
 def _piece_index(breaks, x: Fraction) -> int:
@@ -241,16 +264,21 @@ def _canonical_parts(breaks, values, pieces):
     )
 
 
-def _sealed(breaks, values, pieces) -> PiecewiseFn:
+def _sealed(breaks, values, pieces, key=None) -> PiecewiseFn:
     """The one trusted build: a library-built function, sealed unchecked."""
-    return object.__new__(PiecewiseFn)._seal(breaks, values, pieces)
+    return object.__new__(PiecewiseFn)._seal(breaks, values, pieces, key)
 
 
 @lru_cache(maxsize=_CACHE)
-def canonicalize(f: PiecewiseFn) -> PiecewiseFn:
+def canonicalize(f: PiecewiseFn | _Parts) -> PiecewiseFn:
     """The first object stored equal to f. Every instance is canonical, so
-    this only interns: callers that keep many equal results hold one."""
-    return f
+    this only interns: callers that keep many equal results hold one. The
+    products look up the ``_Parts`` of their splice, sealed here on a miss."""
+    if type(f) is not _Parts:
+        return f
+    parts, f.parts = f.parts, None  # the memo keeps the probe's key only
+    g = _sealed(*parts, f._key)
+    return g if g._key is f._key else canonicalize(g)  # shorter: look g up
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -404,11 +432,11 @@ def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     return _sealed(*_combine_parts(f, g, take_min=False))
 
 
-def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
+def _splice(head, a, at_a, b, at_b, tail, build=None) -> PiecewiseFn:
     """The function that follows head on [0, a), takes at_a at a, is 1 on
-    (a, b), takes at_b at b and follows tail on (b, 1]; at a = b it takes
-    the lesser of at_a and at_b. head and tail are (breakpoints, values,
-    pieces) parts that cover [0, a] and [b, 1]. Each cut is a walk in from the
+    (a, b), takes at_b at b and follows tail on (b, 1] (at a = b the lesser of
+    at_a and at_b), ``_sealed`` or built by build from its raw parts. head and
+    tail are parts that cover [0, a] and [b, 1]. Each cut is a walk in from the
     part's near end, exact anywhere and a step or two for every caller: heads
     stop at a, tails start at b, and ``_shape``'s thresholds are two steps in."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
@@ -421,7 +449,7 @@ def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
         breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
     else:
         breaks, values, pieces = [a], [_min(at_a, at_b)], []
-    return _sealed(
+    return (build or _sealed)(
         [*hb[:i], *breaks, *tb[k + 1 :]],
         [*hv[:i], *values, *tv[k + 1 :]],
         [*hp[:i], *pieces, *tp[k:]],
@@ -602,13 +630,14 @@ def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
 
 def is_point_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some singleton."""
-    return len(_shape(f).ones) == 1
+    return len(f.breakpoints) <= 3 and len(_shape(f).ones) == 1
 
 
 def is_interval_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some closed interval (see
-    ``_indicator_ones``), read off ``_shape``: a known f costs one memo hit."""
-    return bool(_shape(f).ones)
+    ``_indicator_ones``), read off ``_shape``: a known f costs one memo hit,
+    and one with more breakpoints than a canonical indicator (4) none."""
+    return len(f.breakpoints) <= 4 and bool(_shape(f).ones)
 
 
 # ---------------------------------------------------------------------------

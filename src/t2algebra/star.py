@@ -35,6 +35,7 @@ from .piecewise import (
     _cut,
     _max,
     _min,
+    _Parts,
     _shape,
     _splice,
     canonicalize,
@@ -72,9 +73,9 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    # canonicalize interns: it hands back the first object built equal to
-    # each product, so callers that keep many products hold each one once
-    return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS))
+    # canonicalize interns, by the raw parts and sealing only a new product:
+    # callers that keep many products hold each one once
+    return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS, _Parts))
 
 
 def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -88,7 +89,7 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     xi = _max(sf.right_end[0], sg.right_end[0])
     tail = _combine_parts(sf.right, sg.right, False, start=xi)
     _, eta, at_eta = _cut(sf.left_end, sg.left_end, _max)
-    return canonicalize(_splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail))
+    return canonicalize(_splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail, _Parts))
 
 
 def star_envelopes(

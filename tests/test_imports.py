@@ -217,8 +217,10 @@ def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
 
 # canonicalize only interns (every PiecewiseFn is canonical): the products
 # and the draws call it so that callers keeping many equal results hold one.
-# A new canonicalizing call is a deliberate edit here.
+# Its own miss on a product's raw parts interns the sealed function under its
+# own key as well. A new canonicalizing call is a deliberate edit here.
 CANONICALIZING = {
+    "piecewise.canonicalize",
     "star.star",
     "star.costar",
     "axioms._draw_lattice",

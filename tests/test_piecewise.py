@@ -251,6 +251,64 @@ class TestCanonicalizeLookups:
         assert p is q
 
 
+class TestRawPartsLookup:
+    """star and costar look their product up in canonicalize by the raw parts
+    of its splice and seal it only on a miss; canonicalize still hands back
+    the first object stored equal to it, and never the probe."""
+
+    def test_warm_product_is_not_sealed(self, monkeypatch):
+        fns = t.generate_lattice_functions(t.GeneratorConfig(seed=5), 12)
+        sixteenths = [F(k, 16) for k in range(17)]
+        indicators = [t.indicator(a, b) for a in sixteenths for b in sixteenths if a <= b]
+        pairs = list(zip(fns, fns[1:])) + [(f, g) for f in indicators[::5] for g in indicators]
+        ops = (t.star, t.costar)
+        _clear_memos()
+        warm = [op(f, g) for f, g in pairs for op in ops]
+
+        def refuse(*args):
+            raise AssertionError("a known product was sealed")
+
+        monkeypatch.setattr(piecewise, "_canonical_parts", refuse)
+        again = [op(f, g) for f, g in pairs for op in ops]
+        monkeypatch.undo()
+        assert all(p is q for p, q in zip(again, warm))
+
+    def test_removable_breakpoint_still_interns(self):
+        # the join of the left envelopes keeps g's breakpoint 1/4 under f's
+        # piece, so star's raw parts are f's with 1/4 added; costar mirrors it
+        f = t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 1), ((2, 0), (0, 1)))
+        g = t.PiecewiseFn((0, F(1, 4), 1), (0, 0, 1), ((0, 0), (F(4, 3), F(-1, 3))))
+        for op, f, g in ((t.star, f, g), (t.costar, t.reflect(f), t.reflect(g))):
+            _clear_memos()
+            first = t.canonicalize(t.PiecewiseFn(f.breakpoints, f.values, f.pieces))
+            assert op(f, g) is first
+            # a miss by the raw parts, then a hit by the sealed function's key
+            info = piecewise.canonicalize.cache_info()
+            assert (info.hits, info.misses) == (1, 2)
+            assert op(f, g) is first
+            info = piecewise.canonicalize.cache_info()
+            assert (info.hits, info.misses) == (2, 2)
+
+    @given(
+        st.one_of(
+            raw_parts(), split_parts(), lattice_fns().map(lambda f: (f.breakpoints, f.values, f.pieces))
+        )
+    )
+    def test_canonicalize_never_returns_a_probe(self, parts):
+        for _ in range(2):  # a miss, then a hit
+            got = t.canonicalize(piecewise._Parts(*parts))
+            assert type(got) is t.PiecewiseFn
+            assert got == piecewise._sealed(*parts)
+
+    def test_probe_against_other_objects(self):
+        probe = piecewise._Parts(*_parts(t.FULL))
+        assert (probe == object()) is False
+        assert (probe != object()) is True
+        assert probe == t.FULL and t.FULL == probe
+        assert hash(probe) == hash(t.FULL)
+        assert probe != t.BOTTOM and t.BOTTOM != probe
+
+
 class TestPointwiseMinMax:
     def test_interval_intersection(self):
         lhs = t.pointwise_min(t.indicator(0, F(1, 2)), t.indicator(F(3, 10), 1))
@@ -880,12 +938,42 @@ class TestIndicatorField:
 
     @given(st.one_of(lattice_fns(), piecewise_fns(), zero_one_fns()))
     def test_warm_check_is_one_shape_hit(self, f):
-        for pred in (t.is_interval_indicator, t.is_point_indicator):
+        # or none, for f longer than a canonical indicator of that kind
+        for pred, most in ((t.is_interval_indicator, 4), (t.is_point_indicator, 3)):
             pred(f)
             before = piecewise._shape.cache_info()
             pred(f)
             after = piecewise._shape.cache_info()
-            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+            hits = 1 if len(f.breakpoints) <= most else 0
+            assert (after.hits - before.hits, after.misses - before.misses) == (hits, 0)
+
+    def test_cold_check_of_a_longer_function_makes_no_shape_lookup(self):
+        config = t.GeneratorConfig(seed=3)
+        fns = t.generate_lattice_functions(config, 40) + t.generate_nonlattice_functions(config, 40)
+        fns += [t.indicator(F(1, 4), F(1, 2)), t.unit_spike(F(1, 2))]
+        _clear_memos()
+        for f in fns:
+            t.is_interval_indicator(f)
+        interval = piecewise._shape.cache_info()
+        _clear_memos()
+        for f in fns:
+            t.is_point_indicator(f)
+        point = piecewise._shape.cache_info()
+        # one lookup each for the functions short enough to be indicators
+        assert interval.hits + interval.misses == sum(len(f.breakpoints) <= 4 for f in fns)
+        assert point.hits + point.misses == sum(len(f.breakpoints) <= 3 for f in fns)
+        assert any(len(f.breakpoints) > 4 for f in fns)
+
+    def test_predicates_match_the_reference(self):
+        config = t.GeneratorConfig(seed=3)
+        sixteenths = [F(k, 16) for k in range(17)]
+        fns = t.generate_lattice_functions(config, 200) + t.generate_nonlattice_functions(config, 200)
+        fns += [t.indicator(a, b) for a in sixteenths for b in sixteenths if a <= b]
+        _clear_memos()
+        for f in fns:
+            ends = reference_indicator_ends(f)
+            assert t.is_interval_indicator(f) == (ends is not None)
+            assert t.is_point_indicator(f) == (ends is not None and ends[0] == ends[1])
 
 
 def _parts(f):
@@ -1256,7 +1344,7 @@ class TestSealedBuilds:
     def _through_constructor(compute):
         built = []
 
-        def validated(breaks, values, pieces):
+        def validated(breaks, values, pieces, key=None):  # the key is recomputed
             built.append(None)
             return t.PiecewiseFn(breaks, values, pieces)
 

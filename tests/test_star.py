@@ -104,6 +104,44 @@ class TestStarAgainstItsDefinition:
             assert t.evaluate(product, x) == reference_star_value(f, g, x)
 
 
+class TestRawPartsLookup:
+    """star and costar look their product up by the raw parts of the splice:
+    the result is the one sealing that splice and interning it gives."""
+
+    @staticmethod
+    def _products(f, g):
+        return t.star(f, g), t.costar(f, g)
+
+    def _agree(self, pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(star_module, "_Parts", piecewise._sealed)
+            clear_memos()
+            expected = [self._products(f, g) for f, g in pairs]
+        clear_memos()
+        got = [self._products(f, g) for f, g in pairs]
+        for ps, qs in zip(got, expected):
+            for p, q in zip(ps, qs):
+                assert type(p) is t.PiecewiseFn
+                assert (p.breakpoints, p.values, p.pieces) == (q.breakpoints, q.values, q.pieces)
+                assert p == q
+
+    @given(
+        st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
+        st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
+    )
+    def test_equals_the_sealed_splice(self, f, g):
+        self._agree([(f, g)])
+
+    def test_equals_the_sealed_splice_on_indicators(self):
+        indicators = STAR_FIXTURES[4:]
+        self._agree([(f, g) for f in indicators[::3] for g in indicators])
+
+    def test_equals_the_sealed_splice_on_generator_functions(self):
+        # about a fifth of these products have raw parts that are not canonical
+        fns = seeded_lattice(20, seed=3)
+        self._agree([(f, g) for f in fns for g in fns])
+
+
 class TestStarStructure:
     @given(lattice_fns(), lattice_fns())
     def test_closed_on_lattice(self, f, g):
