@@ -18,8 +18,8 @@ Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
 canonical forms are equal componentwise. Every instance is canonical: every
 build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
-is pointwise equality, and ``canonicalize`` only interns; the products are
-looked up there by their raw parts before they are sealed.
+is pointwise equality, and ``canonicalize`` only interns. Library merges are
+canonical, so a product takes one lookup there by the raw parts of its splice.
 
 Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
 slot once and checks every part; ``from_json_dict``/``loads`` pass it the
@@ -148,12 +148,10 @@ class PiecewiseFn:
                     )
         self._seal(breaks, values, pieces)
 
-    def _seal(self, breaks, values, pieces, key=None) -> PiecewiseFn:
+    def _seal(self, breaks, values, pieces) -> PiecewiseFn:
         """Store the canonical parts, unchecked, and the integer key of equality."""
-        count = len(breaks)
         breaks, values, pieces = _canonical_parts(breaks, values, pieces)
-        if key is None or len(breaks) < count:  # a given key is of the parts as given
-            key = _key_of(breaks, values, pieces)
+        key = _key_of(breaks, values, pieces)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pieces", pieces)
@@ -264,21 +262,21 @@ def _canonical_parts(breaks, values, pieces):
     )
 
 
-def _sealed(breaks, values, pieces, key=None) -> PiecewiseFn:
+def _sealed(breaks, values, pieces) -> PiecewiseFn:
     """The one trusted build: a library-built function, sealed unchecked."""
-    return object.__new__(PiecewiseFn)._seal(breaks, values, pieces, key)
+    return object.__new__(PiecewiseFn)._seal(breaks, values, pieces)
 
 
 @lru_cache(maxsize=_CACHE)
 def canonicalize(f: PiecewiseFn | _Parts) -> PiecewiseFn:
     """The first object stored equal to f. Every instance is canonical, so
-    this only interns: callers that keep many equal results hold one. The
-    products look up the ``_Parts`` of their splice, sealed here on a miss."""
+    this only interns: callers that keep many equal results hold one. A
+    product is one lookup of its splice's ``_Parts``, canonical as library
+    merges are, and is sealed here on a miss."""
     if type(f) is not _Parts:
         return f
     parts, f.parts = f.parts, None  # the memo keeps the probe's key only
-    g = _sealed(*parts, f._key)
-    return g if g._key is f._key else canonicalize(g)  # shorter: look g up
+    return _sealed(*parts)
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -381,9 +379,9 @@ def _merged(f: PiecewiseFn, g: PiecewiseFn, start=ZERO, stop=None, i=0, j=0):
 
 
 def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, stop=None):
-    """Breakpoints, values and pieces of min(f, g) or max(f, g), not yet
-    canonical: one pass over the merged intervals, from start on and up to
-    the first merged breakpoint at or beyond stop, or to 1 (stop None)."""
+    """Canonical breakpoints, values and pieces of min(f, g) or max(f, g):
+    one pass over the merged intervals, from start on and up to the first
+    merged breakpoint at or beyond stop, or to 1 (stop None)."""
     # Where the pieces of f and g cross strictly inside a merged interval,
     # the crossing becomes a breakpoint and the winner swaps there.
     i = j = 0
@@ -396,26 +394,32 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, s
         (s1, c1), (s2, c2) = p1, p2
         # ds has the sign of s1 - s2, as has f - g right of a crossing
         ds = s1._numerator * s2._denominator - s2._numerator * s1._denominator
+        x = None  # a crossing strictly inside (a, b), where after takes over
         if _same_piece(p1, p2):
-            pieces.append(p1)
+            piece = p1
         elif not ds:
             # parallel: the lower (for min) or higher intercept wins
-            pieces.append(p1 if _lt(c1, c2) == take_min else p2)
+            piece = p1 if _lt(c1, c2) == take_min else p2
         else:
             # the crossing (c2 - c1) / (s1 - s2) as xn / xd with xd > 0
             xn = c2._numerator * c1._denominator - c1._numerator * c2._denominator
             xn *= s1._denominator * s2._denominator * (1 if ds > 0 else -1)
             xd = abs(ds) * c1._denominator * c2._denominator
-            after = p1 if (ds < 0) == take_min else p2
-            if _cmp(a, xn, xd) >= 0:
-                pieces.append(after)
-            else:
-                pieces.append(p2 if after is p1 else p1)
+            piece = after = p1 if (ds < 0) == take_min else p2
+            if _cmp(a, xn, xd) < 0:
+                piece = p2 if after is p1 else p1
                 if _cmp(b, xn, xd) > 0:
                     x = Fraction(xn, xd)
-                    breaks.append(x)
-                    values.append(Fraction(*_affine_ratio(p1, x)))
-                    pieces.append(after)
+        # a is removable where the piece left of it runs on through a's value v
+        v = values[-1]
+        if pieces and _same_piece(pieces[-1], piece) and not _cmp(v, *_affine_ratio(piece, a)):
+            del breaks[-1], values[-1]
+        else:
+            pieces.append(piece)
+        if x is not None:
+            breaks.append(x)
+            values.append(Fraction(*_affine_ratio(p1, x)))
+            pieces.append(after)
         breaks.append(b)
         # the first of equals, as _min and _max: g only where it strictly wins
         dv = gx[0] * fx[1] - fx[0] * gx[1]

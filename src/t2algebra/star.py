@@ -73,8 +73,8 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    # canonicalize interns, by the raw parts and sealing only a new product:
-    # callers that keep many products hold each one once
+    # one canonicalize lookup by the splice's raw parts, canonical as the merge
+    # is, interns the product: only a new one is sealed, and each is held once
     return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS, _Parts))
 
 

@@ -1,11 +1,13 @@
 """Every name a library module imports is used in that module."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import t2algebra
+from t2algebra import piecewise
 
 MODULES = sorted(
     path
@@ -217,10 +219,8 @@ def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
 
 # canonicalize only interns (every PiecewiseFn is canonical): the products
 # and the draws call it so that callers keeping many equal results hold one.
-# Its own miss on a product's raw parts interns the sealed function under its
-# own key as well. A new canonicalizing call is a deliberate edit here.
+# A new canonicalizing call is a deliberate edit here.
 CANONICALIZING = {
-    "piecewise.canonicalize",
     "star.star",
     "star.costar",
     "axioms._draw_lattice",
@@ -266,6 +266,13 @@ def test_only_seal_canonicalizes_and_only_the_two_builds_seal():
         "piecewise.PiecewiseFn.__post_init__",
         "piecewise._sealed",
     }
+
+
+# A build stores the key of what it stores: nothing rides in beside the parts.
+def test_the_builds_take_exactly_the_three_parts():
+    parts = ["breaks", "values", "pieces"]
+    assert list(inspect.signature(piecewise._sealed).parameters) == parts
+    assert list(inspect.signature(piecewise.PiecewiseFn._seal).parameters) == ["self", *parts]
 
 
 def test_the_check_sees_each_caller():

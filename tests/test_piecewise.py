@@ -273,21 +273,21 @@ class TestRawPartsLookup:
         monkeypatch.undo()
         assert all(p is q for p, q in zip(again, warm))
 
-    def test_removable_breakpoint_still_interns(self):
-        # the join of the left envelopes keeps g's breakpoint 1/4 under f's
-        # piece, so star's raw parts are f's with 1/4 added; costar mirrors it
+    def test_merge_drops_the_removable_breakpoint_and_interns_in_one_lookup(self):
+        # g's breakpoint 1/4 lies under f's piece of the join of the left
+        # envelopes; the merge drops it, so star's raw parts are f's own and
+        # hit the stored f at once; costar mirrors it
         f = t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 1), ((2, 0), (0, 1)))
         g = t.PiecewiseFn((0, F(1, 4), 1), (0, 0, 1), ((0, 0), (F(4, 3), F(-1, 3))))
         for op, f, g in ((t.star, f, g), (t.costar, t.reflect(f), t.reflect(g))):
             _clear_memos()
             first = t.canonicalize(t.PiecewiseFn(f.breakpoints, f.values, f.pieces))
             assert op(f, g) is first
-            # a miss by the raw parts, then a hit by the sealed function's key
             info = piecewise.canonicalize.cache_info()
-            assert (info.hits, info.misses) == (1, 2)
+            assert (info.hits, info.misses) == (1, 1)
             assert op(f, g) is first
             info = piecewise.canonicalize.cache_info()
-            assert (info.hits, info.misses) == (2, 2)
+            assert (info.hits, info.misses) == (2, 1)
 
     @given(
         st.one_of(
@@ -447,6 +447,24 @@ class TestSweepAgainstMidpointReference:
             assert x < y
             for z in (x + (y - x) / 3, x + 2 * (y - x) / 3):
                 assert s * z + c == t.evaluate(full, z)
+
+    @given(
+        st.one_of(
+            st.tuples(piecewise_fns(), piecewise_fns()),
+            st.tuples(lattice_fns(), lattice_fns()),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_merge_emits_canonical_parts(self, pair, take_min, data):
+        # start and stop at 0, 1, merged breakpoints and cuts between them
+        f, g = pair
+        merged = sorted({*f.breakpoints, *g.breakpoints})
+        cuts = sorted({*merged, *((x + y) / 2 for x, y in zip(merged, merged[1:]))})
+        start = data.draw(st.sampled_from(cuts[:-1]))
+        stop = data.draw(st.sampled_from([None, *(x for x in cuts if x > start)]))
+        parts = tuple(map(tuple, piecewise._combine_parts(f, g, take_min, start, stop)))
+        assert piecewise._canonical_parts(*parts) == parts
 
     @given(piecewise_fns())
     def test_pairs_sharing_pieces(self, f):
@@ -1344,7 +1362,7 @@ class TestSealedBuilds:
     def _through_constructor(compute):
         built = []
 
-        def validated(breaks, values, pieces, key=None):  # the key is recomputed
+        def validated(breaks, values, pieces):
             built.append(None)
             return t.PiecewiseFn(breaks, values, pieces)
 

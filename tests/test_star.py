@@ -113,17 +113,27 @@ class TestRawPartsLookup:
         return t.star(f, g), t.costar(f, g)
 
     def _agree(self, pairs):
+        raw = []
+
+        def recording(*parts):  # a real probe: canonicalize tests its type
+            raw.append(tuple(map(tuple, parts)))
+            return piecewise._Parts(*parts)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(star_module, "_Parts", piecewise._sealed)
             clear_memos()
             expected = [self._products(f, g) for f, g in pairs]
         clear_memos()
-        got = [self._products(f, g) for f, g in pairs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(star_module, "_Parts", recording)
+            got = [self._products(f, g) for f, g in pairs]
         for ps, qs in zip(got, expected):
             for p, q in zip(ps, qs):
                 assert type(p) is t.PiecewiseFn
                 assert (p.breakpoints, p.values, p.pieces) == (q.breakpoints, q.values, q.pieces)
                 assert p == q
+        # the raw parts of every product are canonical: one lookup interns it
+        assert all(piecewise._canonical_parts(*parts) == parts for parts in raw)
 
     @given(
         st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
@@ -137,7 +147,6 @@ class TestRawPartsLookup:
         self._agree([(f, g) for f in indicators[::3] for g in indicators])
 
     def test_equals_the_sealed_splice_on_generator_functions(self):
-        # about a fifth of these products have raw parts that are not canonical
         fns = seeded_lattice(20, seed=3)
         self._agree([(f, g) for f in fns for g in fns])
 
