@@ -1,23 +1,28 @@
-"""Random generators, restrictive-axiom checkers, and separation replications.
+"""Random generators and every axiom check: tr-axioms, connectives, separation.
 
 Axioms here are universally quantified over an uncountable class, so the
 checkers are falsification-oriented: equalities are tested exactly (zero
 tolerance, canonical forms) on seeded random samples plus exhaustive
 rational parameter lattices for the indicator-shaped axioms. A pass is
 evidence, not proof; a failure is a theorem-grade counterexample, and every
-failing report carries a minimized, replayable witness.
+failing report carries a replayable witness, shrunk when it was drawn.
+
+Axiom checking is finite-sample: passing a check over a rational sample is
+necessary, never sufficient, for the universally quantified axiom -- the
+role here is falsification of concrete instances, not proof.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .connectives import MINIMUM, ScalarConnective
+from .connectives import MINIMUM, T_CONORM, T_NORM, ScalarConnective
 from .convolution import GridSpec, convolve_join_at, convolve_meet, convolve_meet_at
 from .errors import DomainError, ValidationError
 from .lattice import BOTTOM, FULL, TOP, leq_sub, meet as lattice_meet
@@ -41,7 +46,7 @@ from .piecewise import (
     to_json_dict,
     unit_spike,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, to_unit
 from .report import AxiomReport, falsify
 from .star import TruthValueOp, star
 
@@ -477,6 +482,130 @@ def check_tr_axioms(
 
 
 # ---------------------------------------------------------------------------
+# the scalar connectives' axioms, and those forced on an inner connective
+
+
+def _scalar_witness(**values) -> dict:
+    return {k: str(v) for k, v in values.items()}
+
+
+def _unit_sample(sample) -> list[Fraction]:
+    pts = sorted(to_unit(x) for x in sample)
+    if ZERO not in pts or ONE not in pts:
+        raise DomainError("sample must be nonempty and contain 0 and 1")
+    return pts
+
+
+def check_connective_axioms(
+    op: ScalarConnective, sample: tuple | list
+) -> list[AxiomReport]:
+    """Exhaustive commutativity/associativity/monotonicity/neutrality check.
+
+    ``sample`` must contain 0 and 1. The first violating tuple per axiom is
+    reported (tuples enumerated in sorted-lexicographic order). Monotonicity
+    counts only the triples with x <= y as trials.
+    """
+    pts = _unit_sample(sample)
+    neutral = ZERO if op.profile == T_CONORM else ONE
+    return [
+        falsify(
+            "T1",
+            iter_product(pts, repeat=2),
+            lambda x, y: op(x, y) == op(y, x),
+            lambda x, y: _scalar_witness(x=x, y=y, lhs=op(x, y), rhs=op(y, x)),
+        ),
+        falsify(
+            "T2",
+            iter_product(pts, repeat=3),
+            lambda x, y, z: op(op(x, y), z) == op(x, op(y, z)),
+            lambda x, y, z: _scalar_witness(
+                x=x, y=y, z=z, lhs=op(op(x, y), z), rhs=op(x, op(y, z))
+            ),
+        ),
+        falsify(
+            "T3",
+            ((x, y, z) for x, y, z in iter_product(pts, repeat=3) if x <= y),
+            lambda x, y, z: op(x, z) <= op(y, z) and op(z, x) <= op(z, y),
+            lambda x, y, z: _scalar_witness(x=x, y=y, z=z, lhs=op(x, z), rhs=op(y, z)),
+        ),
+        falsify(
+            "T4'" if op.profile == T_CONORM else "T4",
+            ((x,) for x in pts),
+            lambda x: op(neutral, x) == x and op(x, neutral) == x,
+            lambda x: _scalar_witness(x=x, lhs=op(neutral, x), rhs=x),
+        ),
+    ]
+
+
+def check_boundary_characterization(
+    op: ScalarConnective, sample: tuple | list
+) -> AxiomReport:
+    """The extremal-value characterization forced on t-norms and t-conorms.
+
+    For a t-norm, x*y = 1 exactly at (1,1); for a t-conorm, x*y = 0 exactly
+    at (0,0). Checked over sample x sample, which must contain 0 and 1.
+    """
+    if op.profile not in (T_NORM, T_CONORM):
+        raise DomainError("profile must be t-norm or t-conorm")
+    pts = _unit_sample(sample)
+    extreme = ONE if op.profile == T_NORM else ZERO
+    return falsify(
+        "boundary",
+        iter_product(pts, repeat=2),
+        lambda x, y: (op(x, y) == extreme) == (x == extreme and y == extreme),
+        lambda x, y: _scalar_witness(x=x, y=y, value=op(x, y)),
+    )
+
+
+def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> AxiomReport:
+    """Check the boundary values and commutativity forced on the inner connective.
+
+    Any inner connective must have these to make the convolutions (co)norms.
+    The meet form at 1 collapses to f(1)*g(1), so decreasing affine pairs
+    pushed through the oracle pin down commutativity of * itself, and
+    indicator pairs its boundary values. One run tries the commutativity
+    pairs, the canonical one first, then the boundary corners, and counts
+    the trials of both; a failure carries the witnessing pair.
+    """
+
+    def sides(check: str, a: Fraction, b: Fraction):
+        fixture = unit_spike if check == "boundary" else falling_ramp
+        lhs = convolve_meet_at(fixture(a), fixture(b), star, MINIMUM, grid, ONE)
+        if check == "boundary":
+            return lhs, min(a, b)  # a t-norm's value at a corner of [0, 1]^2
+        return lhs, convolve_meet_at(fixture(b), fixture(a), star, MINIMUM, grid, ONE)
+
+    def witness(check: str, a: Fraction, b: Fraction) -> dict:
+        fixture = unit_spike if check == "boundary" else falling_ramp
+        a_name, b_name = "xy" if check == "boundary" else "uv"
+        lhs, rhs = sides(check, a, b)
+        return {
+            "check": check,
+            a_name: str(a),
+            b_name: str(b),
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "fixtures": [to_json_dict(fixture(a)), to_json_dict(fixture(b))],
+        }
+
+    eighths = [Fraction(k, 8) for k in range(9)]
+    cases = [("commutativity", Fraction(1, 5), Fraction(4, 5))]
+    cases += [("commutativity", u, v) for u in eighths for v in eighths if u < v]
+    cases += [("boundary", x, y) for x in (ZERO, ONE) for y in (ZERO, ONE)]
+    report = falsify(
+        "forced-properties", cases, lambda *case: operator.eq(*sides(*case)), witness
+    )
+    if report.passed:
+        return report
+    w = report.witness
+    if w["check"] == "commutativity":
+        detail = f"meet-form convolution not commutative at u={w['u']}, v={w['v']}"
+    else:
+        detail = f"boundary value {w['x']}*{w['y']} = {w['lhs']}, expected {w['rhs']}"
+    return replace(report, detail=detail)
+
+
+# ---------------------------------------------------------------------------
 # replications of the separation results
 
 
@@ -487,28 +616,30 @@ def _rows_report(axiom: str, rows: list[dict], key: str, detail: str) -> AxiomRe
     return AxiomReport(axiom, not failing, len(rows), witness, detail=detail)
 
 
+def _rows(star_choices: Sequence[ScalarConnective], fields) -> list[dict]:
+    """One row per inner connective: its name, then ``fields`` of it."""
+    if not star_choices:
+        raise ValidationError("at least one inner connective is required")
+    return [{"star": sc.name, **fields(sc)} for sc in star_choices]
+
+
 def separation_rows(
     star_choices: Sequence[ScalarConnective], grid: GridSpec
 ) -> list[dict]:
     """Per-connective comparison of the exact product against the oracle bound."""
-    if not star_choices:
-        raise ValidationError("at least one inner connective is required")
     plateau = separation_fixture()
     spike = unit_spike(_SEPARATION_POINT)
     exact = evaluate(star(plateau, spike), _SEPARATION_POINT)
-    rows = []
-    for sc in star_choices:
+
+    def fields(sc: ScalarConnective) -> dict:
         bound = convolve_meet_at(plateau, spike, sc, MINIMUM, grid, _SEPARATION_POINT)
-        separated = exact == ZERO and bound is not None and bound >= HALF
-        rows.append(
-            {
-                "star": sc.name,
-                "exact_product_value": str(exact),
-                "oracle_lower_bound": "" if bound is None else str(bound),
-                "separated": separated,
-            }
-        )
-    return rows
+        return {
+            "exact_product_value": str(exact),
+            "oracle_lower_bound": "" if bound is None else str(bound),
+            "separated": exact == ZERO and bound is not None and bound >= HALF,
+        }
+
+    return _rows(star_choices, fields)
 
 
 def replicate_separation(
@@ -533,9 +664,6 @@ def neutrality_gap_rows(
 ) -> list[dict]:
     """Witnesses that the join-form convolution has no neutral unit spike at 1
     and the meet form none at 0."""
-    if not star_choices:
-        raise ValidationError("at least one inner connective is required")
-    rows = []
     ramp = rising_ramp(HALF)
     descent = falling_ramp(ZERO)
     half_spike = unit_spike(HALF)
@@ -544,30 +672,29 @@ def neutrality_gap_rows(
     bottom_at = [evaluate(BOTTOM, x) for x in pts]
     spike_at = [evaluate(half_spike, x) for x in pts]
     ramp_at_zero, descent_at_half = evaluate(ramp, ZERO), evaluate(descent, HALF)
-    for sc in star_choices:
+
+    def fields(sc: ScalarConnective) -> dict:
         at_zero = convolve_join_at(ramp, TOP, sc, tconorm, grid, ZERO)
         at_half = convolve_join_at(descent, TOP, sc, tconorm, grid, HALF)
         meet_grid = convolve_meet(half_spike, BOTTOM, sc, MINIMUM, grid)
         matches_bottom = all(v == b for v, b in zip(meet_grid.values, bottom_at))
         differs_from_spike = any(v != s for v, s in zip(meet_grid.values, spike_at))
-        rows.append(
-            {
-                "star": sc.name,
-                "join_with_top_at_0": "" if at_zero is None else str(at_zero),
-                "expected_if_neutral_at_0": str(ramp_at_zero),
-                "join_with_top_at_half": "" if at_half is None else str(at_half),
-                "expected_if_neutral_at_half": str(descent_at_half),
-                "meet_with_bottom_is_bottom": matches_bottom,
-                "meet_with_bottom_differs_from_input": differs_from_spike,
-                "gap_confirmed": (
-                    at_zero != ramp_at_zero
-                    and at_half != descent_at_half
-                    and matches_bottom
-                    and differs_from_spike
-                ),
-            }
-        )
-    return rows
+        return {
+            "join_with_top_at_0": "" if at_zero is None else str(at_zero),
+            "expected_if_neutral_at_0": str(ramp_at_zero),
+            "join_with_top_at_half": "" if at_half is None else str(at_half),
+            "expected_if_neutral_at_half": str(descent_at_half),
+            "meet_with_bottom_is_bottom": matches_bottom,
+            "meet_with_bottom_differs_from_input": differs_from_spike,
+            "gap_confirmed": (
+                at_zero != ramp_at_zero
+                and at_half != descent_at_half
+                and matches_bottom
+                and differs_from_spike
+            ),
+        }
+
+    return _rows(star_choices, fields)
 
 
 def replicate_notnorm_conorm_gap(

@@ -5,23 +5,18 @@ over the rationals), so they can feed the exact convolution machinery
 without introducing rounding. Their functions take ``Fraction`` arguments
 and compare them in integer slots (``piecewise._min``/``_max``/``_same``),
 not through ``Fraction``'s rich comparisons; min and max return the operand
-``builtins.min``/``max`` would. Axiom checking is finite-sample: passing a
-check over a rational sample is necessary, never sufficient, for the
-universally quantified axiom -- the role here is falsification of concrete
-instances, not proof.
+``builtins.min``/``max`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Callable
 
 from .errors import DomainError, ValidationError
 from .piecewise import _max, _min, _same
 from .rationals import ONE, ZERO, _in_unit, to_rational, to_unit
-from .report import AxiomReport, falsify
 
 T_NORM = "t-norm"
 T_CONORM = "t-conorm"
@@ -106,84 +101,8 @@ def connective_by_name(name: str) -> ScalarConnective:
 
 def dual_connective(op: ScalarConnective) -> ScalarConnective:
     """De Morgan dual: x ▽ y = 1 - ((1-x) △ (1-y)). Involutive on evaluations."""
-    if op.profile == T_NORM:
-        profile = T_CONORM
-    elif op.profile == T_CONORM:
-        profile = T_NORM
-    else:
-        profile = UNCONSTRAINED
+    profile = {T_NORM: T_CONORM, T_CONORM: T_NORM}.get(op.profile, UNCONSTRAINED)
     return ScalarConnective(
         f"dual({op.name})", lambda x, y: ONE - op.fn(ONE - x, ONE - y), profile
     )
 
-
-def _scalar_witness(**values) -> dict:
-    return {k: str(v) for k, v in values.items()}
-
-
-def _unit_sample(sample) -> list[Fraction]:
-    pts = sorted(to_unit(x) for x in sample)
-    if ZERO not in pts or ONE not in pts:
-        raise DomainError("sample must be nonempty and contain 0 and 1")
-    return pts
-
-
-def check_connective_axioms(
-    op: ScalarConnective, sample: tuple | list
-) -> list[AxiomReport]:
-    """Exhaustive commutativity/associativity/monotonicity/neutrality check.
-
-    ``sample`` must contain 0 and 1. The first violating tuple per axiom is
-    reported (tuples enumerated in sorted-lexicographic order). Monotonicity
-    counts only the triples with x <= y as trials.
-    """
-    pts = _unit_sample(sample)
-    neutral = ZERO if op.profile == T_CONORM else ONE
-    return [
-        falsify(
-            "T1",
-            iter_product(pts, repeat=2),
-            lambda x, y: op(x, y) == op(y, x),
-            lambda x, y: _scalar_witness(x=x, y=y, lhs=op(x, y), rhs=op(y, x)),
-        ),
-        falsify(
-            "T2",
-            iter_product(pts, repeat=3),
-            lambda x, y, z: op(op(x, y), z) == op(x, op(y, z)),
-            lambda x, y, z: _scalar_witness(
-                x=x, y=y, z=z, lhs=op(op(x, y), z), rhs=op(x, op(y, z))
-            ),
-        ),
-        falsify(
-            "T3",
-            ((x, y, z) for x, y, z in iter_product(pts, repeat=3) if x <= y),
-            lambda x, y, z: op(x, z) <= op(y, z) and op(z, x) <= op(z, y),
-            lambda x, y, z: _scalar_witness(x=x, y=y, z=z, lhs=op(x, z), rhs=op(y, z)),
-        ),
-        falsify(
-            "T4'" if op.profile == T_CONORM else "T4",
-            ((x,) for x in pts),
-            lambda x: op(neutral, x) == x and op(x, neutral) == x,
-            lambda x: _scalar_witness(x=x, lhs=op(neutral, x), rhs=x),
-        ),
-    ]
-
-
-def check_boundary_characterization(
-    op: ScalarConnective, sample: tuple | list
-) -> AxiomReport:
-    """The extremal-value characterization forced on t-norms and t-conorms.
-
-    For a t-norm, x*y = 1 exactly at (1,1); for a t-conorm, x*y = 0 exactly
-    at (0,0). Checked over sample x sample, which must contain 0 and 1.
-    """
-    if op.profile not in (T_NORM, T_CONORM):
-        raise DomainError("profile must be t-norm or t-conorm")
-    pts = _unit_sample(sample)
-    extreme = ONE if op.profile == T_NORM else ZERO
-    return falsify(
-        "boundary",
-        iter_product(pts, repeat=2),
-        lambda x, y: (op(x, y) == extreme) == (x == extreme and y == extreme),
-        lambda x, y: _scalar_witness(x=x, y=y, value=op(x, y)),
-    )

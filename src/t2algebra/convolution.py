@@ -58,10 +58,9 @@ is the reference the fast paths are tested against.
 from __future__ import annotations
 
 import io
-import operator
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -81,9 +80,8 @@ from .connectives import (
     T_NORM,
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, _lt, _max, falling_ramp, to_json_dict, unit_spike
-from .rationals import ONE, ZERO, format_rational, to_rational, to_unit
-from .report import AxiomReport, falsify
+from .piecewise import PiecewiseFn, _lt, _max
+from .rationals import ZERO, format_rational, to_rational, to_unit
 
 
 @dataclass(frozen=True)
@@ -376,61 +374,3 @@ def convolve_join_at(f, g, star, tconorm, grid: GridSpec, x) -> Fraction | None:
     """Single grid point of the join-form convolution (x must lie on the grid)."""
     return _convolve("join", f, g, star, tconorm, grid, grid.index_of(x))
 
-
-# ---------------------------------------------------------------------------
-# properties any inner connective must satisfy to make the convolutions
-# (co)norms: evaluating the meet form at 1 collapses to f(1)*g(1), so a
-# decreasing affine pair pins down commutativity of * itself, and indicator
-# pairs pin down its boundary values.
-
-_COMMUTATIVITY_PAIR = (Fraction(1, 5), Fraction(4, 5))
-# per check: the witness names of its two arguments, and the fixture each becomes
-_FORCED_CHECKS = {
-    "commutativity": ("u", "v", falling_ramp),
-    "boundary": ("x", "y", unit_spike),
-}
-
-
-def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> AxiomReport:
-    """Check the boundary values and commutativity forced on the inner connective.
-
-    Failures carry the witnessing identity: indicator pairs pushed through
-    the oracle for boundary values, the canonical decreasing affine pair for
-    commutativity. One run tries the commutativity pairs, then the boundary
-    corners, and counts the trials of both.
-    """
-
-    def sides(check: str, a: Fraction, b: Fraction):
-        fixture = _FORCED_CHECKS[check][2]
-        lhs = convolve_meet_at(fixture(a), fixture(b), star, MINIMUM, grid, ONE)
-        if check == "boundary":
-            return lhs, min(a, b)  # a t-norm's value at a corner of [0, 1]^2
-        return lhs, convolve_meet_at(fixture(b), fixture(a), star, MINIMUM, grid, ONE)
-
-    def witness(check: str, a: Fraction, b: Fraction) -> dict:
-        a_name, b_name, fixture = _FORCED_CHECKS[check]
-        lhs, rhs = sides(check, a, b)
-        return {
-            "check": check,
-            a_name: str(a),
-            b_name: str(b),
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "fixtures": [to_json_dict(fixture(a)), to_json_dict(fixture(b))],
-        }
-
-    eighths = [Fraction(k, 8) for k in range(9)]
-    pairs = [_COMMUTATIVITY_PAIR] + [(u, v) for u in eighths for v in eighths if u < v]
-    cases = [("commutativity", u, v) for u, v in pairs]
-    cases += [("boundary", x, y) for x in (ZERO, ONE) for y in (ZERO, ONE)]
-    report = falsify(
-        "forced-properties", cases, lambda *case: operator.eq(*sides(*case)), witness
-    )
-    if report.passed:
-        return report
-    w = report.witness
-    if w["check"] == "commutativity":
-        detail = f"meet-form convolution not commutative at u={w['u']}, v={w['v']}"
-    else:
-        detail = f"boundary value {w['x']}*{w['y']} = {w['lhs']}, expected {w['rhs']}"
-    return replace(report, detail=detail)

@@ -275,8 +275,9 @@ def canonicalize(f: PiecewiseFn | _Parts) -> PiecewiseFn:
     merges are, and is sealed here on a miss."""
     if type(f) is not _Parts:
         return f
-    parts, f.parts = f.parts, None  # the memo keeps the probe's key only
-    return _sealed(*parts)
+    g = _sealed(*f.parts)
+    f.parts, f._key = None, g._key  # canonical parts: one key for both
+    return g
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:

@@ -519,6 +519,30 @@ def test_conv_tolerance_not_a_rational_is_validation_error(capsys, files):
     assert err == "invalid input: not a rational number: 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["separation", "--star", "nosuch"], ["eval", "conv-meet:nosuch:min", "F", "F"]],
+    ids=["separation", "conv-op"],
+)
+def test_unknown_connective_is_validation_error(capsys, files, argv):
+    argv = [files["band"] if a == "F" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "invalid input: unknown connective 'nosuch'\n"
+
+
+def test_unexpected_failure_is_one_line_internal_error(capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("bad\n  thing")
+
+    monkeypatch.setattr(t.axioms, "separation_rows", fail)
+    code, out, err = run(capsys, ["separation"])
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: bad thing\n"
+
+
 def test_usage_error_for_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

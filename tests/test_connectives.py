@@ -76,6 +76,12 @@ def test_dual_of_min_is_max():
         assert dual(x, y) == max(x, y)
 
 
+def test_dual_of_an_unconstrained_connective_stays_unconstrained():
+    dual = t.dual_connective(t.PROJECTION)
+    assert dual.profile == "unconstrained"
+    assert dual(F(1, 4), F(3, 4)) == F(1, 4)
+
+
 def test_dual_of_product_value():
     assert t.dual_connective(t.PRODUCT)(F(3, 10), F(2, 5)) == F(29, 50)
 

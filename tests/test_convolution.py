@@ -225,6 +225,9 @@ class TestForcedProperties:
         assert report.witness["check"] == "commutativity"
         assert (report.witness["u"], report.witness["v"]) == ("1/5", "4/5")
         assert (report.witness["lhs"], report.witness["rhs"]) == ("1/5", "4/5")
+        detail = "meet-form convolution not commutative at u=1/5, v=4/5"
+        table = t.format_report_table([report]).split("\n")
+        assert table[0] == f"forced-properties  FAIL  trials=1  ({detail})"
 
     def test_max_fails_boundary(self):
         report = t.verify_star_forced_properties(t.MAXIMUM, grid(40))

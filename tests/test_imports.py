@@ -298,3 +298,34 @@ def test_the_check_sees_each_caller():
         "mod.lambda_call",
         "mod.<module>",
     }
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of each module a source imports or imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[-1])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.split(".")[-1] for a in node.names)
+    return found
+
+
+# Every axiom check lives in axioms: only it runs the falsifier, and only it
+# and report build an AxiomReport. The grid oracle and the connectives know
+# nothing of reports. A check elsewhere is a deliberate edit here.
+def test_every_axiom_check_is_in_axioms():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+
+    def modules_calling(callee):
+        return {name.split(".")[0] for name in callers(sources, callee)}
+
+    assert modules_calling("falsify") == {"axioms"}
+    assert modules_calling("AxiomReport") == {"axioms", "report"}
+    for module in ("convolution", "connectives"):
+        assert "report" not in imported_modules(sources[module])
+
+
+def test_the_check_sees_each_import():
+    source = "import os.path\nfrom .report import falsify\nfrom . import star\n"
+    assert imported_modules(source) == {"path", "report", "star"}

@@ -103,6 +103,10 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="from above"):
             t.step(F(1, 2), 1, F(1, 4)).right_limit(i)
 
+    def test_limits_and_value_at_the_jump(self):
+        f = t.step(F(1, 2), 1, F(1, 4))
+        assert (f.left_limit(1), f("1/2"), f.right_limit(1)) == (1, 1, F(1, 4))
+
 
 class TestCanonicalize:
     def test_merges_collinear_split(self):

@@ -150,6 +150,22 @@ class TestRawPartsLookup:
         fns = seeded_lattice(20, seed=3)
         self._agree([(f, g) for f in fns for g in fns])
 
+    @pytest.mark.parametrize("op", [t.star, t.costar], ids=["star", "costar"])
+    def test_a_cold_product_and_its_stored_probe_share_one_key(self, monkeypatch, op):
+        probes = []
+
+        def recording(*parts):
+            probes.append(piecewise._Parts(*parts))
+            return probes[-1]
+
+        f, g = t.indicator(F(1, 8), F(1, 2)), t.indicator(F(1, 4), F(3, 4))
+        monkeypatch.setattr(star_module, "_Parts", recording)
+        clear_memos()
+        product = op(f, g)
+        assert piecewise.canonicalize.cache_info().misses == len(probes) == 1
+        assert probes[0].parts is None
+        assert probes[0]._key is product._key
+
 
 class TestStarStructure:
     @given(lattice_fns(), lattice_fns())
