@@ -52,7 +52,7 @@ MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000
 # --trials: the battery keeps up to this many drawn pairs and triples; on a 2-core
-# box `axioms star tr-norm` takes 0.7 s at the default 200 and 13 s at 10,000.
+# box `axioms star tr-norm` takes 0.2 s at the default 200 and 6 s at 10,000.
 MAX_TRIALS = 10_000
 _SIZE_BOUNDS = {"grid": MAX_GRID, "samples": MAX_SAMPLES, "trials": MAX_TRIALS}
 

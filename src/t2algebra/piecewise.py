@@ -19,7 +19,7 @@ continuous, so two instances describe the same pointwise function iff their
 canonical forms are equal componentwise. Every instance is canonical: every
 build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
 is pointwise equality, and ``canonicalize`` only interns. Library merges are
-canonical, so a product takes one lookup there by the raw parts of its splice.
+canonical, so a spliced product takes one lookup there by its raw parts.
 
 Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
 slot once and checks every part; ``from_json_dict``/``loads`` pass it the
@@ -301,7 +301,7 @@ def from_affine(slope, intercept) -> PiecewiseFn:
 
 
 @lru_cache(maxsize=_CACHE)
-def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:
+def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:  # indicator() and interval products
     return _splice(_ZERO_PARTS, lo, ONE, hi, ONE, _ZERO_PARTS)
 
 

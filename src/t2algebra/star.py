@@ -7,10 +7,13 @@ right envelopes stop being 1. The output follows the envelope join below
 eta, sits at 1 on [eta, xi), takes the meet of the right envelopes at xi,
 and vanishes beyond. The resulting operation is commutative, associative,
 neutral at the unit spike, monotone, and closed on singleton and interval
-indicators -- yet provably not expressible as any sup-convolution, which is
-the whole point of building it. It is built by ``piecewise._splice``, as
-meet, join and ``is_convex`` are: a head of one envelope-join pass that
-stops at eta, the plateau, and a zero tail.
+indicators (axioms O6, O7) -- yet provably not expressible as any sup-convolution,
+which is the whole point of building it. It is built by ``piecewise._splice``,
+as meet, join and ``is_convex`` are: a head of one envelope-join pass that
+stops at eta, the plateau, and a zero tail. Two interval indicators skip it:
+the product of those of [a1, b1] and [a2, b2] is their meet, the indicator of
+[a1 ^ a2, b1 ^ b2] (the co-product's is their join, of [a1 v a2, b1 v b2]),
+from ``_indicator``'s memo. O7 rests on that form and its test against the splice.
 
 The dual of any closed binary operation conjugates by reflection:
 (f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
@@ -33,6 +36,7 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
+    _indicator,
     _max,
     _min,
     _Parts,
@@ -70,12 +74,16 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return g
     if g == TOP:
         return f
+    if sf.ones and sg.ones:  # two interval indicators: the closed form
+        return _indicator(_min(sf.ones[0], sg.ones[0]), _min(sf.ones[-1], sg.ones[-1]))
+    return canonicalize(_star_splice(sf, sg))  # one lookup by the raw parts interns it
+
+
+def _star_splice(sf, sg) -> _Parts:  # the general path: the closed form's reference
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    # one canonicalize lookup by the splice's raw parts, canonical as the merge
-    # is, interns the product: only a new one is sealed, and each is held once
-    return canonicalize(_splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS, _Parts))
+    return _splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS, _Parts)
 
 
 def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -86,10 +94,16 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return g
     if g == BOTTOM:
         return f
+    if sf.ones and sg.ones:
+        return _indicator(_max(sf.ones[0], sg.ones[0]), _max(sf.ones[-1], sg.ones[-1]))
+    return canonicalize(_costar_splice(sf, sg))
+
+
+def _costar_splice(sf, sg) -> _Parts:  # as _star_splice
     xi = _max(sf.right_end[0], sg.right_end[0])
     tail = _combine_parts(sf.right, sg.right, False, start=xi)
     _, eta, at_eta = _cut(sf.left_end, sg.left_end, _max)
-    return canonicalize(_splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail, _Parts))
+    return _splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail, _Parts)
 
 
 def star_envelopes(

@@ -149,9 +149,9 @@ def memoised_names(source: str) -> set[str]:
 
 PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
 # canonicalize interns equal functions; _indicator serves indicator(), which
-# the axiom battery calls for every interval; _shape holds each function's
-# envelopes, threshold ends and lattice membership. A new memo is a
-# deliberate edit here.
+# the axiom battery calls for every interval, and star/costar of two interval
+# indicators; _shape holds each function's envelopes, threshold ends and
+# lattice membership. A new memo is a deliberate edit here.
 MEMOS = {"canonicalize", "_indicator", "_shape"}
 
 

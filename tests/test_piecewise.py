@@ -224,11 +224,11 @@ class TestCanonicalizeLookups:
     """canonicalize only interns, and only the products and the draws call it."""
 
     @staticmethod
-    def _lookups(compute):
+    def _lookups(compute, memo=piecewise.canonicalize):
         compute()  # warms the operands' memos
-        before = piecewise.canonicalize.cache_info()
+        before = memo.cache_info()
         compute()
-        after = piecewise.canonicalize.cache_info()
+        after = memo.cache_info()
         return after.hits + after.misses - before.hits - before.misses
 
     @given(lattice_fns(), lattice_fns())
@@ -237,10 +237,13 @@ class TestCanonicalizeLookups:
             assert self._lookups(lambda: op(f, g)) == 0
         for pred in (t.in_lattice, t.is_interval_indicator):
             assert self._lookups(lambda: pred(f)) == 0
-        star_neutral = t.TOP in (f, g)
-        assert self._lookups(lambda: t.star(f, g)) == (0 if star_neutral else 1)
-        costar_neutral = t.BOTTOM in (f, g)
-        assert self._lookups(lambda: t.costar(f, g)) == (0 if costar_neutral else 1)
+        # one memo lookup per non-neutral product: _indicator for two interval
+        # indicators, canonicalize otherwise
+        closed = t.is_interval_indicator(f) and t.is_interval_indicator(g)
+        for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
+            once = 0 if neutral in (f, g) else 1
+            assert self._lookups(lambda: op(f, g)) == (0 if closed else once)
+            assert self._lookups(lambda: op(f, g), piecewise._indicator) == (once if closed else 0)
 
     def test_interning_hands_back_the_first_equal_object(self):
         _clear_memos()

@@ -24,6 +24,16 @@ def seeded_lattice(count, seed=0):
     return t.generate_lattice_functions(t.GeneratorConfig(seed=seed), count)
 
 
+SPLICES = {t.star: star_module._star_splice, t.costar: star_module._costar_splice}
+
+
+def spliced(op, f, g):
+    """op(f, g) by its general path, the splice, called directly and sealed
+    afresh: the reference for the closed form on interval indicators."""
+    probe = SPLICES[op](piecewise._shape(f), piecewise._shape(g))
+    return piecewise._sealed(*probe.parts)
+
+
 class TestStarFixedCases:
     def test_full_against_interval_truncates_right(self):
         got = t.star(t.indicator(0, 1), t.indicator(F(1, 5), F(3, 5)))
@@ -143,8 +153,13 @@ class TestRawPartsLookup:
         self._agree([(f, g)])
 
     def test_equals_the_sealed_splice_on_indicators(self):
+        # two interval indicators take the closed form: compare it with the
+        # splice called directly, not with itself
         indicators = STAR_FIXTURES[4:]
-        self._agree([(f, g) for f in indicators[::3] for g in indicators])
+        for f in indicators[::3]:
+            for g in indicators:
+                for op in (t.star, t.costar):
+                    assert op(f, g) == spliced(op, f, g)
 
     def test_equals_the_sealed_splice_on_generator_functions(self):
         fns = seeded_lattice(20, seed=3)
@@ -158,13 +173,120 @@ class TestRawPartsLookup:
             probes.append(piecewise._Parts(*parts))
             return probes[-1]
 
-        f, g = t.indicator(F(1, 8), F(1, 2)), t.indicator(F(1, 4), F(3, 4))
+        # a rising ramp and an indicator: not both interval indicators, so the
+        # product reaches the splice and its probe
+        f, g = t.from_affine(1, 0), t.indicator(F(1, 4), F(3, 4))
         monkeypatch.setattr(star_module, "_Parts", recording)
         clear_memos()
         product = op(f, g)
         assert piecewise.canonicalize.cache_info().misses == len(probes) == 1
         assert probes[0].parts is None
         assert probes[0]._key is product._key
+
+
+INTERVALS = tuple((a, b) for a in SIXTEENTHS for b in SIXTEENTHS if a <= b)
+ENDS = {t.star: min, t.costar: max}
+
+
+def count_probes(compute):
+    """compute() and the number of splice probes (``_Parts``) it made."""
+    probes = []
+
+    def recording(*parts):
+        probes.append(parts)
+        return piecewise._Parts(*parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(star_module, "_Parts", recording)
+        return compute(), len(probes)
+
+
+class TestIntervalClosedForm:
+    """On two interval indicators, of [a1, b1] and [a2, b2], star is the
+    indicator of [a1 ^ a2, b1 ^ b2] and costar of [a1 v a2, b1 v b2], handed
+    back by ``_indicator`` with no splice; the splice, called directly, is
+    the reference. Any other pair takes the splice."""
+
+    def test_every_pair_of_sixteenths_equals_the_splice(self):
+        clear_memos()
+        indicators = {ends: t.indicator(*ends) for ends in INTERVALS}
+        entries = piecewise._indicator.cache_info().currsize
+        pairs = list(iter_product(indicators.items(), repeat=2))
+        ops = tuple(ENDS.items())
+        products, probes = count_probes(
+            lambda: [op(f, g) for (_, f), (_, g) in pairs for op, _ in ops]
+        )
+        assert probes == 0
+        # each product is the memo's indicator of the lesser (greater) ends,
+        # neutral pairs included, and the memo gains no entry
+        assert piecewise._indicator.cache_info().currsize == entries
+        expected = (
+            indicators[first(a1, a2), first(b1, b2)]
+            for ((a1, b1), _), ((a2, b2), _) in pairs
+            for _, first in ops
+        )
+        assert all(p is q for p, q in zip(products, expected, strict=True))
+        references = (spliced(op, f, g) for (_, f), (_, g) in pairs for op, _ in ops)
+        assert all(p == q for p, q in zip(products, references, strict=True))
+
+    @staticmethod
+    def _built_outside_the_memo(a, b):
+        f = t.indicator(a, b)
+        yield t.PiecewiseFn(f.breakpoints, f.values, f.pieces)
+        yield t.loads(t.dumps(f))
+        if b == 1:
+            yield t.pointwise_max(t.indicator(a, 1), t.constant(0))
+
+    def test_indicators_built_outside_the_memo(self):
+        ends = [*INTERVALS[::11], (F(0), F(0)), (F(1), F(1)), (F(0), F(1)), (F(3, 8), F(1))]
+        built = [(h, t.indicator(a, b)) for a, b in ends for h in self._built_outside_the_memo(a, b)]
+        assert all(h == f and h is not f and t.is_interval_indicator(h) for h, f in built)
+        outside = [h for h, _ in built]
+        pairs = [(f, g) for f in outside for g in outside + [t.indicator(a, b) for a, b in ends]]
+        for op in (t.star, t.costar):
+            for f, g in pairs + [(g, f) for f, g in pairs]:
+                product, probes = count_probes(lambda: op(f, g))
+                assert probes == 0
+                assert product == spliced(op, f, g)
+
+    def test_mixed_pairs_take_the_splice(self):
+        others = [
+            t.from_affine(1, 0),
+            t.from_affine(-1, 1),
+            t.step(F(3, 4), 1, F(1, 2)),
+            *(h for h in seeded_lattice(12, seed=4) if not t.is_interval_indicator(h)),
+        ]
+        assert len(others) > 6 and not any(t.is_interval_indicator(h) for h in others)
+        indicators = [t.indicator(a, b) for a, b in INTERVALS[::7]] + [t.BOTTOM, t.TOP, t.FULL]
+        pairs = [(f, g) for f in indicators for g in others]
+        for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
+            for f, g in pairs + [(g, f) for f, g in pairs]:
+                product, probes = count_probes(lambda: op(f, g))
+                if neutral in (f, g):  # the splice holds away from it only
+                    assert probes == 0 and product is (g if f == neutral else f)
+                else:
+                    assert probes == 1 and product == spliced(op, f, g)
+
+    def test_against_the_pointwise_reference(self):
+        indicators = [t.indicator(a, b) for a, b in INTERVALS]
+        for f, g in iter_product(indicators[::13], indicators[::7]):
+            if t.TOP not in (f, g):
+                product = t.star(f, g)
+                for x in probe_points(f, g, product):
+                    assert t.evaluate(product, x) == reference_star_value(f, g, x)
+            if t.BOTTOM not in (f, g):
+                product, nf, ng = t.costar(f, g), t.reflect(f), t.reflect(g)
+                for x in probe_points(f, g, product):
+                    assert t.evaluate(product, x) == reference_star_value(nf, ng, 1 - x)
+
+    def test_star_is_the_meet_and_costar_the_join(self):
+        # on interval truth values the products coincide with the lattice
+        # operations (Walker and Walker): the closed form rests on it
+        eighths = [F(k, 8) for k in range(9)]
+        indicators = [t.indicator(a, b) for a in eighths for b in eighths if a <= b]
+        for f, g in iter_product(indicators, repeat=2):
+            assert t.star(f, g) == t.meet(f, g)
+            assert t.costar(f, g) == t.join(f, g)
 
 
 class TestStarStructure:
