@@ -31,7 +31,8 @@ on the class, so a check could only re-prove that on every build. A test
 routes ``_sealed`` through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
-construction; Fraction hashing is too slow to sit under the memos otherwise.
+construction. Fraction hashing is too slow to sit under the memos, so every
+memo key is integers: a function's ``_key``, or ``_indicator``'s end slots.
 The envelopes, thresholds, lattice membership and indicator ends of a
 function are fields of one memoised record, ``_shape``.
 
@@ -301,8 +302,14 @@ def from_affine(slope, intercept) -> PiecewiseFn:
 
 
 @lru_cache(maxsize=_CACHE)
-def _indicator(lo: Fraction, hi: Fraction) -> PiecewiseFn:  # indicator() and interval products
-    return _splice(_ZERO_PARTS, lo, ONE, hi, ONE, _ZERO_PARTS)
+def _indicator(ln: int, ld: int, hn: int, hd: int) -> PiecewiseFn:  # of [ln/ld, hn/hd], by slots
+    return _splice(_ZERO_PARTS, Fraction(ln, ld), ONE, Fraction(hn, hd), ONE, _ZERO_PARTS)
+
+
+def _interval_op(first, sf, sg) -> PiecewiseFn:  # star, meet (first _min), costar, join (_max)
+    # of two interval indicators, from their _shape: the indicator of the first ends
+    lo, hi = first(sf.ones[0], sg.ones[0]), first(sf.ones[-1], sg.ones[-1])
+    return _indicator(lo._numerator, lo._denominator, hi._numerator, hi._denominator)
 
 
 def indicator(a, b) -> PiecewiseFn:
@@ -310,7 +317,7 @@ def indicator(a, b) -> PiecewiseFn:
     lo, hi = to_unit(a), to_unit(b)
     if _lt(hi, lo):
         raise DomainError(f"indicator needs a <= b, got {lo} > {hi}")
-    return _indicator(lo, hi)
+    return _indicator(lo._numerator, lo._denominator, hi._numerator, hi._denominator)
 
 
 def unit_spike(x) -> PiecewiseFn:

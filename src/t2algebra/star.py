@@ -13,7 +13,8 @@ as meet, join and ``is_convex`` are: a head of one envelope-join pass that
 stops at eta, the plateau, and a zero tail. Two interval indicators skip it:
 the product of those of [a1, b1] and [a2, b2] is their meet, the indicator of
 [a1 ^ a2, b1 ^ b2] (the co-product's is their join, of [a1 v a2, b1 v b2]),
-from ``_indicator``'s memo. O7 rests on that form and its test against the splice.
+by ``piecewise._interval_op``, as are ``lattice.meet``/``join`` on them. O7
+rests on that form and its test against the splice.
 
 The dual of any closed binary operation conjugates by reflection:
 (f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
@@ -36,7 +37,7 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
-    _indicator,
+    _interval_op,
     _max,
     _min,
     _Parts,
@@ -45,7 +46,7 @@ from .piecewise import (
     canonicalize,
     reflect,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     if g == TOP:
         return f
     if sf.ones and sg.ones:  # two interval indicators: the closed form
-        return _indicator(_min(sf.ones[0], sg.ones[0]), _min(sf.ones[-1], sg.ones[-1]))
+        return _interval_op(_min, sf, sg)
     return canonicalize(_star_splice(sf, sg))  # one lookup by the raw parts interns it
 
 
@@ -95,7 +96,7 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     if g == BOTTOM:
         return f
     if sf.ones and sg.ones:
-        return _indicator(_max(sf.ones[0], sg.ones[0]), _max(sf.ones[-1], sg.ones[-1]))
+        return _interval_op(_max, sf, sg)
     return canonicalize(_costar_splice(sf, sg))
 
 
@@ -109,7 +110,8 @@ def _costar_splice(sf, sg) -> _Parts:  # as _star_splice
 def star_envelopes(
     f: PiecewiseFn, g: PiecewiseFn
 ) -> tuple[PiecewiseFn, PiecewiseFn]:
-    """Closed-form left and right envelopes of the threshold product.
+    """Closed-form left and right envelopes of the threshold product: the
+    products of the inputs' left envelopes and of their right ones.
 
     Defined away from the neutral element only. Must agree exactly with
     re-running the envelope operators on the product itself.
@@ -117,12 +119,7 @@ def star_envelopes(
     sf, sg = _lattice_shapes("star_envelopes", f, g)
     if f == TOP or g == TOP:
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
-    eta = _min(sf.left_end[0], sg.left_end[0])
-    head = _combine_parts(sf.left, sg.left, False, stop=eta)
-    _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    left = _splice(head, eta, ONE, ONE, ONE, _ZERO_PARTS)
-    right = _splice(_ZERO_PARTS, ZERO, ONE, xi, tail_value, _ZERO_PARTS)
-    return left, right
+    return star(sf.left, sg.left), star(sf.right, sg.right)
 
 
 def dualize(op: TruthValueOp) -> TruthValueOp:

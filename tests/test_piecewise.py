@@ -258,6 +258,45 @@ class TestCanonicalizeLookups:
         assert p is q
 
 
+class TestIndicatorMemoKey:
+    """_indicator is keyed by the integer slots of its ends, never by Fractions,
+    whose hash takes a modular inverse on every lookup."""
+
+    def test_warm_interval_operations_hash_no_fraction(self, monkeypatch):
+        eighths = [F(k, 8) for k in range(9)]
+        ends = [(a, b) for a in eighths for b in eighths if a <= b]
+        indicators = [t.indicator(a, b) for a, b in ends]
+        pairs = [(f, g) for f in indicators[::4] for g in indicators]
+
+        def work():
+            for a, b in ends:
+                t.indicator(a, b)
+            for f, g in pairs:
+                for op in (t.star, t.costar, t.meet, t.join):
+                    op(f, g)
+
+        work()  # warms every memo
+        calls = []
+        original = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        work()
+        assert calls == []
+        assert len({F(1, 3)}) == 1 and calls == [F(1, 3)]  # the hook sees a hash
+
+    def test_every_input_form_of_the_ends_is_one_entry(self):
+        _clear_memos()
+        forms = ("1/2", "2/4", "0.5", F(1, 2))
+        built = [t.indicator(a, b) for a in forms for b in forms]
+        assert all(f is built[0] for f in built)
+        assert piecewise._indicator.cache_info().currsize == 1
+        assert built[0] == t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 0), ((0, 0), (0, 0)))
+
+
 class TestRawPartsLookup:
     """star and costar look their product up in canonicalize by the raw parts
     of its splice and seal it only on a miss; canonicalize still hands back
