@@ -14,8 +14,7 @@ beyond it, so the meet is f v g on [0, xi) and f ^ gR on (xi, 1], spliced
 at xi by ``piecewise._splice`` as the threshold product is. The join is the
 mirror case at g's greater left threshold. Both read the inputs' envelopes
 and threshold ends off ``piecewise._shape``, and ``piecewise._cut`` picks
-the cut from the two ends; two interval indicators take the closed form of
-``piecewise._interval_op``. Off the lattice, and in ``leq_sub_by_definition``,
+the cut from the two ends. Off the lattice, and in ``leq_sub_by_definition``,
 the envelope formula runs as written (``_by_envelopes``): the splice's reference.
 The grid convolution oracle checks meet and join independently (see the
 acceptance suite).
@@ -27,7 +26,6 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
-    _interval_op,
     _max,
     _min,
     _shape,
@@ -53,8 +51,6 @@ def meet(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     sf, sg = _shape(f), _shape(g)
     if not (sf.lattice and sg.lattice):
         return _by_envelopes(f, g, envelope_right)
-    if sf.ones and sg.ones:  # two interval indicators: the closed form, as star's
-        return _interval_op(_min, sf, sg)
     at_f, cut, at_cut = _cut(sf.right_end, sg.right_end, _min)
     f, g, sg = (f, g, sg) if at_f else (g, f, sf)  # the cut is f's right threshold
     # f is or tends to 1 at its threshold, a breakpoint: the head ends on it
@@ -67,8 +63,6 @@ def join(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     sf, sg = _shape(f), _shape(g)
     if not (sf.lattice and sg.lattice):
         return _by_envelopes(f, g, envelope_left)
-    if sf.ones and sg.ones:
-        return _interval_op(_max, sf, sg)
     at_f, cut, at_cut = _cut(sf.left_end, sg.left_end, _max)
     f, g, sf = (g, f, sg) if at_f else (f, g, sf)  # the cut is g's left threshold
     head = _combine_parts(g, sf.left, True, stop=cut)

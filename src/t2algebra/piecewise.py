@@ -306,7 +306,7 @@ def _indicator(ln: int, ld: int, hn: int, hd: int) -> PiecewiseFn:  # of [ln/ld,
     return _splice(_ZERO_PARTS, Fraction(ln, ld), ONE, Fraction(hn, hd), ONE, _ZERO_PARTS)
 
 
-def _interval_op(first, sf, sg) -> PiecewiseFn:  # star, meet (first _min), costar, join (_max)
+def _interval_op(first, sf, sg) -> PiecewiseFn:  # star (first _min) and costar (_max)
     # of two interval indicators, from their _shape: the indicator of the first ends
     lo, hi = first(sf.ones[0], sg.ones[0]), first(sf.ones[-1], sg.ones[-1])
     return _indicator(lo._numerator, lo._denominator, hi._numerator, hi._denominator)

@@ -13,8 +13,8 @@ as meet, join and ``is_convex`` are: a head of one envelope-join pass that
 stops at eta, the plateau, and a zero tail. Two interval indicators skip it:
 the product of those of [a1, b1] and [a2, b2] is their meet, the indicator of
 [a1 ^ a2, b1 ^ b2] (the co-product's is their join, of [a1 v a2, b1 v b2]),
-by ``piecewise._interval_op``, as are ``lattice.meet``/``join`` on them. O7
-rests on that form and its test against the splice.
+from ``_indicator``'s memo by ``piecewise._interval_op``. O7 rests on that form
+and its test against the splice.
 
 The dual of any closed binary operation conjugates by reflection:
 (f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
@@ -107,11 +107,8 @@ def _costar_splice(sf, sg) -> _Parts:  # as _star_splice
     return _splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail, _Parts)
 
 
-def star_envelopes(
-    f: PiecewiseFn, g: PiecewiseFn
-) -> tuple[PiecewiseFn, PiecewiseFn]:
-    """Closed-form left and right envelopes of the threshold product: the
-    products of the inputs' left envelopes and of their right ones.
+def star_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:
+    """Left and right envelopes of the threshold product: products of envelopes.
 
     Defined away from the neutral element only. Must agree exactly with
     re-running the envelope operators on the product itself.
@@ -119,6 +116,9 @@ def star_envelopes(
     sf, sg = _lattice_shapes("star_envelopes", f, g)
     if f == TOP or g == TOP:
         raise DomainError("closed-form envelopes exclude the unit spike at 1")
+    # fL's right threshold is 1, with tail value 1, and fR's left one is 0, so
+    # these products keep the product's head to eta and its cut at xi; no
+    # envelope is TOP short of f or g being TOP, so star takes no early return
     return star(sf.left, sg.left), star(sf.right, sg.right)
 
 

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,8 +206,6 @@ class TestSpliceCounts:
 
     @given(lattice_fns(), lattice_fns())
     def test_lattice_meet_and_join_build_once_without_a_max_pass(self, f, g):
-        # two interval indicators take the closed form: a warm _indicator hit
-        closed = t.is_interval_indicator(f) and t.is_interval_indicator(g)
         for op in (t.meet, t.join):
             op(f, g)  # fills the envelope and threshold memos
             with pytest.MonkeyPatch.context() as mp:
@@ -217,7 +214,7 @@ class TestSpliceCounts:
                 builds = self._counted(mp, piecewise, "_sealed")
                 op(f, g)
             assert maxes == kernel_maxes == []
-            assert len(builds) == (0 if closed else 1)
+            assert len(builds) == 1
 
     @given(lattice_fns(), lattice_fns())
     def test_each_operand_shape_is_looked_up_once(self, f, g):
@@ -238,9 +235,8 @@ class TestSpliceCounts:
         fns = seeded_lattice(20, seed=3)
         for f, g in zip(fns, fns[1:]):
             assert t.leq_sub_by_definition(f, g) == t.leq_sub(f, g)
-        assert not t.is_interval_indicator(fns[2])  # so meet splices
         with pytest.raises(AssertionError, match="spliced"):
-            t.meet(fns[1], fns[2])
+            t.meet(fns[0], fns[1])
 
     def test_off_the_lattice_meet_and_join_take_the_formula(self, monkeypatch):
         monkeypatch.setattr(lattice, "_splice", None)  # any call would fail
@@ -248,27 +244,3 @@ class TestSpliceCounts:
         for h in (f, g, t.TOP):
             assert t.equals(t.meet(h, f), lattice._by_envelopes(h, f, t.envelope_right))
             assert t.equals(t.join(g, h), lattice._by_envelopes(g, h, t.envelope_left))
-
-
-class TestIntervalClosedForm:
-    """Two interval indicators, of [a1, b1] and [a2, b2], meet in the indicator
-    of [a1 ^ a2, b1 ^ b2] and join in that of [a1 v a2, b1 v b2]: ``_indicator``'s
-    object, with no splice and no canonicalize lookup. The envelope formula is
-    the reference."""
-
-    def test_every_pair_of_eighths(self, monkeypatch):
-        eighths = [F(k, 8) for k in range(9)]
-        indicators = {(a, b): t.indicator(a, b) for a in eighths for b in eighths if a <= b}
-        pairs = list(product(indicators.items(), repeat=2))
-        entries = piecewise._indicator.cache_info().currsize
-        before = piecewise.canonicalize.cache_info()
-        monkeypatch.setattr(lattice, "_splice", None)  # any call would fail
-        for ((a1, b1), f), ((a2, b2), g) in pairs:
-            assert t.meet(f, g) is indicators[min(a1, a2), min(b1, b2)]
-            assert t.join(f, g) is indicators[max(a1, a2), max(b1, b2)]
-        monkeypatch.undo()
-        after = piecewise.canonicalize.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses
-        assert piecewise._indicator.cache_info().currsize == entries
-        for (_, f), (_, g) in pairs:
-            assert_splices_match_the_envelope_formula(f, g)

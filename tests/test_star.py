@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, piecewise
-from t2algebra.lattice import _by_envelopes as by_envelopes
 
 from conftest import THRESHOLD_EDGE_CASES, clear_memos, lattice_fns, open_peak_fns
 from oracles import probe_points, reference_star_value, reference_tail_value
@@ -282,13 +281,12 @@ class TestIntervalClosedForm:
 
     def test_star_is_the_meet_and_costar_the_join(self):
         # on interval truth values the products coincide with the lattice
-        # operations (Walker and Walker): the closed form rests on it. meet and
-        # join take it too, so their envelope formula is the reference
+        # operations (Walker and Walker): the closed form rests on it
         eighths = [F(k, 8) for k in range(9)]
         indicators = [t.indicator(a, b) for a in eighths for b in eighths if a <= b]
         for f, g in iter_product(indicators, repeat=2):
-            assert t.star(f, g) == t.meet(f, g) == by_envelopes(f, g, t.envelope_right)
-            assert t.costar(f, g) == t.join(f, g) == by_envelopes(f, g, t.envelope_left)
+            assert t.star(f, g) == t.meet(f, g)
+            assert t.costar(f, g) == t.join(f, g)
 
 
 class TestStarStructure:
