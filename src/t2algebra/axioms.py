@@ -29,7 +29,6 @@ from .lattice import BOTTOM, FULL, TOP, leq_sub, meet as lattice_meet
 from .piecewise import (
     PiecewiseFn,
     _sealed,
-    canonicalize,
     constant,
     envelope_left,
     envelope_right,
@@ -157,7 +156,7 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
 
 def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     if rng.random() < 0.3:
-        return canonicalize(_fixture(rng, cfg))
+        return _fixture(rng, cfg)
     den = cfg.denominator_bound
     peak_lo = _coord(rng, den)
     peak_hi = peak_lo if rng.random() < 0.3 else _coord(rng, den, lo=peak_lo)
@@ -194,7 +193,7 @@ def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
             values.append(rungs[3 * i + 3])
         breaks.extend(pos[1:])
     # valid by construction, so sealed unchecked (see piecewise)
-    return canonicalize(_sealed(breaks, values, pieces))
+    return _sealed(breaks, values, pieces)
 
 
 def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -207,7 +206,7 @@ def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     pieces = []
     for a, b in zip(breaks, breaks[1:]):
         pieces.append(_affine_between(a, _coord(rng, den), b, _coord(rng, den)))
-    return canonicalize(_sealed(breaks, values, pieces))
+    return _sealed(breaks, values, pieces)
 
 
 def random_normal_convex(config: GeneratorConfig, rng: Random | None = None) -> PiecewiseFn:

@@ -18,8 +18,8 @@ Canonical form removes every breakpoint at which the function is affine-
 continuous, so two instances describe the same pointwise function iff their
 canonical forms are equal componentwise. Every instance is canonical: every
 build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
-is pointwise equality, and ``canonicalize`` only interns. Library merges are
-canonical, so a spliced product takes one lookup there by its raw parts.
+is pointwise equality, and ``canonicalize`` only interns, for callers that
+keep many equal functions; the library itself calls it nowhere.
 
 Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
 slot once and checks every part; ``from_json_dict``/``loads`` pass it the
@@ -152,7 +152,19 @@ class PiecewiseFn:
     def _seal(self, breaks, values, pieces) -> PiecewiseFn:
         """Store the canonical parts, unchecked, and the integer key of equality."""
         breaks, values, pieces = _canonical_parts(breaks, values, pieces)
-        key = _key_of(breaks, values, pieces)
+        key = []  # the integer slots of the parts in order: equal keys, equal parts
+        for q in breaks:
+            key.append(q._numerator)
+            key.append(q._denominator)
+        for q in values:
+            key.append(q._numerator)
+            key.append(q._denominator)
+        for s, c in pieces:
+            key.append(s._numerator)
+            key.append(s._denominator)
+            key.append(c._numerator)
+            key.append(c._denominator)
+        key = tuple(key)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pieces", pieces)
@@ -192,38 +204,6 @@ class PiecewiseFn:
         if not 0 <= i < len(self.pieces):
             raise DomainError(f"no limit from above at breakpoint {i}")
         return Fraction(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
-
-
-def _key_of(breaks, values, pieces) -> tuple[int, ...]:
-    key = []  # the integer slots of the parts in order: equal keys, equal parts
-    for q in breaks:
-        key.append(q._numerator)
-        key.append(q._denominator)
-    for q in values:
-        key.append(q._numerator)
-        key.append(q._denominator)
-    for s, c in pieces:
-        key.append(s._numerator)
-        key.append(s._denominator)
-        key.append(c._numerator)
-        key.append(c._denominator)
-    return tuple(key)
-
-
-class _Parts:
-    """Raw parts as a ``canonicalize`` key: equal to a function iff its canonical parts."""
-
-    __slots__ = ("parts", "_key", "_hash")
-    __hash__ = PiecewiseFn.__hash__
-
-    def __init__(self, *parts):  # breakpoints, values, pieces
-        self.parts, self._key = parts, _key_of(*parts)
-        self._hash = hash(self._key)
-
-    def __eq__(self, other):  # PiecewiseFn.__eq__ defers to this one
-        if not hasattr(other, "_key"):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
 
 
 def _piece_index(breaks, x: Fraction) -> int:
@@ -269,16 +249,10 @@ def _sealed(breaks, values, pieces) -> PiecewiseFn:
 
 
 @lru_cache(maxsize=_CACHE)
-def canonicalize(f: PiecewiseFn | _Parts) -> PiecewiseFn:
+def canonicalize(f: PiecewiseFn) -> PiecewiseFn:
     """The first object stored equal to f. Every instance is canonical, so
-    this only interns: callers that keep many equal results hold one. A
-    product is one lookup of its splice's ``_Parts``, canonical as library
-    merges are, and is sealed here on a miss."""
-    if type(f) is not _Parts:
-        return f
-    g = _sealed(*f.parts)
-    f.parts, f._key = None, g._key  # canonical parts: one key for both
-    return g
+    this only interns: callers that keep many equal results hold one."""
+    return f
 
 
 def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -444,13 +418,13 @@ def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     return _sealed(*_combine_parts(f, g, take_min=False))
 
 
-def _splice(head, a, at_a, b, at_b, tail, build=None) -> PiecewiseFn:
+def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
     """The function that follows head on [0, a), takes at_a at a, is 1 on
     (a, b), takes at_b at b and follows tail on (b, 1] (at a = b the lesser of
-    at_a and at_b), ``_sealed`` or built by build from its raw parts. head and
-    tail are parts that cover [0, a] and [b, 1]. Each cut is a walk in from the
-    part's near end, exact anywhere and a step or two for every caller: heads
-    stop at a, tails start at b, and ``_shape``'s thresholds are two steps in."""
+    at_a and at_b), ``_sealed``. head and tail are parts that cover [0, a] and
+    [b, 1]. Each cut is a walk in from the part's near end, exact anywhere and
+    a step or two for every caller: heads stop at a, tails start at b, and
+    ``_shape``'s thresholds are two steps in."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
     i, k, last = len(hb), 0, len(tb) - 1
     while i and not _lt(hb[i - 1], a):  # i: the number of head breakpoints short of a
@@ -461,7 +435,7 @@ def _splice(head, a, at_a, b, at_b, tail, build=None) -> PiecewiseFn:
         breaks, values, pieces = [a, b], [at_a, at_b], [(ZERO, ONE)]
     else:
         breaks, values, pieces = [a], [_min(at_a, at_b)], []
-    return (build or _sealed)(
+    return _sealed(
         [*hb[:i], *breaks, *tb[k + 1 :]],
         [*hv[:i], *values, *tv[k + 1 :]],
         [*hp[:i], *pieces, *tp[k:]],

@@ -8,13 +8,14 @@ eta, sits at 1 on [eta, xi), takes the meet of the right envelopes at xi,
 and vanishes beyond. The resulting operation is commutative, associative,
 neutral at the unit spike, monotone, and closed on singleton and interval
 indicators (axioms O6, O7) -- yet provably not expressible as any sup-convolution,
-which is the whole point of building it. It is built by ``piecewise._splice``,
-as meet, join and ``is_convex`` are: a head of one envelope-join pass that
-stops at eta, the plateau, and a zero tail. Two interval indicators skip it:
-the product of those of [a1, b1] and [a2, b2] is their meet, the indicator of
-[a1 ^ a2, b1 ^ b2] (the co-product's is their join, of [a1 v a2, b1 v b2]),
-from ``_indicator``'s memo by ``piecewise._interval_op``. O7 rests on that form
-and its test against the splice.
+which is the whole point of building it. It is the sealed ``piecewise._splice``,
+as meet, join and ``is_convex`` are, and is not interned: a head of one
+envelope-join pass that stops at eta, the plateau, and a zero tail. Two
+interval indicators skip it: the product of those of [a1, b1] and [a2, b2] is
+their meet, the indicator of [a1 ^ a2, b1 ^ b2] (the co-product's is their
+join, of [a1 v a2, b1 v b2]), from ``_indicator``'s memo by
+``piecewise._interval_op``. O7 rests on that form and its test against the
+splice.
 
 The dual of any closed binary operation conjugates by reflection:
 (f op* g) = neg((neg f) op (neg g)), as ``dualize`` computes it. The
@@ -40,10 +41,8 @@ from .piecewise import (
     _interval_op,
     _max,
     _min,
-    _Parts,
     _shape,
     _splice,
-    canonicalize,
     reflect,
 )
 from .rationals import ONE
@@ -77,14 +76,14 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return f
     if sf.ones and sg.ones:  # two interval indicators: the closed form
         return _interval_op(_min, sf, sg)
-    return canonicalize(_star_splice(sf, sg))  # one lookup by the raw parts interns it
+    return _star_splice(sf, sg)
 
 
-def _star_splice(sf, sg) -> _Parts:  # the general path: the closed form's reference
+def _star_splice(sf, sg) -> PiecewiseFn:  # the general path: the closed form's reference
     eta = _min(sf.left_end[0], sg.left_end[0])
     head = _combine_parts(sf.left, sg.left, False, stop=eta)
     _, xi, tail_value = _cut(sf.right_end, sg.right_end, _min)
-    return _splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS, _Parts)
+    return _splice(head, eta, ONE, xi, tail_value, _ZERO_PARTS)
 
 
 def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -97,14 +96,14 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return f
     if sf.ones and sg.ones:
         return _interval_op(_max, sf, sg)
-    return canonicalize(_costar_splice(sf, sg))
+    return _costar_splice(sf, sg)
 
 
-def _costar_splice(sf, sg) -> _Parts:  # as _star_splice
+def _costar_splice(sf, sg) -> PiecewiseFn:  # as _star_splice
     xi = _max(sf.right_end[0], sg.right_end[0])
     tail = _combine_parts(sf.right, sg.right, False, start=xi)
     _, eta, at_eta = _cut(sf.left_end, sg.left_end, _max)
-    return _splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail, _Parts)
+    return _splice(_ZERO_PARTS, eta, at_eta, xi, ONE, tail)
 
 
 def star_envelopes(f: PiecewiseFn, g: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:

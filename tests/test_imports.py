@@ -148,11 +148,12 @@ def memoised_names(source: str) -> set[str]:
 
 
 PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
-# canonicalize interns equal functions; _indicator, keyed by the integer slots
-# of its ends, serves indicator(), which the axiom battery calls for every
-# interval, and star/costar of two interval indicators; _shape holds each
-# function's envelopes, threshold ends and lattice membership. A new memo is a
-# deliberate edit here.
+# canonicalize interns equal functions for callers outside the library, which
+# calls it nowhere; _indicator, keyed by the integer slots of its ends, serves
+# indicator(), which the axiom battery calls for every interval, and
+# star/costar of two interval indicators; _shape holds each function's
+# envelopes, threshold ends and lattice membership. A new memo is a deliberate
+# edit here.
 MEMOS = {"canonicalize", "_indicator", "_shape"}
 
 
@@ -218,18 +219,13 @@ def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
     return {".".join(name.split(".")[:2]) for name in callers(sources, "canonicalize")}
 
 
-# canonicalize only interns (every PiecewiseFn is canonical): the products
-# and the draws call it so that callers keeping many equal results hold one.
-# A new canonicalizing call is a deliberate edit here.
-CANONICALIZING = {
-    "star.star",
-    "star.costar",
-    "axioms._draw_lattice",
-    "axioms._draw_arbitrary",
-}
+# canonicalize only interns (every PiecewiseFn is canonical), for callers that
+# keep many equal results; the library keeps what it builds as built. A
+# canonicalizing call is a deliberate edit here.
+CANONICALIZING = set()
 
 
-def test_only_these_functions_call_canonicalize():
+def test_no_library_function_calls_canonicalize():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert canonicalizing_functions(sources) == CANONICALIZING
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import t2algebra as t
-from t2algebra import DomainError, ValidationError, axioms, piecewise, rationals
+from t2algebra import DomainError, ValidationError, axioms, cli, piecewise, rationals
 from t2algebra.piecewise import (
     _affine_above,
     _affine_ratio,
@@ -154,6 +154,15 @@ class TestEquals:
     def test_plateau_step_is_not_indicator(self, plateau_step):
         assert not t.equals(plateau_step, t.indicator(0, F(3, 4)))
 
+    def test_against_other_objects(self):
+        assert (t.FULL == object()) is False
+        assert (t.FULL != object()) is True
+        rebuilt = t.PiecewiseFn(*_parts(t.FULL))
+        assert rebuilt is not t.FULL
+        assert rebuilt == t.FULL and t.FULL == rebuilt
+        assert hash(rebuilt) == hash(t.FULL)
+        assert t.FULL != t.BOTTOM and t.BOTTOM != t.FULL
+
 
 def _is_canonical(f):
     parts = f.breakpoints, f.values, f.pieces
@@ -221,7 +230,7 @@ class TestEveryInstanceIsCanonical:
 
 
 class TestCanonicalizeLookups:
-    """canonicalize only interns, and only the products and the draws call it."""
+    """canonicalize only interns, and no library function calls it."""
 
     @staticmethod
     def _lookups(compute, memo=piecewise.canonicalize):
@@ -237,13 +246,33 @@ class TestCanonicalizeLookups:
             assert self._lookups(lambda: op(f, g)) == 0
         for pred in (t.in_lattice, t.is_interval_indicator):
             assert self._lookups(lambda: pred(f)) == 0
-        # one memo lookup per non-neutral product: _indicator for two interval
-        # indicators, canonicalize otherwise
+        # a product is the sealed splice, or one _indicator lookup for two
+        # interval indicators away from the neutral element
         closed = t.is_interval_indicator(f) and t.is_interval_indicator(g)
         for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
-            once = 0 if neutral in (f, g) else 1
-            assert self._lookups(lambda: op(f, g)) == (0 if closed else once)
-            assert self._lookups(lambda: op(f, g), piecewise._indicator) == (once if closed else 0)
+            once = 1 if closed and neutral not in (f, g) else 0
+            assert self._lookups(lambda: op(f, g)) == 0
+            assert self._lookups(lambda: op(f, g), piecewise._indicator) == once
+
+    def test_an_axiom_battery_interns_nothing(self, capsys):
+        _clear_memos()
+        assert cli.main(["axioms", "star", "tr-norm", "--trials", "20"]) == 0
+        capsys.readouterr()
+        assert piecewise.canonicalize.cache_info().currsize == 0
+
+    @given(
+        st.one_of(
+            raw_parts(), split_parts(), lattice_fns().map(lambda f: (f.breakpoints, f.values, f.pieces))
+        )
+    )
+    def test_interning_any_parts_hands_back_the_sealed_build(self, parts):
+        _clear_memos()
+        first = piecewise._sealed(*parts)
+        for again in (first, t.PiecewiseFn(*parts), piecewise._sealed(*parts)):
+            got = t.canonicalize(again)  # a miss, then hits
+            assert type(got) is t.PiecewiseFn
+            assert got is first
+        assert piecewise.canonicalize.cache_info().currsize == 1
 
     def test_interning_hands_back_the_first_equal_object(self):
         _clear_memos()
@@ -297,62 +326,43 @@ class TestIndicatorMemoKey:
         assert built[0] == t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 0), ((0, 0), (0, 0)))
 
 
-class TestRawPartsLookup:
-    """star and costar look their product up in canonicalize by the raw parts
-    of its splice and seal it only on a miss; canonicalize still hands back
-    the first object stored equal to it, and never the probe."""
-
-    def test_warm_product_is_not_sealed(self, monkeypatch):
-        fns = t.generate_lattice_functions(t.GeneratorConfig(seed=5), 12)
-        sixteenths = [F(k, 16) for k in range(17)]
-        indicators = [t.indicator(a, b) for a in sixteenths for b in sixteenths if a <= b]
-        pairs = list(zip(fns, fns[1:])) + [(f, g) for f in indicators[::5] for g in indicators]
-        ops = (t.star, t.costar)
-        _clear_memos()
-        warm = [op(f, g) for f, g in pairs for op in ops]
-
-        def refuse(*args):
-            raise AssertionError("a known product was sealed")
-
-        monkeypatch.setattr(piecewise, "_canonical_parts", refuse)
-        again = [op(f, g) for f, g in pairs for op in ops]
-        monkeypatch.undo()
-        assert all(p is q for p, q in zip(again, warm))
-
-    def test_merge_drops_the_removable_breakpoint_and_interns_in_one_lookup(self):
+class TestSplicedMerge:
+    def test_merge_drops_the_removable_breakpoint(self):
         # g's breakpoint 1/4 lies under f's piece of the join of the left
-        # envelopes; the merge drops it, so star's raw parts are f's own and
-        # hit the stored f at once; costar mirrors it
+        # envelopes; the merge drops it, so star's product is f, with f's own
+        # parts; costar mirrors it
         f = t.PiecewiseFn((0, F(1, 2), 1), (0, 1, 1), ((2, 0), (0, 1)))
         g = t.PiecewiseFn((0, F(1, 4), 1), (0, 0, 1), ((0, 0), (F(4, 3), F(-1, 3))))
         for op, f, g in ((t.star, f, g), (t.costar, t.reflect(f), t.reflect(g))):
-            _clear_memos()
-            first = t.canonicalize(t.PiecewiseFn(f.breakpoints, f.values, f.pieces))
-            assert op(f, g) is first
-            info = piecewise.canonicalize.cache_info()
-            assert (info.hits, info.misses) == (1, 1)
-            assert op(f, g) is first
-            info = piecewise.canonicalize.cache_info()
-            assert (info.hits, info.misses) == (2, 1)
+            product = op(f, g)
+            assert product == f
+            assert _parts(product) == _parts(f)
 
-    @given(
-        st.one_of(
-            raw_parts(), split_parts(), lattice_fns().map(lambda f: (f.breakpoints, f.values, f.pieces))
-        )
-    )
-    def test_canonicalize_never_returns_a_probe(self, parts):
-        for _ in range(2):  # a miss, then a hit
-            got = t.canonicalize(piecewise._Parts(*parts))
-            assert type(got) is t.PiecewiseFn
-            assert got == piecewise._sealed(*parts)
+    def test_a_warm_product_is_sealed_once(self, monkeypatch):
+        # pairs that are not both interval indicators and not the neutral
+        # element: each product is one splice, canonicalized once by its seal
+        fns = t.generate_lattice_functions(t.GeneratorConfig(seed=5), 12)
+        ramps = [t.from_affine(1, 0), t.from_affine(-1, 1)]
+        sixteenths = [F(k, 16) for k in range(17)]
+        indicators = [t.indicator(a, b) for a in sixteenths[::3] for b in sixteenths[::3] if a <= b]
+        pairs = list(zip(fns, fns[1:])) + [(f, g) for f in ramps for g in indicators]
+        pairs = [(f, g) for f, g in pairs if not all(map(t.is_interval_indicator, (f, g)))]
+        ops = ((t.star, t.TOP), (t.costar, t.BOTTOM))
+        products = [(op, f, g) for f, g in pairs for op, neutral in ops if neutral not in (f, g)]
+        assert products
+        warm = [op(f, g) for op, f, g in products]
+        calls = []
+        merge = piecewise._canonical_parts
 
-    def test_probe_against_other_objects(self):
-        probe = piecewise._Parts(*_parts(t.FULL))
-        assert (probe == object()) is False
-        assert (probe != object()) is True
-        assert probe == t.FULL and t.FULL == probe
-        assert hash(probe) == hash(t.FULL)
-        assert probe != t.BOTTOM and t.BOTTOM != probe
+        def counting(*parts):
+            calls.append(parts)
+            return merge(*parts)
+
+        monkeypatch.setattr(piecewise, "_canonical_parts", counting)
+        again = [op(f, g) for op, f, g in products]
+        monkeypatch.undo()
+        assert len(calls) == len(products)
+        assert again == warm
 
 
 class TestPointwiseMinMax:

@@ -28,10 +28,9 @@ SPLICES = {t.star: star_module._star_splice, t.costar: star_module._costar_splic
 
 
 def spliced(op, f, g):
-    """op(f, g) by its general path, the splice, called directly and sealed
-    afresh: the reference for the closed form on interval indicators."""
-    probe = SPLICES[op](piecewise._shape(f), piecewise._shape(g))
-    return piecewise._sealed(*probe.parts)
+    """op(f, g) by its general path, the splice, called directly: the
+    reference for the closed form on interval indicators."""
+    return SPLICES[op](piecewise._shape(f), piecewise._shape(g))
 
 
 class TestStarFixedCases:
@@ -114,36 +113,21 @@ class TestStarAgainstItsDefinition:
             assert t.evaluate(product, x) == reference_star_value(f, g, x)
 
 
-class TestRawPartsLookup:
-    """star and costar look their product up by the raw parts of the splice:
-    the result is the one sealing that splice and interning it gives."""
+class TestSealedSplice:
+    """Away from the neutral element, star and costar are the sealed splice,
+    called directly; at it they hand back the other operand."""
 
     @staticmethod
-    def _products(f, g):
-        return t.star(f, g), t.costar(f, g)
-
-    def _agree(self, pairs):
-        raw = []
-
-        def recording(*parts):  # a real probe: canonicalize tests its type
-            raw.append(tuple(map(tuple, parts)))
-            return piecewise._Parts(*parts)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(star_module, "_Parts", piecewise._sealed)
-            clear_memos()
-            expected = [self._products(f, g) for f, g in pairs]
-        clear_memos()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(star_module, "_Parts", recording)
-            got = [self._products(f, g) for f, g in pairs]
-        for ps, qs in zip(got, expected):
-            for p, q in zip(ps, qs):
+    def _agree(pairs):
+        for f, g in pairs:
+            for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
+                p = op(f, g)
                 assert type(p) is t.PiecewiseFn
+                if neutral in (f, g):
+                    assert p is (g if f == neutral else f)
+                    continue
+                q = spliced(op, f, g)
                 assert (p.breakpoints, p.values, p.pieces) == (q.breakpoints, q.values, q.pieces)
-                assert p == q
-        # the raw parts of every product are canonical: one lookup interns it
-        assert all(piecewise._canonical_parts(*parts) == parts for parts in raw)
 
     @given(
         st.one_of(lattice_fns(), open_peak_fns(), st.sampled_from(STAR_FIXTURES)),
@@ -166,39 +150,44 @@ class TestRawPartsLookup:
         self._agree([(f, g) for f in fns for g in fns])
 
     @pytest.mark.parametrize("op", [t.star, t.costar], ids=["star", "costar"])
-    def test_a_cold_product_and_its_stored_probe_share_one_key(self, monkeypatch, op):
-        probes = []
-
-        def recording(*parts):
-            probes.append(piecewise._Parts(*parts))
-            return probes[-1]
-
+    def test_a_cold_product_carries_the_key_of_its_parts(self, op):
         # a rising ramp and an indicator: not both interval indicators, so the
-        # product reaches the splice and its probe
+        # product is the splice's seal
         f, g = t.from_affine(1, 0), t.indicator(F(1, 4), F(3, 4))
-        monkeypatch.setattr(star_module, "_Parts", recording)
         clear_memos()
         product = op(f, g)
-        assert piecewise.canonicalize.cache_info().misses == len(probes) == 1
-        assert probes[0].parts is None
-        assert probes[0]._key is product._key
+        rebuilt = t.PiecewiseFn(product.breakpoints, product.values, product.pieces)
+        slots = [
+            *product.breakpoints,
+            *product.values,
+            *(q for piece in product.pieces for q in piece),
+        ]
+        assert product._key == rebuilt._key
+        assert product._key == tuple(n for q in slots for n in (q.numerator, q.denominator))
+        assert hash(product) == hash(rebuilt) and product == rebuilt
+        assert piecewise.canonicalize.cache_info().currsize == 0
 
 
 INTERVALS = tuple((a, b) for a in SIXTEENTHS for b in SIXTEENTHS if a <= b)
 ENDS = {t.star: min, t.costar: max}
 
 
-def count_probes(compute):
-    """compute() and the number of splice probes (``_Parts``) it made."""
-    probes = []
+def count_splices(compute):
+    """compute() and the number of calls it made of ``_star_splice`` and
+    ``_costar_splice``."""
+    calls = []
 
-    def recording(*parts):
-        probes.append(parts)
-        return piecewise._Parts(*parts)
+    def counting(splice):
+        def call(*args):
+            calls.append(args)
+            return splice(*args)
+
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(star_module, "_Parts", recording)
-        return compute(), len(probes)
+        for name in ("_star_splice", "_costar_splice"):
+            mp.setattr(star_module, name, counting(getattr(star_module, name)))
+        return compute(), len(calls)
 
 
 class TestIntervalClosedForm:
@@ -213,10 +202,10 @@ class TestIntervalClosedForm:
         entries = piecewise._indicator.cache_info().currsize
         pairs = list(iter_product(indicators.items(), repeat=2))
         ops = tuple(ENDS.items())
-        products, probes = count_probes(
+        products, splices = count_splices(
             lambda: [op(f, g) for (_, f), (_, g) in pairs for op, _ in ops]
         )
-        assert probes == 0
+        assert splices == 0
         # each product is the memo's indicator of the lesser (greater) ends,
         # neutral pairs included, and the memo gains no entry
         assert piecewise._indicator.cache_info().currsize == entries
@@ -245,8 +234,8 @@ class TestIntervalClosedForm:
         pairs = [(f, g) for f in outside for g in outside + [t.indicator(a, b) for a, b in ends]]
         for op in (t.star, t.costar):
             for f, g in pairs + [(g, f) for f, g in pairs]:
-                product, probes = count_probes(lambda: op(f, g))
-                assert probes == 0
+                product, splices = count_splices(lambda: op(f, g))
+                assert splices == 0
                 assert product == spliced(op, f, g)
 
     def test_mixed_pairs_take_the_splice(self):
@@ -261,11 +250,11 @@ class TestIntervalClosedForm:
         pairs = [(f, g) for f in indicators for g in others]
         for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
             for f, g in pairs + [(g, f) for f, g in pairs]:
-                product, probes = count_probes(lambda: op(f, g))
+                product, splices = count_splices(lambda: op(f, g))
                 if neutral in (f, g):  # the splice holds away from it only
-                    assert probes == 0 and product is (g if f == neutral else f)
+                    assert splices == 0 and product is (g if f == neutral else f)
                 else:
-                    assert probes == 1 and product == spliced(op, f, g)
+                    assert splices == 1 and product == spliced(op, f, g)
 
     def test_against_the_pointwise_reference(self):
         indicators = [t.indicator(a, b) for a, b in INTERVALS]
