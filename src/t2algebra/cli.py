@@ -44,15 +44,15 @@ EXIT_INTERNAL = 5
 # Upper bounds on the size flags, checked before any work starts, so that a
 # mistyped number cannot run for hours or exhaust memory.
 # --grid: an exact (min/max) grid convolution takes time linear in the
-# resolution, a banded one quadratic. With builtin connectives an exact one
-# takes 0.1-2.5 ms at the default 200 and 1-32 ms at 2,000, a banded one
-# 0.015-0.04 s and 1.6-3.9 s (2-core box, Python 3.11); a user-built
+# resolution, a banded one quadratic. On typical inputs with builtin connectives
+# an exact one takes 0.3-0.7 ms at the default 200 and 3-7 ms at 2,000, a banded
+# one 7-16 ms and 0.63-1.84 s (2-core box, Python 3.11); a user-built
 # connective is called on every pair, several times slower.
 MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000
 # --trials: the battery keeps up to this many drawn pairs and triples; on a 2-core
-# box `axioms star tr-norm` takes 0.2 s at the default 200 and 6 s at 10,000.
+# box `axioms star tr-norm` takes 0.2 s at the default 200 and 5.1 s at 10,000.
 MAX_TRIALS = 10_000
 _SIZE_BOUNDS = {"grid": MAX_GRID, "samples": MAX_SAMPLES, "trials": MAX_TRIALS}
 

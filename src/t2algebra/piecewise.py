@@ -33,7 +33,7 @@ routes ``_sealed`` through the constructor.
 Equality and hashing are structural over an integer key precomputed at
 construction. Fraction hashing is too slow to sit under the memos, so every
 memo key is integers: a function's ``_key``, or ``_indicator``'s end slots.
-The envelopes, thresholds, lattice membership and indicator ends of a
+The envelopes, thresholds, lattice membership and indicator test of a
 function are fields of one memoised record, ``_shape``.
 
 This module (and ``star``, through its helpers) compares rationals by
@@ -281,8 +281,9 @@ def _indicator(ln: int, ld: int, hn: int, hd: int) -> PiecewiseFn:  # of [ln/ld,
 
 
 def _interval_op(first, sf, sg) -> PiecewiseFn:  # star (first _min) and costar (_max)
-    # of two interval indicators, from their _shape: the indicator of the first ends
-    lo, hi = first(sf.ones[0], sg.ones[0]), first(sf.ones[-1], sg.ones[-1])
+    # of two interval indicators, from their _shape: the indicator of the first
+    # threshold ends, as each indicator's threshold ends are its interval's ends
+    lo, hi = first(sf.left_end[0], sg.left_end[0]), first(sf.right_end[0], sg.right_end[0])
     return _indicator(lo._numerator, lo._denominator, hi._numerator, hi._denominator)
 
 
@@ -423,8 +424,8 @@ def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
     (a, b), takes at_b at b and follows tail on (b, 1] (at a = b the lesser of
     at_a and at_b), ``_sealed``. head and tail are parts that cover [0, a] and
     [b, 1]. Each cut is a walk in from the part's near end, exact anywhere and
-    a step or two for every caller: heads stop at a, tails start at b, and
-    ``_shape``'s thresholds are two steps in."""
+    a step or two for every caller: heads stop at a, tails start at b,
+    ``_shape``'s thresholds are two steps in and the zero parts one step in."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
     i, k, last = len(hb), 0, len(tb) - 1
     while i and not _lt(hb[i - 1], a):  # i: the number of head breakpoints short of a
@@ -517,30 +518,34 @@ class _Shape(NamedTuple):
     left_end: tuple[Fraction, Fraction] | None
     right_end: tuple[Fraction, Fraction] | None
     lattice: bool  # normal and convex
-    ones: tuple[Fraction, ...]  # _indicator_ones(f): () unless normal, as is every indicator
+    indicator: bool  # f is the indicator of [left_end[0], right_end[0]]
 
 
 @lru_cache(maxsize=_CACHE)
 def _shape(f: PiecewiseFn) -> _Shape:
-    """f's envelopes, threshold ends, lattice membership and indicator ends.
+    """f's envelopes, threshold ends, lattice membership and indicator test.
 
     The left envelope never falls, ends on sup f and is canonical, so for
     normal f it is 1 on its last piece if that is (0, 1), open or closed at
     the piece's left end, and else at 1 only; the right envelope mirrors it.
     A normal f is convex iff it equals (``==``, both being canonical) the meet
     of its envelopes, spliced with no merged pass: the left one short of its
-    threshold, 1, then the right one.
+    threshold, 1, then the right one. It is an interval indicator iff it also
+    equals zero parts so spliced, 1 at both thresholds: 4 breakpoints at most.
     """
     h = _sealed(*_running_sup(f, rightward=True))
     k = _sealed(*_running_sup(f, rightward=False))
     if not _same(h.values[-1], ONE):
-        return _Shape(h, k, None, None, False, ())
+        return _Shape(h, k, None, None, False, False)
     i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
     j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
     ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
     head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
     lattice = f == _splice(head, *ends[0], *ends[1], tail)
-    return _Shape(h, k, *ends, lattice, _indicator_ones(f))
+    (a, _), (b, _) = ends
+    short = len(f.breakpoints) <= 4
+    indicator = lattice and short and f == _splice(_ZERO_PARTS, a, ONE, b, ONE, _ZERO_PARTS)
+    return _Shape(h, k, *ends, lattice, indicator)
 
 
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
@@ -598,32 +603,18 @@ def in_lattice(f: PiecewiseFn) -> bool:
     return _shape(f).lattice
 
 
-def _indicator_ones(f: PiecewiseFn) -> tuple[Fraction, ...]:
-    """The breakpoints at which f is 1 if f is the indicator of the closed
-    interval they span, else none. Read off f, which is canonical, in one
-    scan: values and flat pieces of 0 or 1, the 1s one run from value to value."""
-    run = []  # the levels in the order value, piece, value, ..., piece
-    for v, (s, c) in zip(f.values, f.pieces + ((ZERO, ZERO),)):
-        if s._numerator or c._denominator != 1 or v._denominator != 1:
-            return ()
-        run += (v._numerator, c._numerator)
-    if 1 not in run:
-        return ()
-    lo, hi = run.index(1), len(run) - run[::-1].index(1) - 1
-    closed = not (lo % 2 or hi % 2 or 0 in run[lo:hi])
-    return f.breakpoints[lo // 2 : hi // 2 + 1] if closed else ()
-
-
 def is_point_indicator(f: PiecewiseFn) -> bool:
     """True iff f is the characteristic function of some singleton."""
-    return len(f.breakpoints) <= 3 and len(_shape(f).ones) == 1
+    shape = _shape(f) if len(f.breakpoints) <= 3 else None
+    return shape is not None and shape.indicator and _same(shape.left_end[0], shape.right_end[0])
 
 
 def is_interval_indicator(f: PiecewiseFn) -> bool:
-    """True iff f is the characteristic function of some closed interval (see
-    ``_indicator_ones``), read off ``_shape``: a known f costs one memo hit,
-    and one with more breakpoints than a canonical indicator (4) none."""
-    return len(f.breakpoints) <= 4 and bool(_shape(f).ones)
+    """True iff f is the characteristic function of some closed interval, read
+    off ``_shape``, which compares f with the splice that builds one: a known f
+    costs one memo hit, and one with more breakpoints than a canonical
+    indicator (4) none."""
+    return len(f.breakpoints) <= 4 and _shape(f).indicator
 
 
 # ---------------------------------------------------------------------------

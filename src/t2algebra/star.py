@@ -74,7 +74,7 @@ def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return g
     if g == TOP:
         return f
-    if sf.ones and sg.ones:  # two interval indicators: the closed form
+    if sf.indicator and sg.indicator:  # two interval indicators: the closed form
         return _interval_op(_min, sf, sg)
     return _star_splice(sf, sg)
 
@@ -94,7 +94,7 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         return g
     if g == BOTTOM:
         return f
-    if sf.ones and sg.ones:
+    if sf.indicator and sg.indicator:
         return _interval_op(_max, sf, sg)
     return _costar_splice(sf, sg)
 

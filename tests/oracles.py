@@ -23,7 +23,7 @@ on both right envelopes, which the library reads off its threshold scan.
 
 ``reference_indicator_ends`` finds the set where f is 1 from f's raw parts,
 canonical or not, and checks it is a closed interval by evaluation; the
-library reads the indicator shape off the canonical form instead.
+library compares f with the splice of zero parts at its threshold ends instead.
 
 ``reference_star_value`` is the threshold product's value at x away from
 its neutral element, from its definition: the join of the left envelopes

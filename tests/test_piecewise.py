@@ -966,6 +966,17 @@ INDICATOR_CASES = {
         t.PiecewiseFn((0, F(1, 2), 1), (1, 1, 1), ((0, 1),) * 2),
         (0, 1),
     ),
+    # lattice, at most 4 breakpoints and 1 at both threshold ends: only the
+    # zero head and tail of the indicator splice tell these apart from one
+    "step off a plateau": (t.step(F(1, 2), 1, F(1, 4)), None),
+    "plateau on a floor": (
+        t.pointwise_max(t.indicator(F(1, 4), F(3, 4)), t.constant(F(1, 8))),
+        None,
+    ),
+    "ramp into a closed plateau": (
+        t.PiecewiseFn((0, F(1, 4), F(3, 4), 1), (0, 1, 1, 0), ((4, 0), (0, 1), (0, 0))),
+        None,
+    ),
 }
 
 
@@ -1003,12 +1014,16 @@ class TestIndicatorShape:
 
 
 class TestIndicatorField:
-    """The indicator ends are a field of the _shape record, computed once per
-    miss by the one-scan reading, so a known function's check is one hit."""
+    """The indicator test is a field of the _shape record, computed once per
+    miss by comparing f with the splice of its threshold ends, so a known
+    function's check is one hit."""
 
     @given(st.one_of(lattice_fns(), piecewise_fns(), normal_fns(), zero_one_fns()))
-    def test_field_is_the_scan(self, f):
-        assert piecewise._shape(f).ones == piecewise._indicator_ones(f)
+    def test_field_is_the_reference(self, f):
+        shape, ends = piecewise._shape(f), reference_indicator_ends(f)
+        assert shape.indicator == (ends is not None)
+        if shape.indicator:
+            assert (shape.left_end[0], shape.right_end[0]) == ends
 
     @given(st.one_of(lattice_fns(), piecewise_fns(), zero_one_fns()))
     def test_warm_check_is_one_shape_hit(self, f):
