@@ -27,9 +27,11 @@ from .convolution import GridSpec, convolve_join_at, convolve_meet, convolve_mee
 from .errors import DomainError, ValidationError
 from .lattice import BOTTOM, FULL, TOP, leq_sub, meet as lattice_meet
 from .piecewise import (
+    _ZERO_PARTS,
     PiecewiseFn,
+    _flat,
     _sealed,
-    constant,
+    _splice,
     envelope_left,
     envelope_right,
     evaluate,
@@ -132,7 +134,7 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     if kind == 3:
         # lower head then a plateau at 1
         a = _coord(rng, den)
-        return pointwise_max(indicator(a, ONE), constant(_coord(rng, den)))
+        return _splice(_flat(_coord(rng, den)), a, ONE, ONE, ONE, _ZERO_PARTS)
     if kind == 4:
         return rising_ramp(_coord(rng, den))
     if kind == 5:
@@ -141,17 +143,22 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
         # supremum 1 approached at the right endpoint, not attained there
         floor = _coord(rng, den, hi=Fraction(den - 1, den))
         drop = _coord(rng, den)
-        return PiecewiseFn(
-            (ZERO, ONE), (floor, drop), ((ONE - floor, floor),)
-        )
+        return _sealed((ZERO, ONE), (floor, drop), ((ONE - floor, floor),))
     if kind == 7:
         # supremum 1 approached at the left endpoint
         end = _coord(rng, den, hi=Fraction(den - 1, den))
         start = _coord(rng, den)
-        return PiecewiseFn((ZERO, ONE), (start, end), ((end - ONE, ONE),))
+        return _sealed((ZERO, ONE), (start, end), ((end - ONE, ONE),))
     if kind == 8:
         return FULL
     return TOP if rng.random() < HALF else BOTTOM
+
+
+def _rungs(pos: list[Fraction], rungs: list[Fraction]):
+    """Parts through the breakpoints pos, with rungs[::3] at them, whose
+    piece i runs from rungs[3i + 1] to rungs[3i + 2]."""
+    ends = zip(pos, rungs[1::3], pos[1:], rungs[2::3])
+    return pos, rungs[::3], [_affine_between(*end) for end in ends]
 
 
 def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -163,37 +170,15 @@ def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     budget = cfg.max_breakpoints - 2
     left_count = rng.randint(0, budget // 2)
     right_count = rng.randint(0, budget - left_count)
-
-    breaks: list[Fraction] = []
-    values: list[Fraction] = []
-    pieces: list[tuple[Fraction, Fraction]] = []
-
+    # the head is drawn before the tail: every seeded output depends on the order
+    head = tail = _ZERO_PARTS
     if peak_lo > ZERO:
         pos = [ZERO] + _interior_coords(rng, den, left_count, ZERO, peak_lo) + [peak_lo]
-        rungs = _ladder(rng, den, 3 * (len(pos) - 1), descending=False) + [ONE]
-        for i in range(len(pos) - 1):
-            values.append(rungs[3 * i])
-            pieces.append(
-                _affine_between(pos[i], rungs[3 * i + 1], pos[i + 1], rungs[3 * i + 2])
-            )
-        breaks.extend(pos[:-1])
-    breaks.append(peak_lo)
-    values.append(ONE)
-    if peak_hi > peak_lo:
-        pieces.append((ZERO, ONE))
-        breaks.append(peak_hi)
-        values.append(ONE)
+        head = _rungs(pos, _ladder(rng, den, 3 * (len(pos) - 1), descending=False) + [ONE])
     if peak_hi < ONE:
         pos = [peak_hi] + _interior_coords(rng, den, right_count, peak_hi, ONE) + [ONE]
-        rungs = [ONE] + _ladder(rng, den, 3 * (len(pos) - 1), descending=True)
-        for i in range(len(pos) - 1):
-            pieces.append(
-                _affine_between(pos[i], rungs[3 * i + 1], pos[i + 1], rungs[3 * i + 2])
-            )
-            values.append(rungs[3 * i + 3])
-        breaks.extend(pos[1:])
-    # valid by construction, so sealed unchecked (see piecewise)
-    return _sealed(breaks, values, pieces)
+        tail = _rungs(pos, [ONE] + _ladder(rng, den, 3 * (len(pos) - 1), descending=True))
+    return _splice(head, peak_lo, ONE, peak_hi, ONE, tail)
 
 
 def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -281,7 +266,7 @@ def _interpolate_through(points: list[tuple[Fraction, Fraction]]) -> PiecewiseFn
         _affine_between(points[i][0], points[i][1], points[i + 1][0], points[i + 1][1])
         for i in range(len(points) - 1)
     )
-    return PiecewiseFn(breaks, values, pieces)
+    return _sealed(breaks, values, pieces)
 
 
 def _shrink_points(f: PiecewiseFn) -> Iterable[list[tuple[Fraction, Fraction]]]:
@@ -564,7 +549,9 @@ def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> Axi
     pushed through the oracle pin down commutativity of * itself, and
     indicator pairs its boundary values. One run tries the commutativity
     pairs, the canonical one first, then the boundary corners, and counts
-    the trials of both; a failure carries the witnessing pair.
+    the trials of both; a failure carries the witnessing pair. The report is
+    the same on every grid: at x = 1 the only pair with y min z = 1 is (1, 1),
+    and every grid holds 1.
     """
 
     def sides(check: str, a: Fraction, b: Fraction):

@@ -8,6 +8,7 @@ Exit codes are a stable contract:
      long to print: such a command writes no output)
   4  I/O error
   5  internal error (an unexpected failure, reported in one line)
+  130  interrupted (SIGINT), reported in one line
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130
 
 # Upper bounds on the size flags, checked before any work starts, so that a
 # mistyped number cannot run for hours or exhaust memory.
@@ -80,9 +82,13 @@ def _write_text(*outputs: tuple[str | None, str]) -> None:
     """Write each (path, text) whose text is not None, a None path to stdout.
     Every file is opened, in append mode so that none is truncated yet, before
     any is written: if one cannot be opened, the files this command created are
-    removed and the others left as they were. A path named twice gets its last text."""
+    removed and the others left as they were. A path named twice gets its last text.
+    A closed stdout is an I/O error before any file is written; with no text
+    for it, stdout is not touched."""
     texts = {path: text for path, text in outputs if text is not None}
     stdout = texts.pop(None, "")
+    if stdout and sys.stdout is None:  # started with stdout closed
+        raise IOError("cannot write stdout: it is closed")
     created = [path for path in texts if not os.path.lexists(path)]
     try:
         with ExitStack() as stack:
@@ -98,7 +104,8 @@ def _write_text(*outputs: tuple[str | None, str]) -> None:
         for made in filter(os.path.lexists, created):
             os.remove(made)
         raise IOError(f"cannot write {path}: {exc}") from exc
-    sys.stdout.write(stdout)
+    if stdout:
+        sys.stdout.write(stdout)
 
 
 def _parse_conv_name(name: str):
@@ -179,7 +186,7 @@ def _cmd_axioms(args) -> int:
         monotone_trials=max(1, scale // 2),
         closure_denominator=16 if scale >= 100 else 8,
     )
-    print(format_report_table(reports))
+    _write_text((None, format_report_table(reports) + "\n"))
     return EXIT_OK if all_passed(reports) else EXIT_AXIOM_FAILURE
 
 
@@ -202,13 +209,13 @@ def _cmd_separation(args) -> int:
     choices = [connective_by_name(n) for n in names]
     grid = GridSpec(args.grid, args.tolerance)
     rows = ax.separation_rows(choices, grid)
-    header = ("star", "exact_product_value", "oracle_lower_bound", "separated")
-    print(",".join(header))
+    lines = ["star,exact_product_value,oracle_lower_bound,separated\n"]
     for row in rows:
-        print(
+        lines.append(
             f"{row['star']},{row['exact_product_value']},"
-            f"{row['oracle_lower_bound']},{'yes' if row['separated'] else 'NO'}"
+            f"{row['oracle_lower_bound']},{'yes' if row['separated'] else 'NO'}\n"
         )
+    _write_text((None, "".join(lines)))
     return EXIT_OK if all(r["separated"] for r in rows) else EXIT_AXIOM_FAILURE
 
 
@@ -255,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_sizes(args)
         return args.run(args)
     except _UsageError as exc:
@@ -273,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

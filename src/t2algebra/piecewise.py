@@ -21,14 +21,15 @@ build is canonicalized in ``PiecewiseFn._seal``. So ``==`` (and ``equals``)
 is pointwise equality, and ``canonicalize`` only interns, for callers that
 keep many equal functions; the library itself calls it nowhere.
 
-Validation happens once, at the boundary. ``PiecewiseFn(...)`` coerces each
-slot once and checks every part; ``from_json_dict``/``loads`` pass it the
-slots as given, and the named constructors check their arguments. A function
-the library computes from valid ones (pointwise min/max, reflection,
-envelopes, the threshold product) is built by ``_sealed`` unchecked: its
-parts are exact rationals derived from valid parts by an operation closed
-on the class, so a check could only re-prove that on every build. A test
-routes ``_sealed`` through the constructor.
+Validation happens once, at the boundary: ``PiecewiseFn(...)`` coerces each
+slot once and checks every part, and only ``from_json_dict``/``loads`` (the
+slots as given) and ``from_affine`` (a line may leave [0, 1]) call it. The
+other named constructors check their arguments and, like the generators in
+``axioms``, assemble valid parts; a function computed from valid ones
+(pointwise min/max, reflection, envelopes, the threshold product) has parts
+made by an operation closed on the class. All of these are ``_sealed``
+unchecked, as a check could only re-prove that; a test routes ``_sealed``
+through the constructor.
 
 Equality and hashing are structural over an integer key precomputed at
 construction. Fraction hashing is too slow to sit under the memos, so every
@@ -62,7 +63,14 @@ from .rationals import ONE, UNPRINTABLE, ZERO, format_rational, to_rational, to_
 Affine = tuple[Fraction, Fraction]
 
 _CACHE = 16384
-_ZERO_PARTS = ((ZERO, ONE), (ZERO, ZERO), ((ZERO, ZERO),))  # a zero _splice head or tail
+
+
+def _flat(v: Fraction):
+    """The parts of the constant v: a ``_splice`` head or tail, or sealed whole."""
+    return (ZERO, ONE), (v, v), ((ZERO, v),)
+
+
+_ZERO_PARTS = _flat(ZERO)
 
 
 def _lt(p: Fraction, q: Fraction) -> bool:
@@ -265,8 +273,7 @@ def equals(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 
 
 def constant(c) -> PiecewiseFn:
-    v = to_unit(c)
-    return PiecewiseFn((ZERO, ONE), (v, v), ((ZERO, v),))
+    return _sealed(*_flat(to_unit(c)))
 
 
 def from_affine(slope, intercept) -> PiecewiseFn:
@@ -302,27 +309,20 @@ def unit_spike(x) -> PiecewiseFn:
 
 def step(drop_at, high, low) -> PiecewiseFn:
     """Two-level step: ``high`` on [0, drop_at], ``low`` on (drop_at, 1]."""
-    d = to_unit(drop_at)
-    hi, lo = to_unit(high), to_unit(low)
-    if d == ZERO:
-        return PiecewiseFn((ZERO, ONE), (hi, lo), ((ZERO, lo),))
-    if d == ONE:
-        return constant(hi)
-    return _sealed(
-        (ZERO, d, ONE), (hi, hi, lo), ((ZERO, hi), (ZERO, lo))
-    )
+    d, hi, lo = to_unit(drop_at), to_unit(high), to_unit(low)
+    return _splice(_flat(hi), d, hi, d, hi, _flat(lo))
 
 
 def rising_ramp(floor) -> PiecewiseFn:
     """Affine ramp from ``floor`` at 0 up to 1 at 1."""
     c = to_unit(floor)
-    return from_affine(ONE - c, c)
+    return _sealed((ZERO, ONE), (c, ONE), ((ONE - c, c),))
 
 
 def falling_ramp(end) -> PiecewiseFn:
     """Affine ramp from 1 at 0 down to ``end`` at 1."""
     e = to_unit(end)
-    return from_affine(e - ONE, ONE)
+    return _sealed((ZERO, ONE), (ONE, e), ((e - ONE, ONE),))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +422,11 @@ def pointwise_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
     """The function that follows head on [0, a), takes at_a at a, is 1 on
     (a, b), takes at_b at b and follows tail on (b, 1] (at a = b the lesser of
-    at_a and at_b), ``_sealed``. head and tail are parts that cover [0, a] and
-    [b, 1]. Each cut is a walk in from the part's near end, exact anywhere and
-    a step or two for every caller: heads stop at a, tails start at b,
-    ``_shape``'s thresholds are two steps in and the zero parts one step in."""
+    at_a and at_b), ``_sealed``; it builds meet, join, star, costar, the
+    indicators, ``step``, the drawn lattice functions and ``_shape``'s tests.
+    head and tail are parts that cover [0, a] and [b, 1]. Each cut walks in
+    from the part's near end: exact anywhere, a step or two for every caller,
+    as drawn heads end at a and ``_shape``'s thresholds are two steps in."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
     i, k, last = len(hb), 0, len(tb) - 1
     while i and not _lt(hb[i - 1], a):  # i: the number of head breakpoints short of a

@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -541,6 +544,95 @@ def test_unexpected_failure_is_one_line_internal_error(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "internal error: RuntimeError: bad thing\n"
+
+
+# --- faults from outside the process: a closed stdout and an interrupt, in a
+# child process with the package on its path
+
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(t.__file__)))
+
+
+def run_child(argv, stdout_closed=True):
+    return subprocess.run(
+        [sys.executable, "-m", "t2algebra.cli", *argv],
+        env=CHILD_ENV,
+        preexec_fn=(lambda: os.close(1)) if stdout_closed else None,
+        stdout=None if stdout_closed else subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "star", "{band}", "{full}"],
+        ["eval", "star", "{band}", "{full}", "--json-out", "{tmp}/f.json"],
+        ["axioms", "star", "tr-norm", "--trials", "20"],
+        ["separation", "--grid", "10"],
+    ],
+)
+def test_output_to_a_closed_stdout_is_an_io_error(files, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path, **files) for a in argv]
+    child = run_child(argv)
+    assert child.returncode == 4
+    assert child.stderr == "i/o error: cannot write stdout: it is closed\n"
+    assert not (tmp_path / "f.json").exists()  # no file is written either
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "star", "{band}", "{full}", "--out", "{tmp}/out"],
+        ["eval", "conv-meet:min:min", "{band}", "{full}", "--grid", "8", "--out", "{tmp}/out"],
+        ["plot", "{band}", "{full}", "--out", "{tmp}/out"],
+    ],
+)
+def test_output_all_to_files_never_touches_stdout(files, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path, **files) for a in argv]
+    child = run_child(argv)
+    assert (child.returncode, child.stderr) == (0, "")
+    written = (tmp_path / "out").read_text()
+    argv[-1] = str(tmp_path / "again")
+    assert run_child(argv, stdout_closed=False).stdout == ""
+    assert written == (tmp_path / "again").read_text() != ""
+
+
+# the child reports on stderr when its battery starts, then runs on for
+# seconds; the handler is set because a child may inherit SIGINT ignored
+INTERRUPTED_BATTERY = """
+import signal, sys
+from t2algebra import axioms, cli
+signal.signal(signal.SIGINT, signal.default_int_handler)
+battery = axioms.check_tr_axioms
+
+def started(*args, **kwargs):
+    print("started", file=sys.stderr, flush=True)
+    return battery(*args, **kwargs)
+
+axioms.check_tr_axioms = started
+sys.exit(cli.main(["axioms", "star", "tr-norm", "--trials", "10000"]))
+"""
+
+
+def test_interrupt_is_one_line_and_exit_130():
+    child = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_BATTERY],
+        env=CHILD_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert child.stderr.readline() == "started\n"
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, "", "interrupted\n")
 
 
 def test_usage_error_for_unknown_command(capsys):

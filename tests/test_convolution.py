@@ -219,6 +219,12 @@ class TestForcedProperties:
         for conn in (t.MINIMUM, t.PRODUCT, t.LUKASIEWICZ, t.DRASTIC):
             assert t.verify_star_forced_properties(conn, grid(40)).passed
 
+    @pytest.mark.parametrize("conn", [t.MINIMUM, t.PRODUCT, t.MAXIMUM, t.PROJECTION, t.DRASTIC])
+    def test_the_report_is_the_same_on_every_grid(self, conn):
+        # at x = 1 the only pair with y min z = 1 is (1, 1), a point of every grid
+        reports = [t.verify_star_forced_properties(conn, grid(n)) for n in (2, 3, 5, 8, 40)]
+        assert reports == [reports[0]] * 5
+
     def test_projection_fails_commutativity_with_affine_pair(self):
         report = t.verify_star_forced_properties(t.PROJECTION, grid(40))
         assert not report.passed

@@ -1396,6 +1396,8 @@ def _small_batteries():
     return [
         t.check_tr_axioms(t.STAR, "tr-norm", config, closure_denominator=4, **sizes),
         t.check_tr_axioms(t.COSTAR, "tr-conorm", config, closure_denominator=4, **sizes),
+        # fails O3, so the shrinker interpolates candidate witnesses
+        t.check_tr_axioms(t.JOIN, "tr-norm", config, closure_denominator=4, **sizes),
     ]
 
 
@@ -1414,8 +1416,8 @@ class TestSealedBuilds:
     """Functions the library computes are sealed without the constructor's
     checks; routing them through the constructor changes nothing."""
 
-    @given(lattice_fns(), lattice_fns())
-    def test_library_builds_skip_the_constructor(self, f, g):
+    @staticmethod
+    def _constructor_calls(compute):
         calls = []
         checked = t.PiecewiseFn.__post_init__
 
@@ -1426,7 +1428,17 @@ class TestSealedBuilds:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(t.PiecewiseFn, "__post_init__", counting)
             _clear_memos()
-            _lattice_results(f, g)
+            compute()
+        return calls
+
+    @given(lattice_fns(), lattice_fns())
+    def test_library_builds_skip_the_constructor(self, f, g):
+        assert self._constructor_calls(lambda: _lattice_results(f, g)) == []
+
+    def test_batteries_and_generators_skip_the_constructor(self):
+        # the draws, the named constructors they use and the shrinker's
+        # interpolations are all sealed unchecked
+        calls = self._constructor_calls(lambda: (_small_batteries(), _generator_draws()))
         assert calls == []
 
     @staticmethod
@@ -1461,6 +1473,8 @@ class TestSealedBuilds:
     def test_reference_path_through_the_batteries(self):
         got, expected = self._through_constructor(_small_batteries)
         assert got == expected
+        o3 = expected[2][2]  # its witness was shrunk, so interpolations ran too
+        assert (o3.axiom, o3.passed) == ("O3", False)
 
     def test_reference_path_through_the_generators(self):
         got, expected = self._through_constructor(_generator_draws)
