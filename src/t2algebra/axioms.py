@@ -14,11 +14,11 @@ role here is falsification of concrete instances, not proof.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import eq, le
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -480,6 +480,12 @@ def _unit_sample(sample) -> list[Fraction]:
     return pts
 
 
+def _sides_witness(holds, sides, **values) -> dict:
+    """The values, then lhs and rhs: the first pair of sides that fails holds."""
+    lhs, rhs = next(pair for pair in sides if not holds(*pair))
+    return _scalar_witness(**values, lhs=lhs, rhs=rhs)
+
+
 def check_connective_axioms(
     op: ScalarConnective, sample: tuple | list
 ) -> list[AxiomReport]:
@@ -510,13 +516,15 @@ def check_connective_axioms(
             "T3",
             ((x, y, z) for x, y, z in iter_product(pts, repeat=3) if x <= y),
             lambda x, y, z: op(x, z) <= op(y, z) and op(z, x) <= op(z, y),
-            lambda x, y, z: _scalar_witness(x=x, y=y, z=z, lhs=op(x, z), rhs=op(y, z)),
+            lambda x, y, z: _sides_witness(
+                le, [(op(x, z), op(y, z)), (op(z, x), op(z, y))], x=x, y=y, z=z
+            ),
         ),
         falsify(
             "T4'" if op.profile == T_CONORM else "T4",
             ((x,) for x in pts),
             lambda x: op(neutral, x) == x and op(x, neutral) == x,
-            lambda x: _scalar_witness(x=x, lhs=op(neutral, x), rhs=x),
+            lambda x: _sides_witness(eq, [(op(neutral, x), x), (op(x, neutral), x)], x=x),
         ),
     ]
 
@@ -579,7 +587,7 @@ def verify_star_forced_properties(star: ScalarConnective, grid: GridSpec) -> Axi
     cases += [("commutativity", u, v) for u in eighths for v in eighths if u < v]
     cases += [("boundary", x, y) for x in (ZERO, ONE) for y in (ZERO, ONE)]
     report = falsify(
-        "forced-properties", cases, lambda *case: operator.eq(*sides(*case)), witness
+        "forced-properties", cases, lambda *case: eq(*sides(*case)), witness
     )
     if report.passed:
         return report

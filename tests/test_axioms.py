@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import ValidationError
-from t2algebra.axioms import _affine_between, _interpolate_through, _shrink_points
+from t2algebra.axioms import (
+    _affine_between,
+    _check_equation,
+    _interpolate_through,
+    _shrink_points,
+)
 from conftest import lattice_fns, piecewise_fns
 
 F = Fraction
@@ -158,6 +163,21 @@ class TestGenerator:
             assert t.in_lattice(f) and t.in_lattice(g)
             assert t.leq_sub(f, g)
 
+    def test_a_pair_with_no_comparable_candidate_falls_back_to_bottom(self, monkeypatch):
+        refused = []
+        monkeypatch.setattr(t.axioms, "leq_sub", lambda f, g: refused.append(f) or False)
+        rng, cfg = Random(3), t.GeneratorConfig(seed=3)
+        fallbacks = []
+        for _ in range(20):
+            before = len(refused)
+            pair = t.comparable_pair(rng, cfg)
+            if len(refused) > before:  # candidates were tried, and every one refused
+                fallbacks.append(pair)
+        monkeypatch.undo()
+        assert fallbacks
+        for f, g in fallbacks:
+            assert f is t.BOTTOM and t.in_lattice(g) and t.leq_sub(f, g)
+
 
 class TestSuiteVerdicts:
     def test_star_passes_as_tr_norm(self):
@@ -252,6 +272,24 @@ class TestWitnessShrinking:
         # still a counterexample after minimization
         assert not t.equals(first_arg(*shrunk), first_arg(*reversed(shrunk)))
         assert all(len(f.breakpoints) <= 4 for f in shrunk)
+
+    def test_a_candidate_the_op_refuses_is_skipped(self):
+        # an op that fails O1 on its drawn pair and raises on anything else:
+        # every shrink candidate raises, so the witness is the drawn pair
+        f, g = t.generate_lattice_functions(t.GeneratorConfig(seed=19), 2)
+        refused = []
+
+        def first(a, b):
+            if {a, b} != {f, g}:
+                refused.append((a, b))
+                raise t.DomainError("not the drawn pair")
+            return a
+
+        report = _check_equation("O1", [(f, g)], first, lambda a, b: first(b, a))
+        assert (report.passed, report.trials) == (False, 1)
+        assert [t.from_json_dict(d) for d in report.witness["inputs"]] == [f, g]
+        assert report.witness["lhs"] == t.to_json_dict(f)
+        assert refused
 
     def test_shrink_witness_respects_failure_predicate(self):
         bulky = t.generate_lattice_functions(t.GeneratorConfig(seed=23), 8)

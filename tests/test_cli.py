@@ -552,12 +552,12 @@ def test_unexpected_failure_is_one_line_internal_error(capsys, monkeypatch):
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(t.__file__)))
 
 
-def run_child(argv, stdout_closed=True):
+def run_child(argv, stdout_closed=True, stdout=subprocess.PIPE, env=CHILD_ENV):
     return subprocess.run(
         [sys.executable, "-m", "t2algebra.cli", *argv],
-        env=CHILD_ENV,
+        env=env,
         preexec_fn=(lambda: os.close(1)) if stdout_closed else None,
-        stdout=None if stdout_closed else subprocess.PIPE,
+        stdout=None if stdout_closed else stdout,
         stderr=subprocess.PIPE,
         text=True,
         timeout=120,
@@ -599,9 +599,21 @@ def test_output_all_to_files_never_touches_stdout(files, tmp_path, argv):
     assert written == (tmp_path / "again").read_text() != ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failing_buffered_stdout_is_an_io_error(files):
+    # with PYTHONUNBUFFERED unset the output waits in stdout's buffer: its
+    # failure must end the command, not surface at interpreter exit
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["eval", "star", files["band"], files["full"]]
+    with open("/dev/full", "w") as full:
+        child = run_child(argv, stdout_closed=False, stdout=full, env=env)
+    assert child.returncode == 4
+    assert child.stderr == "i/o error: [Errno 28] No space left on device\n"
+
+
 # the child reports on stderr when its battery starts, then runs on for
 # seconds; the handler is set because a child may inherit SIGINT ignored
-INTERRUPTED_BATTERY = """
+STARTED_BATTERY = """
 import signal, sys
 from t2algebra import axioms, cli
 signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -618,7 +630,7 @@ sys.exit(cli.main(["axioms", "star", "tr-norm", "--trials", "10000"]))
 
 def test_interrupt_is_one_line_and_exit_130():
     child = subprocess.Popen(
-        [sys.executable, "-c", INTERRUPTED_BATTERY],
+        [sys.executable, "-c", STARTED_BATTERY],
         env=CHILD_ENV,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -633,6 +645,19 @@ def test_interrupt_is_one_line_and_exit_130():
             child.kill()
         child.wait()
     assert (child.returncode, out, err) == (130, "", "interrupted\n")
+
+
+def test_a_closed_stdout_is_found_before_the_battery_starts():
+    child = subprocess.run(
+        [sys.executable, "-c", STARTED_BATTERY],
+        env=CHILD_ENV,
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 4
+    assert child.stderr == "i/o error: cannot write stdout: it is closed\n"  # no "started"
 
 
 def test_usage_error_for_unknown_command(capsys):

@@ -126,6 +126,23 @@ def test_projection_fails_commutativity_with_boundary_witness():
     assert t1.witness == {"x": "0", "y": "1", "lhs": "0", "rhs": "1"}
 
 
+def test_monotonicity_witness_shows_the_failing_argument_position():
+    # x(1 - y) is monotone in x and fails only in y, the second position
+    falling = t.ScalarConnective("x(1-y)", lambda x, y: x * (1 - y))
+    t3 = t.check_connective_axioms(falling, FIVE_POINT)[2]
+    assert (t3.axiom, t3.passed) == ("T3", False)
+    assert t3.witness == {"x": "0", "y": "1/4", "z": "1/4", "lhs": "1/4", "rhs": "3/16"}
+    assert F(t3.witness["lhs"]) > F(t3.witness["rhs"])
+
+
+def test_neutrality_witness_shows_the_failing_argument_position():
+    # the second projection has 1 as its left neutral element only
+    second = t.ScalarConnective("second", lambda x, y: y)
+    t4 = t.check_connective_axioms(second, FIVE_POINT)[3]
+    assert (t4.axiom, t4.passed) == ("T4", False)
+    assert t4.witness == {"x": "0", "lhs": "1", "rhs": "0"}
+
+
 def test_user_built_result_escaping_unit_interval_raises():
     doubled = t.ScalarConnective("doubled", lambda x, y: 2 * x * y, "t-norm")
     assert doubled(F(1, 2), F(1, 2)) == F(1, 2)

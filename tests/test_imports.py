@@ -148,13 +148,12 @@ def memoised_names(source: str) -> set[str]:
 
 
 PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
-# canonicalize interns equal functions for callers outside the library, which
-# calls it nowhere; _indicator, keyed by the integer slots of its ends, serves
-# indicator(), which the axiom battery calls for every interval, and
-# star/costar of two interval indicators; _shape holds each function's
-# envelopes, threshold ends and lattice membership. A new memo is a deliberate
-# edit here.
-MEMOS = {"canonicalize", "_indicator", "_shape"}
+# _indicator, keyed by the integer slots of its ends, serves indicator(), which
+# the axiom battery calls for every interval, and star/costar of two interval
+# indicators; _shape holds each function's envelopes, threshold ends and
+# lattice membership. canonicalize hands back its argument and holds nothing.
+# A new memo is a deliberate edit here.
+MEMOS = {"_indicator", "_shape"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
@@ -219,9 +218,9 @@ def canonicalizing_functions(sources: dict[str, str]) -> set[str]:
     return {".".join(name.split(".")[:2]) for name in callers(sources, "canonicalize")}
 
 
-# canonicalize only interns (every PiecewiseFn is canonical), for callers that
-# keep many equal results; the library keeps what it builds as built. A
-# canonicalizing call is a deliberate edit here.
+# canonicalize hands back its argument (every PiecewiseFn is canonical); the
+# library keeps what it builds as built. A canonicalizing call is a deliberate
+# edit here.
 CANONICALIZING = set()
 
 

@@ -230,61 +230,56 @@ class TestEveryInstanceIsCanonical:
 
 
 class TestCanonicalizeLookups:
-    """canonicalize only interns, and no library function calls it."""
+    """canonicalize hands back its argument, and no library function calls it."""
 
     @staticmethod
-    def _lookups(compute, memo=piecewise.canonicalize):
+    def _lookups(compute):
         compute()  # warms the operands' memos
-        before = memo.cache_info()
+        before = piecewise._indicator.cache_info()
         compute()
-        after = memo.cache_info()
+        after = piecewise._indicator.cache_info()
         return after.hits + after.misses - before.hits - before.misses
 
     @given(lattice_fns(), lattice_fns())
     def test_warm_operands(self, f, g):
-        for op in (t.equals, t.meet, t.join, t.leq_sub):
-            assert self._lookups(lambda: op(f, g)) == 0
-        for pred in (t.in_lattice, t.is_interval_indicator):
-            assert self._lookups(lambda: pred(f)) == 0
         # a product is the sealed splice, or one _indicator lookup for two
         # interval indicators away from the neutral element
         closed = t.is_interval_indicator(f) and t.is_interval_indicator(g)
         for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
             once = 1 if closed and neutral not in (f, g) else 0
-            assert self._lookups(lambda: op(f, g)) == 0
-            assert self._lookups(lambda: op(f, g), piecewise._indicator) == once
-
-    def test_an_axiom_battery_interns_nothing(self, capsys):
-        _clear_memos()
-        assert cli.main(["axioms", "star", "tr-norm", "--trials", "20"]) == 0
-        capsys.readouterr()
-        assert piecewise.canonicalize.cache_info().currsize == 0
+            assert self._lookups(lambda: op(f, g)) == once
 
     @given(
         st.one_of(
             raw_parts(), split_parts(), lattice_fns().map(lambda f: (f.breakpoints, f.values, f.pieces))
         )
     )
-    def test_interning_any_parts_hands_back_the_sealed_build(self, parts):
-        _clear_memos()
-        first = piecewise._sealed(*parts)
-        for again in (first, t.PiecewiseFn(*parts), piecewise._sealed(*parts)):
-            got = t.canonicalize(again)  # a miss, then hits
-            assert type(got) is t.PiecewiseFn
-            assert got is first
-        assert piecewise.canonicalize.cache_info().currsize == 1
+    def test_canonicalize_hands_back_any_build_itself(self, parts):
+        for f in (t.PiecewiseFn(*parts), piecewise._sealed(*parts)):
+            assert t.canonicalize(f) is f
 
-    def test_interning_hands_back_the_first_equal_object(self):
-        _clear_memos()
+    def test_equal_functions_stay_distinct_and_interval_products_share(self):
         first = t.PiecewiseFn((0, 1), (0, 1), ((1, 0),))
         again = t.from_affine(1, 0)
-        assert again is not first
+        assert again == first and again is not first
         assert t.canonicalize(first) is first
-        assert t.canonicalize(again) is first
-        # two products of interval indicators, both the indicator of [1/8, 1/2]
+        assert t.canonicalize(again) is again
+        # two products of interval indicators, both the indicator of [1/8, 1/2],
+        # are the one object _indicator holds
         p = t.star(t.indicator(F(1, 4), F(1, 2)), t.indicator(F(1, 8), F(3, 4)))
         q = t.star(t.indicator(F(1, 8), F(1, 2)), t.indicator(F(1, 4), F(3, 4)))
         assert p is q
+
+
+def test_the_cli_batteries_evict_nothing(capsys):
+    # each memo is sized to hold a whole battery at the default --trials
+    _clear_memos()
+    assert cli.main(["axioms", "star", "tr-norm"]) == 0
+    assert cli.main(["axioms", "costar", "tr-conorm"]) == 0
+    capsys.readouterr()
+    for memo in (piecewise._indicator, piecewise._shape):
+        info = memo.cache_info()
+        assert 0 < info.misses == info.currsize
 
 
 class TestIndicatorMemoKey:
