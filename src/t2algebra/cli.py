@@ -54,8 +54,8 @@ MAX_GRID = 2000
 # --samples: one exact rational and one CSV row are held per sample.
 MAX_SAMPLES = 100_000
 # --trials: the battery keeps up to this many drawn pairs and triples; on a 2-core
-# box `axioms star tr-norm` takes 0.2 s at the default 200 and 4.6 s at 10,000,
-# where the process peaks at 58 MB RSS (22 MB at 200).
+# box (Python 3.11) `axioms star tr-norm` takes 0.3 s at the default 200 and 7-8 s
+# at 10,000, where the process peaks at 57 MB RSS (22 MB at 200).
 MAX_TRIALS = 10_000
 _SIZE_BOUNDS = {"grid": MAX_GRID, "samples": MAX_SAMPLES, "trials": MAX_TRIALS}
 
@@ -215,6 +215,8 @@ def _cmd_separation(args) -> int:
         raise _UsageError("at least one inner connective is required")
     choices = [connective_by_name(n) for n in names]
     grid = GridSpec(args.grid, args.tolerance)
+    grid.index_of(ax._SEPARATION_POINT)  # off the grid is exit 3, before stdout is checked
+    _check_stdout()  # before the convolutions, which may run for seconds
     rows = ax.separation_rows(choices, grid)
     lines = ["star,exact_product_value,oracle_lower_bound,separated\n"]
     for row in rows:

@@ -50,7 +50,7 @@ limit or a crossing stays an unreduced integer ratio until it wins.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,7 +72,7 @@ def _flat(v: Fraction):
     return (ZERO, ONE), (v, v), ((ZERO, v),)
 
 
-_ZERO_PARTS = _flat(ZERO)
+_ZERO_PARTS, _ONE_PARTS = _flat(ZERO), _flat(ONE)
 
 
 def _lt(p: Fraction, q: Fraction) -> bool:
@@ -423,10 +423,11 @@ def _splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
     """The function that follows head on [0, a), takes at_a at a, is 1 on
     (a, b), takes at_b at b and follows tail on (b, 1] (at a = b the lesser of
     at_a and at_b), ``_sealed``; it builds meet, join, star, costar, the
-    indicators, ``step``, the drawn lattice functions and ``_shape``'s tests.
-    head and tail are parts that cover [0, a] and [b, 1]. Each cut walks in
-    from the part's near end: exact anywhere, a step or two for every caller,
-    as drawn heads end at a and ``_shape``'s thresholds are two steps in."""
+    indicators, ``step``, the drawn lattice functions and ``_shape``'s envelopes
+    and test. head and tail are parts that cover [0, a] and [b, 1]. Each cut
+    walks in from the part's near end: exact anywhere, a step or two where heads
+    end at a, as drawn ones do, and a walk over f's breakpoints past its
+    threshold where ``_shape`` cuts f."""
     (hb, hv, hp), (tb, tv, tp) = head, tail
     i, k, last = len(hb), 0, len(tb) - 1
     while i and not _lt(hb[i - 1], a):  # i: the number of head breakpoints short of a
@@ -522,18 +523,56 @@ class _Shape(NamedTuple):
     indicator: bool  # f is the indicator of [left_end[0], right_end[0]]
 
 
+def _lattice_ends(f: PiecewiseFn):
+    """f's threshold ends if f is normal and convex, else None, in one walk.
+
+    With breakpoints b, values v, pieces p and their limits R_i = p_i(b_i) and
+    L_i = p_i(b_{i+1}), f is both exactly when its values and limits in order,
+    v0, R0, L0, v1, ..., v_m, rise, then fall, and reach 1. The left end is read
+    at their first 1: (b_i, 1) at v_i, (b_i, v_i) at R_i, (b_{i+1}, 1) at L_i;
+    the right end at their last: (b_i, 1) at v_i or R_i, (b_{i+1}, v_{i+1}) at L_i.
+    """
+    fb, fv, fp = f.breakpoints, f.values, f.pieces
+    seq = [(fv[0]._numerator, fv[0]._denominator)]  # each as num / den, den > 0
+    for p, x, y, v in zip(fp, fb, fb[1:], fv[1:]):
+        seq += _affine_ratio(p, x), _affine_ratio(p, y), (v._numerator, v._denominator)
+    (pn, pd), last = seq[0], -1
+    for n, d in seq:  # the rise, to its last element: the last 1 if f is normal
+        if n * pd < pn * d:
+            break
+        pn, pd, last = n, d, last + 1
+    if pn != pd:
+        return None
+    for n, d in seq[last + 1 :]:  # the fall
+        if n * pd > pn * d:
+            return None
+        pn, pd = n, d
+    first = bisect_left(seq, True, 0, last, key=lambda e: e[0] == e[1])  # the rise's first 1
+    (i, r), (j, s) = divmod(first, 3), divmod(last, 3)
+    left = (fb[i], fv[i]) if r == 1 else (fb[i + r // 2], ONE)
+    return left, (fb[j + 1], fv[j + 1]) if s == 2 else (fb[j], ONE)
+
+
 @lru_cache(maxsize=_CACHE)
 def _shape(f: PiecewiseFn) -> _Shape:
     """f's envelopes, threshold ends, lattice membership and indicator test.
 
-    The left envelope never falls, ends on sup f and is canonical, so for
-    normal f it is 1 on its last piece if that is (0, 1), open or closed at
-    the piece's left end, and else at 1 only; the right envelope mirrors it.
-    A normal f is convex iff it equals (``==``, both being canonical) the meet
-    of its envelopes, spliced with no merged pass: the left one short of its
-    threshold, 1, then the right one. It is an interval indicator iff it also
-    equals zero parts so spliced, 1 at both thresholds: 4 breakpoints at most.
+    On the lattice (see ``_lattice_ends``) the left envelope is f short of its
+    threshold and 1 from there on, a splice of f, and the right one mirrors it;
+    f is an interval indicator iff it equals zero parts so spliced, 1 at both
+    thresholds: 4 breakpoints at most. Off it the envelopes are running suprema,
+    and a normal f's left threshold is where the (canonical) left envelope's last
+    piece starts if that piece is the constant 1, else 1; the right one mirrors it.
     """
+    ends = _lattice_ends(f)
+    if ends:
+        (a, at_a), (b, at_b) = ends
+        parts = f.breakpoints, f.values, f.pieces
+        h = _splice(parts, a, at_a, ONE, ONE, _ONE_PARTS)
+        k = _splice(_ONE_PARTS, ZERO, ONE, b, at_b, parts)
+        short = len(f.breakpoints) <= 4
+        indicator = short and f == _splice(_ZERO_PARTS, a, ONE, b, ONE, _ZERO_PARTS)
+        return _Shape(h, k, *ends, True, indicator)
     h = _sealed(*_running_sup(f, rightward=True))
     k = _sealed(*_running_sup(f, rightward=False))
     if not _same(h.values[-1], ONE):
@@ -541,12 +580,7 @@ def _shape(f: PiecewiseFn) -> _Shape:
     i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
     j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
     ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
-    head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
-    lattice = f == _splice(head, *ends[0], *ends[1], tail)
-    (a, _), (b, _) = ends
-    short = len(f.breakpoints) <= 4
-    indicator = lattice and short and f == _splice(_ZERO_PARTS, a, ONE, b, ONE, _ZERO_PARTS)
-    return _Shape(h, k, *ends, lattice, indicator)
+    return _Shape(h, k, *ends, False, False)
 
 
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
@@ -591,12 +625,10 @@ def is_normal(f: PiecewiseFn) -> bool:
 
 
 def is_convex(f: PiecewiseFn) -> bool:
-    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes,
-    spliced for normal f (see ``_shape``)."""
+    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes.
+    For normal f, ``_shape``'s walk has decided it (see ``_lattice_ends``)."""
     shape = _shape(f)
-    if shape.left_end is None:
-        return f == pointwise_min(shape.left, shape.right)
-    return shape.lattice
+    return shape.lattice or shape.left_end is None and f == pointwise_min(shape.left, shape.right)
 
 
 def in_lattice(f: PiecewiseFn) -> bool:

@@ -196,9 +196,11 @@ def tied_pairs(draw, den: int = 16):
     return tuple(draw(plateau_fns(a, b, den)) for a, b in ends)
 
 
-# Normal convex functions at the edges of the threshold reads, by name:
-# envelopes of one piece, plateaus open at their inner end (the shapes of
-# the generator's kinds 6 and 7, and open peaks), and the named constants.
+# Normal functions at the edges of the threshold reads, by name: envelopes of
+# one piece, plateaus open at their inner end (the shapes of the generator's
+# kinds 6 and 7, and open peaks), jumps onto a plateau, the named constants,
+# and four normal functions that are not convex, each with a dip in its
+# sequence of values and piece limits that ``_shape``'s walk reads.
 THRESHOLD_EDGE_CASES = {
     "FULL": t.FULL,
     "TOP": t.TOP,
@@ -217,5 +219,30 @@ THRESHOLD_EDGE_CASES = {
     # 1 on the open interval (1/4, 3/4) only
     "open plateau": t.PiecewiseFn(
         (0, "1/4", "3/4", 1), (0, "1/2", "1/2", 0), ((0, 0), (0, 1), (0, 0))
+    ),
+    # 1 approached from the right at 1/2 and never reached: the mirror of "open peak"
+    "open peak from the right": t.PiecewiseFn(
+        (0, "1/2", 1), (0, "1/4", 0), (("1/2", 0), (-2, 2))
+    ),
+    # a rising jump onto the plateau (1/4, 3/4] whose value at 1/4 lies between
+    # the limits beside it, 1/2 and 1: convex, with the left envelope at 3/4 there
+    "jump onto a plateau": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, "3/4", 1, 0), ((2, 0), (0, 1), (0, 0))
+    ),
+    # not convex: the same jump with its value below both limits
+    "jump onto a plateau, dipping": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, "1/4", 1, 0), ((2, 0), (0, 1), (0, 0))
+    ),
+    # not convex: 1 approached from both sides at 1/2, with 1/2 there
+    "1 approached from both sides": t.PiecewiseFn(
+        (0, "1/2", 1), (0, "1/2", 0), ((2, 0), (-2, 2))
+    ),
+    # not convex: 1 at 1/4 and at 3/4 with 1/2 between them
+    "two points at 1": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, 1, 1, 0), ((0, 0), (0, "1/2"), (0, 0))
+    ),
+    # not convex: 1 on [1/4, 3/4] but 1/2 at 1/2
+    "plateau with a dip": t.PiecewiseFn(
+        (0, "1/4", "1/2", "3/4", 1), (0, 1, "1/2", 1, 0), ((0, 0), (0, 1), (0, 1), (0, 0))
     ),
 }

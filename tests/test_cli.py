@@ -660,6 +660,42 @@ def test_a_closed_stdout_is_found_before_the_battery_starts():
     assert child.stderr == "i/o error: cannot write stdout: it is closed\n"  # no "started"
 
 
+# the child reports on stderr when the separation rows start; at --grid 2000
+# they run for a second or more
+STARTED_SEPARATION = """
+import sys
+from t2algebra import axioms, cli
+rows = axioms.separation_rows
+
+def started(*args, **kwargs):
+    print("started", file=sys.stderr, flush=True)
+    return rows(*args, **kwargs)
+
+axioms.separation_rows = started
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "grid, code, err",
+    [
+        ("2000", 4, "i/o error: cannot write stdout: it is closed\n"),
+        ("3", 3, "invalid input: 4/5 is not a point of the 1/3 grid\n"),
+    ],
+)
+def test_a_closed_stdout_is_found_before_the_separation_rows_start(grid, code, err):
+    stars = "min,product,lukasiewicz,drastic,projection"
+    child = subprocess.run(
+        [sys.executable, "-c", STARTED_SEPARATION, "separation", "--grid", grid, "--star", stars],
+        env=CHILD_ENV,
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (code, err)  # no "started"
+
+
 def test_usage_error_for_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -779,13 +779,34 @@ class TestConvexitySplice:
         assert calls == []
 
 
+def running_sup_shape(f):
+    """``_shape``'s fields from running suprema, the reference for its walk:
+    both envelopes as running suprema, each end read off its envelope, and
+    lattice membership by comparing f with the splice of the envelopes at
+    those ends."""
+    h = piecewise._sealed(*piecewise._running_sup(f, rightward=True))
+    k = piecewise._sealed(*piecewise._running_sup(f, rightward=False))
+    if h.values[-1] != 1:
+        return h, k, None, None, False, False
+    i = -2 if h.pieces[-1] == (0, 1) else -1
+    j = 1 if k.pieces[0] == (0, 1) else 0
+    ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
+    head, tail = (h.breakpoints, h.values, h.pieces), (k.breakpoints, k.values, k.pieces)
+    lattice = f == piecewise._splice(head, *ends[0], *ends[1], tail)
+    (a, _), (b, _) = ends
+    indicator = lattice and len(f.breakpoints) <= 4 and f == t.indicator(a, b)
+    return h, k, *ends, lattice, indicator
+
+
 class TestShape:
     """The one memoised record of a function's envelopes, threshold ends and
-    lattice membership, against references that do not read it."""
+    lattice membership, against references that do not read it, and against
+    the running-sup construction that its walk replaces on the lattice."""
 
     @staticmethod
     def _agree(f):
         shape = piecewise._shape(f)
+        assert shape == running_sup_shape(f)
         for x in probe_points(f, shape.left, shape.right, splits=3):
             assert t.evaluate(shape.left, x) == oracle_envelope_left(f, x)
             assert t.evaluate(shape.right, x) == oracle_envelope_right(f, x)
@@ -806,6 +827,16 @@ class TestShape:
     def test_threshold_edge_cases(self, name):
         _clear_memos()
         self._agree(THRESHOLD_EDGE_CASES[name])
+
+    @pytest.mark.parametrize("max_breakpoints, den", [(3, 4), (7, 64), (16, 720)])
+    def test_the_walk_on_generator_draws(self, max_breakpoints, den):
+        for seed in range(25):
+            cfg = axioms.GeneratorConfig(seed, max_breakpoints, den)
+            for f in [
+                *axioms.generate_lattice_functions(cfg, 6),
+                *axioms.generate_nonlattice_functions(cfg, 6),
+            ]:
+                assert piecewise._shape(f) == running_sup_shape(f)
 
     @pytest.mark.parametrize("c", [F(0), F(1, 3), F(15, 16)])
     def test_non_normal_constants(self, c):
