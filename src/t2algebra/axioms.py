@@ -260,13 +260,8 @@ def comparable_pair(
 
 
 def _interpolate_through(points: list[tuple[Fraction, Fraction]]) -> PiecewiseFn:
-    breaks = tuple(p[0] for p in points)
-    values = tuple(p[1] for p in points)
-    pieces = tuple(
-        _affine_between(points[i][0], points[i][1], points[i + 1][0], points[i + 1][1])
-        for i in range(len(points) - 1)
-    )
-    return _sealed(breaks, values, pieces)
+    pos, vs = zip(*points)  # piece i runs from vs[i] to vs[i + 1]
+    return _sealed(*_rungs(pos, [v for rung in zip(vs, vs, vs[1:]) for v in rung] + [vs[-1]]))
 
 
 def _shrink_points(f: PiecewiseFn) -> Iterable[list[tuple[Fraction, Fraction]]]:

@@ -149,9 +149,10 @@ def _cmd_eval(args) -> int:
         if len(args.files) != 2:
             raise _UsageError(f"{name} takes exactly two function files")
         form, combiner, star_conn = _parse_conv_name(name)
-        f = _load_function(args.files[0])
-        g = _load_function(args.files[1])
+        f, g = map(_load_function, args.files)
         grid = GridSpec(args.grid, args.tolerance)
+        if args.out is None:  # before the convolution, which may run for seconds
+            _check_stdout()
         conv = convolve_meet if form == "conv-meet" else convolve_join
         result = conv(f, g, star_conn, combiner, grid)
         _write_text((args.out, result.to_csv(decimal=args.decimal)))
@@ -160,7 +161,7 @@ def _cmd_eval(args) -> int:
     if name in _UNARY_OPS:
         if len(args.files) != 1:
             raise _UsageError(f"{name} takes exactly one function file")
-        result = _UNARY_OPS[name](_load_function(args.files[0]))
+        op = _UNARY_OPS[name]
     else:
         try:
             op = resolve_operation(name)
@@ -171,8 +172,10 @@ def _cmd_eval(args) -> int:
             ) from None
         if len(args.files) != 2:
             raise _UsageError(f"{name} takes exactly two function files")
-        result = op(_load_function(args.files[0]), _load_function(args.files[1]))
-
+    functions = [_load_function(path) for path in args.files]
+    if args.out is None:  # before the operation
+        _check_stdout()
+    result = op(*functions)
     rows = sample_rows(result, args.samples, decimal=args.decimal)
     csv = "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
     # both texts are built before either is written: a failure writes nothing

@@ -6,9 +6,9 @@ with the value *at* each breakpoint stored separately from the one-sided
 limits, so jump discontinuities (indicator functions, step functions,
 isolated spikes) are represented exactly. Every construction used by the
 rest of the package -- pointwise lattice operations, reflection, running
-suprema from either side, the threshold-based product -- stays inside this
-class, and all coordinates are exact rationals, so function equality is
-decidable by comparing canonical forms.
+suprema, the threshold-based product -- stays inside this class, and all
+coordinates are exact rationals, so function equality is decidable by
+comparing canonical forms.
 
 Representation: ``breakpoints`` is a strictly increasing tuple of rationals
 starting at 0 and ending at 1; ``values[i]`` is the function value at
@@ -472,45 +472,41 @@ def reflect(f: PiecewiseFn) -> PiecewiseFn:
 # envelopes (running suprema)
 
 
-def _running_sup(f: PiecewiseFn, rightward: bool):
-    """Breakpoints, values and pieces of the running supremum of f, walked
-    from 0 (rightward) or from 1, in ascending order and not yet canonical.
+def _running_sup(f: PiecewiseFn):
+    """Breakpoints, values and pieces of the running supremum of f from 0, not
+    yet canonical; the one from 1 is the reflection of reflect(f)'s.
 
-    Each interval is entered at its near end and left at its far end; a
-    piece that rises toward the far end is kept from where it passes the
-    running supremum on, and one-sided limits count toward the supremum.
+    Each interval is entered at its left end and left at its right end; a
+    piece that rises is kept from where it passes the running supremum on,
+    and one-sided limits count toward the supremum.
     """
     fb, fv, fp = f.breakpoints, f.values, f.pieces
-    start, near, far, rising = (0, 0, 1, 1) if rightward else (-1, 1, 0, -1)
-    order = range(len(fp)) if rightward else reversed(range(len(fp)))
-    running = fv[start]
-    breaks, values = [fb[start]], [running]
+    running = fv[0]
+    breaks, values = [fb[0]], [running]
     pieces: list[Affine] = []
-    for i in order:
-        s, c = piece = fp[i]
-        if s._numerator * rising > 0:
-            # rising: only the far limit can raise the running supremum
-            far_lim = _affine_ratio(piece, fb[i + far])
-            if _cmp(running, *_affine_ratio(piece, fb[i + near])) <= 0:
+    for i, piece in enumerate(fp):
+        s, c = piece
+        if s._numerator > 0:
+            # rising: only the limit at the right end can raise the running supremum
+            right_lim = _affine_ratio(piece, fb[i + 1])
+            if _cmp(running, *_affine_ratio(piece, fb[i])) <= 0:
                 pieces.append(piece)
-            elif _cmp(running, *far_lim) >= 0:
+            elif _cmp(running, *right_lim) >= 0:
                 pieces.append((ZERO, running))
             else:
                 pieces.append((ZERO, running))
                 breaks.append((running - c) / s)  # where the piece passes it
                 values.append(running)
                 pieces.append(piece)
-            running = _raised(_max(running, fv[i + far]), *far_lim)
+            running = _raised(_max(running, fv[i + 1]), *right_lim)
         else:
-            # flat or falling: only the near limit can raise it
-            running = _raised(running, *_affine_ratio(piece, fb[i + near]))
+            # flat or falling: only the limit at the left end can raise it
+            running = _raised(running, *_affine_ratio(piece, fb[i]))
             pieces.append((ZERO, running))
-            running = _max(running, fv[i + far])
-        breaks.append(fb[i + far])
+            running = _max(running, fv[i + 1])
+        breaks.append(fb[i + 1])
         values.append(running)
-    if rightward:
-        return breaks, values, pieces
-    return breaks[::-1], values[::-1], pieces[::-1]
+    return breaks, values, pieces
 
 
 class _Shape(NamedTuple):
@@ -524,13 +520,15 @@ class _Shape(NamedTuple):
 
 
 def _lattice_ends(f: PiecewiseFn):
-    """f's threshold ends if f is normal and convex, else None, in one walk.
+    """In one walk: None if f is not convex, else f's threshold ends, or () if
+    f is not normal.
 
     With breakpoints b, values v, pieces p and their limits R_i = p_i(b_i) and
-    L_i = p_i(b_{i+1}), f is both exactly when its values and limits in order,
-    v0, R0, L0, v1, ..., v_m, rise, then fall, and reach 1. The left end is read
-    at their first 1: (b_i, 1) at v_i, (b_i, v_i) at R_i, (b_{i+1}, 1) at L_i;
-    the right end at their last: (b_i, 1) at v_i or R_i, (b_{i+1}, v_{i+1}) at L_i.
+    L_i = p_i(b_{i+1}), f is convex exactly when its values and limits in order,
+    v0, R0, L0, v1, ..., v_m, rise and then fall, and normal when they reach 1.
+    The left end is read at their first 1: (b_i, 1) at v_i, (b_i, v_i) at R_i,
+    (b_{i+1}, 1) at L_i; the right end at their last: (b_i, 1) at v_i or R_i,
+    (b_{i+1}, v_{i+1}) at L_i.
     """
     fb, fv, fp = f.breakpoints, f.values, f.pieces
     seq = [(fv[0]._numerator, fv[0]._denominator)]  # each as num / den, den > 0
@@ -541,12 +539,12 @@ def _lattice_ends(f: PiecewiseFn):
         if n * pd < pn * d:
             break
         pn, pd, last = n, d, last + 1
-    if pn != pd:
-        return None
     for n, d in seq[last + 1 :]:  # the fall
         if n * pd > pn * d:
             return None
         pn, pd = n, d
+    if seq[last][0] != seq[last][1]:  # the peak is below 1
+        return ()
     first = bisect_left(seq, True, 0, last, key=lambda e: e[0] == e[1])  # the rise's first 1
     (i, r), (j, s) = divmod(first, 3), divmod(last, 3)
     left = (fb[i], fv[i]) if r == 1 else (fb[i + r // 2], ONE)
@@ -560,9 +558,10 @@ def _shape(f: PiecewiseFn) -> _Shape:
     On the lattice (see ``_lattice_ends``) the left envelope is f short of its
     threshold and 1 from there on, a splice of f, and the right one mirrors it;
     f is an interval indicator iff it equals zero parts so spliced, 1 at both
-    thresholds: 4 breakpoints at most. Off it the envelopes are running suprema,
-    and a normal f's left threshold is where the (canonical) left envelope's last
-    piece starts if that piece is the constant 1, else 1; the right one mirrors it.
+    thresholds: 4 breakpoints at most. Off it the left envelope is f's running
+    supremum and the right one the reflection of reflect(f)'s; a normal f's left
+    threshold is where the (canonical) left envelope's last piece starts if that
+    piece is the constant 1, else 1, and its right one is 1 minus reflect(f)'s.
     """
     ends = _lattice_ends(f)
     if ends:
@@ -573,14 +572,12 @@ def _shape(f: PiecewiseFn) -> _Shape:
         short = len(f.breakpoints) <= 4
         indicator = short and f == _splice(_ZERO_PARTS, a, ONE, b, ONE, _ZERO_PARTS)
         return _Shape(h, k, *ends, True, indicator)
-    h = _sealed(*_running_sup(f, rightward=True))
-    k = _sealed(*_running_sup(f, rightward=False))
+    h, m = _sealed(*_running_sup(f)), _sealed(*_running_sup(reflect(f)))
     if not _same(h.values[-1], ONE):
-        return _Shape(h, k, None, None, False, False)
-    i = -2 if _same_piece(h.pieces[-1], (ZERO, ONE)) else -1
-    j = 1 if _same_piece(k.pieces[0], (ZERO, ONE)) else 0
-    ends = (h.breakpoints[i], h.values[i]), (k.breakpoints[j], k.values[j])
-    return _Shape(h, k, *ends, False, False)
+        return _Shape(h, reflect(m), None, None, False, False)
+    i, j = (-2 if _same_piece(e.pieces[-1], (ZERO, ONE)) else -1 for e in (h, m))
+    ends = (h.breakpoints[i], h.values[i]), (ONE - m.breakpoints[j], m.values[j])
+    return _Shape(h, reflect(m), *ends, False, False)
 
 
 def envelope_left(f: PiecewiseFn) -> PiecewiseFn:
@@ -625,10 +622,9 @@ def is_normal(f: PiecewiseFn) -> bool:
 
 
 def is_convex(f: PiecewiseFn) -> bool:
-    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes.
-    For normal f, ``_shape``'s walk has decided it (see ``_lattice_ends``)."""
-    shape = _shape(f)
-    return shape.lattice or shape.left_end is None and f == pointwise_min(shape.left, shape.right)
+    """Fuzzy convexity (quasiconcavity): f equals the meet of its envelopes,
+    as its values and limits rise and then fall (see ``_lattice_ends``)."""
+    return _lattice_ends(f) is not None
 
 
 def in_lattice(f: PiecewiseFn) -> bool:

@@ -9,7 +9,7 @@ and vanishes beyond. The resulting operation is commutative, associative,
 neutral at the unit spike, monotone, and closed on singleton and interval
 indicators (axioms O6, O7) -- yet provably not expressible as any sup-convolution,
 which is the whole point of building it. It is the sealed ``piecewise._splice``,
-as meet, join and ``is_convex`` are: a head of one envelope-join pass that
+as meet and join are: a head of one envelope-join pass that
 stops at eta, the plateau, and a zero tail. Two interval indicators skip it:
 the product of those of [a1, b1] and [a2, b2] is their meet, the indicator of
 [a1 ^ a2, b1 ^ b2] (the co-product's is their join, of [a1 v a2, b1 v b2]),

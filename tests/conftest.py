@@ -246,3 +246,28 @@ THRESHOLD_EDGE_CASES = {
         (0, "1/4", "1/2", "3/4", 1), (0, 1, "1/2", 1, 0), ((0, 0), (0, 1), (0, 1), (0, 0))
     ),
 }
+
+
+# Functions that never reach 1, where the walk behind ``is_convex`` still decides
+# convexity: a constant, an open peak, a jump onto a plateau, and two that are
+# not convex.
+NON_NORMAL_CASES = {
+    "constant 1/3": t.constant(Fraction(1, 3)),
+    # 3/4 approached at x = 1 but not reached there
+    "open 3/4 at 1": t.PiecewiseFn((0, 1), (0, "1/4"), (("3/4", 0),)),
+    # a rising jump onto the plateau (1/4, 3/4] at 1/2, whose value at 1/4 lies
+    # between the limits beside it, 1/4 and 1/2: convex
+    "jump onto a plateau at 1/2": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, "3/8", "1/2", 0), ((1, 0), (0, "1/2"), (0, 0))
+    ),
+    # not convex: 3/4 at 1/4 and at 3/4, 0 elsewhere
+    "twin peaks at 3/4": t.PiecewiseFn(
+        (0, "1/4", "3/4", 1), (0, "3/4", "3/4", 0), ((0, 0), (0, 0), (0, 0))
+    ),
+    # not convex: 1/2 on [1/4, 3/4] but 1/4 at 1/2
+    "plateau at 1/2 with a dip": t.PiecewiseFn(
+        (0, "1/4", "1/2", "3/4", 1),
+        (0, "1/2", "1/4", "1/2", 0),
+        ((0, 0), (0, "1/2"), (0, "1/2"), (0, 0)),
+    ),
+}

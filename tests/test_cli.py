@@ -696,6 +696,57 @@ def test_a_closed_stdout_is_found_before_the_separation_rows_start(grid, code, e
     assert (child.returncode, child.stderr) == (code, err)  # no "started"
 
 
+# the child reports on stderr when eval's operation starts: a convolution, or
+# the op that resolve_operation hands back
+STARTED_EVAL = """
+import sys
+from t2algebra import cli
+
+def started(op):
+    def run(*args, **kwargs):
+        print("started", file=sys.stderr, flush=True)
+        return op(*args, **kwargs)
+    return run
+
+cli.convolve_meet = started(cli.convolve_meet)
+resolve = cli.resolve_operation
+cli.resolve_operation = lambda name: started(resolve(name))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+CLOSED = (4, "i/o error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["conv-meet:product:product", "{fall}", "{rise}", "--grid", "2000"], CLOSED),
+        (["star", "{band}", "{full}"], CLOSED),
+        (
+            ["conv-meet:product:product", "{fall}", "{rise}", "--tolerance", "x"],
+            (3, "invalid input: not a rational number: 'x'\n"),
+        ),
+        (["star", "{band}", "{tmp}/missing.json"], (3, "invalid input: cannot read ")),
+        (["nope", "{band}", "{full}"], (2, "usage error: unknown op 'nope'")),
+    ],
+)
+def test_a_closed_stdout_is_found_before_eval_starts(files, tmp_path, argv, expected):
+    for name, fn in (("fall", t.falling_ramp(0)), ("rise", t.rising_ramp(0))):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(t.dumps(fn))
+    argv = [a.format(tmp=tmp_path, **files) for a in argv]
+    child = subprocess.run(
+        [sys.executable, "-c", STARTED_EVAL, "eval", *argv],
+        env=CHILD_ENV,
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    code, err = expected
+    assert child.returncode == code
+    assert child.stderr.startswith(err) and child.stderr.count("\n") == 1  # no "started"
+
+
 def test_usage_error_for_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -21,6 +21,7 @@ from t2algebra.piecewise import (
 
 from conftest import clear_memos as _clear_memos
 from conftest import (
+    NON_NORMAL_CASES,
     THRESHOLD_EDGE_CASES,
     lattice_fns,
     normal_fns,
@@ -729,9 +730,9 @@ def convex_by_formula(f):
 
 
 class TestConvexitySplice:
-    """For a normal function, is_convex splices its envelopes at its two
-    thresholds in place of their pointwise min; the min, the quasiconcavity
-    probe and the splice must agree."""
+    """is_convex reads whether f's values and piece limits rise and then fall,
+    in place of the pointwise min of its envelopes; the min, the
+    quasiconcavity probe and that walk must agree."""
 
     @staticmethod
     def _agree(f):
@@ -757,13 +758,21 @@ class TestConvexitySplice:
         for g in THRESHOLD_EDGE_CASES.values():
             self._agree(t.pointwise_max(f, g))
 
+    @pytest.mark.parametrize("first", sorted(NON_NORMAL_CASES))
+    def test_non_normal_cases_and_their_joins(self, first):
+        f = NON_NORMAL_CASES[first]
+        for h in (f, *(t.pointwise_max(f, g) for g in NON_NORMAL_CASES.values())):
+            assert not t.is_normal(h)
+            self._agree(h)
+            assert t.is_convex(h) == (quasiconcave_violation(h) is None)
+
     def test_twin_plateaus_are_not_convex(self):
         f = t.pointwise_max(t.indicator(0, F(1, 4)), t.indicator(F(3, 4), 1))
         assert t.is_normal(f) and not t.is_convex(f)
         assert quasiconcave_violation(f) is not None
 
-    @given(st.one_of(lattice_fns(), normal_fns()))
-    def test_normal_functions_take_no_merged_pass(self, f):
+    @given(st.one_of(lattice_fns(), normal_fns(), piecewise_fns()))
+    def test_no_function_takes_a_merged_pass_or_a_shape(self, f):
         calls = []
         original = piecewise._combine_parts
 
@@ -775,17 +784,18 @@ class TestConvexitySplice:
             mp.setattr(piecewise, "_combine_parts", counting)
             _clear_memos()
             t.is_convex(f)
-        assert t.is_normal(f)
         assert calls == []
+        assert piecewise._shape.cache_info().currsize == 0
 
 
 def running_sup_shape(f):
     """``_shape``'s fields from running suprema, the reference for its walk:
-    both envelopes as running suprema, each end read off its envelope, and
-    lattice membership by comparing f with the splice of the envelopes at
-    those ends."""
-    h = piecewise._sealed(*piecewise._running_sup(f, rightward=True))
-    k = piecewise._sealed(*piecewise._running_sup(f, rightward=False))
+    the left envelope as the running supremum of f, the right one as the mirror
+    image of the running supremum of f's mirror image, each end read off its
+    envelope, and lattice membership by comparing f with the splice of the
+    envelopes at those ends."""
+    h = piecewise._sealed(*piecewise._running_sup(f))
+    k = t.reflect(piecewise._sealed(*piecewise._running_sup(t.reflect(f))))
     if h.values[-1] != 1:
         return h, k, None, None, False, False
     i = -2 if h.pieces[-1] == (0, 1) else -1
