@@ -16,19 +16,18 @@ combiners min and max take the zero-width band whatever the tolerance: on
 the grid, min(x_i, x_j) = x_k (resp. max) exactly when that band of (i, j)
 holds k, so the grid value is the true supremum over grid pairs.
 
-Fast paths. The library's own t-norms and t-conorms
-(``builtin_connectives()``) are matched by identity in two tables of integer
-forms. Each is nondecreasing in each argument (T3) and has a neutral
-element. ``_ROW_FORMS`` gives row i of its values at (i/n, j/n) as
-numerators p over one q, (i*j for each j, n*n) for the product, so a band
-ceil((p/q - tol) * n) .. floor((p/q + tol) * n) is integer arithmetic and a
-builtin combiner is never called. ``_SLOT_FORMS`` gives x * y for x = a/b,
-y = c/d as an unreduced integer ratio, (a*c, b*d) for the product.
-Elsewhere a builtin * is called through its ``fn``, unchecked: its
-arguments are grid values of built functions, and a property test checks
-that every builtin maps [0, 1]^2 into [0, 1]. As * is nondecreasing, a
-supremum of x * y over a set of y is x * (the largest y), an attained
-maximum on the grid, so each fast path returns what the per-pair path does:
+Fast paths. Each connective the library defines declares its integer forms
+in ``connectives``, looked up here by identity; each is nondecreasing in
+each argument (T3). A combiner's row form gives row i of its values at
+(i/n, j/n) as numerators p over one q, so a band ceil((p/q - tol) * n) ..
+floor((p/q + tol) * n) is integer arithmetic and the combiner is never
+called. An inner connective's slot form gives x * y for x = a/b, y = c/d as
+an unreduced integer ratio. Elsewhere a builtin * is called through its
+``fn``, unchecked: its arguments are grid values of built functions, and a
+property test checks that every builtin maps [0, 1]^2 into [0, 1]. As * is
+nondecreasing, a supremum of x * y over a set of y is x * (the largest y),
+an attained maximum on the grid, so each fast path returns what the
+per-pair path does:
 
 - exact path (min/max combiner), O(n) and no Fraction compare: the value
   at x_k is max(f_k * sup_{j>=k} g_j, sup_{j>=k} f_j * g_k) for the meet
@@ -45,14 +44,13 @@ maximum on the grid, so each fast path returns what the per-pair path does:
 - a single banded point (``convolve_*_at``) takes the per-pair path on the
   run of partners in each row whose band can hold it, found by bisection.
 
-Every other connective, including a user-built one that declares a t-norm
-or t-conorm profile or wraps a builtin's function, is called through
-``ScalarConnective.__call__`` on every pair it is asked about: a user-built
-combiner on every pair of the grid, a user-built inner connective, under
-any combiner, on every pair whose band meets the requested points. A
-declared profile is not checked for monotonicity, and a non-monotone one
-would make the fast paths wrong. This one per-pair path (``_banded_pairs``)
-is the reference the fast paths are tested against.
+Every other connective, one the library does not define, is called through
+``ScalarConnective.__call__`` on every pair it is asked about, even if it
+declares a t-norm or t-conorm profile or wraps a builtin's function: as a
+combiner on every pair of the grid, as the inner connective, under any
+combiner, on every pair whose band meets the requested points. This one
+per-pair path (``_banded_pairs``) is the reference the fast paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -67,21 +65,11 @@ from itertools import accumulate
 from math import lcm
 
 from .connectives import (
-    BOUNDED_SUM,
-    DRASTIC,
-    DRASTIC_CONORM,
-    LUKASIEWICZ,
-    MAXIMUM,
-    MINIMUM,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-    ScalarConnective,
-    T_CONORM,
-    T_NORM,
+    MAXIMUM, MINIMUM, ScalarConnective, T_CONORM, T_NORM, _ROW_FORMS, _SLOT_FORMS
 )
 from .errors import DomainError, ValidationError
-from .piecewise import PiecewiseFn, _lt, _max
-from .rationals import ZERO, format_rational, to_rational, to_unit
+from .piecewise import PiecewiseFn
+from .rationals import ZERO, _lt, _max, format_rational, to_rational, to_unit
 
 
 @dataclass(frozen=True)
@@ -178,34 +166,6 @@ def _running_max(values: list[Fraction], reverse: bool) -> list[Fraction]:
     if reverse:
         return list(accumulate(reversed(values), _max))[::-1]
     return list(accumulate(values, _max))
-
-
-# the integer forms of the library's own t-norms and t-conorms, keyed by
-# identity, so that a user-built connective, even one wrapping a builtin's
-# function, takes the reference path: row i of the values at (i/n, j/n),
-# j = 0..n, as numerators over one denominator, nondecreasing in j (T3) ...
-_ROW_FORMS = {
-    id(MINIMUM): lambda i, n: ([min(i, j) for j in range(n + 1)], n),
-    id(PRODUCT): lambda i, n: ([i * j for j in range(n + 1)], n * n),
-    id(LUKASIEWICZ): lambda i, n: ([0] * (n - i) + list(range(i + 1)), n),
-    id(DRASTIC): lambda i, n: ([0] * n + [i] if i < n else list(range(n + 1)), n),
-    id(MAXIMUM): lambda i, n: ([max(i, j) for j in range(n + 1)], n),
-    id(PROBABILISTIC_SUM): lambda i, n: ([n * i + (n - i) * j for j in range(n + 1)], n * n),
-    id(BOUNDED_SUM): lambda i, n: (list(range(i, n)) + [n] * (i + 1), n),
-    id(DRASTIC_CONORM): lambda i, n: ([i] + [n] * n if i else list(range(n + 1)), n),
-}
-
-# ... and x * y for x = a/b and y = c/d (b, d > 0) as an unreduced ratio
-_SLOT_FORMS = {
-    id(MINIMUM): lambda a, b, c, d: (a, b) if a * d <= c * b else (c, d),
-    id(PRODUCT): lambda a, b, c, d: (a * c, b * d),
-    id(LUKASIEWICZ): lambda a, b, c, d: (max(a * d + c * b - b * d, 0), b * d),
-    id(DRASTIC): lambda a, b, c, d: (a, b) if c == d else (c, d) if a == b else (0, 1),
-    id(MAXIMUM): lambda a, b, c, d: (a, b) if a * d >= c * b else (c, d),
-    id(PROBABILISTIC_SUM): lambda a, b, c, d: (a * d + c * b - a * c, b * d),
-    id(BOUNDED_SUM): lambda a, b, c, d: (min(a * d + c * b, b * d), b * d),
-    id(DRASTIC_CONORM): lambda a, b, c, d: (a, b) if not c else (c, d) if not a else (1, 1),
-}
 
 
 def _bands(combiner, pts, tol, lo, hi, i):

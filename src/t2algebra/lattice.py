@@ -26,8 +26,6 @@ from .piecewise import (
     PiecewiseFn,
     _combine_parts,
     _cut,
-    _max,
-    _min,
     _shape,
     _splice,
     envelope_left,
@@ -40,7 +38,7 @@ from .piecewise import (
     unit_spike,
 )
 from .errors import DomainError
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, _max, _min
 
 BOTTOM = unit_spike(ZERO)
 TOP = unit_spike(ONE)

@@ -36,15 +36,12 @@ memo key is integers: a function's ``_key``, or ``_indicator``'s end slots.
 The envelopes, thresholds, lattice membership and indicator test of a
 function are fields of one memoised record, ``_shape``.
 
-This module (and ``star``, through its helpers) compares rationals by
-cross-multiplying their integer slots ``_numerator`` and ``_denominator``
-rather than through ``Fraction``'s rich comparisons, which dispatch through
-the ``numbers`` ABCs on every call. ``Fraction`` always holds lowest terms
-with a positive denominator, so p < q exactly when p.num * q.den <
-q.num * p.den, and p == q exactly when both slots agree. Arguments and
-results stay ``Fraction`` at the API. The kernel compares in integer slots
-first and builds a ``Fraction`` only for a value kept in a result: a piece
-limit or a crossing stays an unreduced integer ratio until it wins.
+This module compares rationals in their integer slots, by the slot
+comparisons of ``rationals`` (``_lt``, ``_same``, ``_min``, ``_max``) and by
+``_same_piece`` for two pieces. Arguments and results stay ``Fraction`` at
+the API. The kernel compares in integer slots first and builds a
+``Fraction`` only for a value kept in a result: a piece limit or a crossing
+stays an unreduced integer ratio until it wins.
 """
 
 from __future__ import annotations
@@ -57,7 +54,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .rationals import ONE, UNPRINTABLE, ZERO, format_rational, to_rational, to_unit
+from .rationals import (
+    ONE, UNPRINTABLE, ZERO, _lt, _max, _min, _same, format_rational, to_rational, to_unit
+)
 
 Affine = tuple[Fraction, Fraction]
 
@@ -75,24 +74,8 @@ def _flat(v: Fraction):
 _ZERO_PARTS, _ONE_PARTS = _flat(ZERO), _flat(ONE)
 
 
-def _lt(p: Fraction, q: Fraction) -> bool:
-    return p._numerator * q._denominator < q._numerator * p._denominator
-
-
-def _same(p: Fraction, q: Fraction) -> bool:
-    return p._numerator == q._numerator and p._denominator == q._denominator
-
-
 def _same_piece(p: Affine, q: Affine) -> bool:
     return _same(p[0], q[0]) and _same(p[1], q[1])
-
-
-def _min(p: Fraction, q: Fraction) -> Fraction:
-    return q if _lt(q, p) else p  # the first of equals, as builtins.min
-
-
-def _max(p: Fraction, q: Fraction) -> Fraction:
-    return q if _lt(p, q) else p  # the first of equals, as builtins.max
 
 
 def _affine_ratio(piece: Affine, x: Fraction) -> tuple[int, int]:
@@ -378,9 +361,7 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, s
         # ds has the sign of s1 - s2, as has f - g right of a crossing
         ds = s1._numerator * s2._denominator - s2._numerator * s1._denominator
         x = None  # a crossing strictly inside (a, b), where after takes over
-        if _same_piece(p1, p2):
-            piece = p1
-        elif not ds:
+        if not ds:
             # parallel: the lower (for min) or higher intercept wins
             piece = p1 if _lt(c1, c2) == take_min else p2
         else:

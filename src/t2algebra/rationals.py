@@ -8,6 +8,12 @@ strings ("0.8") and ratio strings ("4/5") parse exactly. An integer or "p/q"
 string of ASCII digits, as ``dumps`` writes, is read by ``int()`` first if it
 is shorter than ``_MAX_DIGITS`` (its digit bound) with a nonzero denominator;
 any other value takes the type checks, the digit bound and ``Fraction(str)``.
+
+The slot comparisons ``_lt``, ``_same``, ``_min`` and ``_max`` cross-multiply
+the integer slots ``_numerator`` and ``_denominator``, not ``Fraction``'s
+rich comparisons, which dispatch through the ``numbers`` ABCs on every call:
+a ``Fraction`` holds lowest terms over a positive denominator, so p < q
+exactly when p.num * q.den < q.num * p.den, and p == q when both slots agree.
 """
 
 from __future__ import annotations
@@ -54,6 +60,22 @@ def to_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {value!r}") from exc
     raise ValidationError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _lt(p: Fraction, q: Fraction) -> bool:
+    return p._numerator * q._denominator < q._numerator * p._denominator
+
+
+def _same(p: Fraction, q: Fraction) -> bool:
+    return p._numerator == q._numerator and p._denominator == q._denominator
+
+
+def _min(p: Fraction, q: Fraction) -> Fraction:
+    return q if _lt(q, p) else p  # the first of equals, as builtins.min
+
+
+def _max(p: Fraction, q: Fraction) -> Fraction:
+    return q if _lt(p, q) else p  # the first of equals, as builtins.max
 
 
 def _in_unit(q: Fraction) -> bool:

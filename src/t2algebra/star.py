@@ -38,13 +38,11 @@ from .piecewise import (
     _combine_parts,
     _cut,
     _interval_op,
-    _max,
-    _min,
     _shape,
     _splice,
     reflect,
 )
-from .rationals import ONE
+from .rationals import ONE, _max, _min
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,39 @@ INPUTS = {
     "sevenths": _function((0, "1/3", 1), ("1/7", 1, "2/7"), (("1/7", 1), (1, "2/7"))),
     "drawn": _drawn(7321, lattice=True),
     "scrawl": _drawn(11, lattice=False),
-    "bad_json": '{"breakpoints": [',
-    "out_of_range": _function((0, 1), (0, "3/2"), ((0, 0),)),
 }
+_ZERO, _ONE = {"x": "0", "v": "0"}, {"x": "1", "v": "1"}
+_RISE = [{"slope": "1", "intercept": "0"}]
+
+
+def _parts(breakpoints=(_ZERO, _ONE), pieces=_RISE) -> str:
+    """JSON text of these parts as given, a rising ramp by default."""
+    return json.dumps({"breakpoints": list(breakpoints), "pieces": pieces})
+
+
+# one fault each, but double_fault; out_of_range and bad_json were the first
+FAULTY = {
+    "out_of_range": _function((0, 1), (0, "3/2"), ((0, 0),)),
+    "piece": _parts(pieces=[{"slope": "2", "intercept": "0"}]),
+    "float": _parts([{"x": 0, "v": 0.5}, _ONE]),
+    "bool": _parts([_ZERO, {"x": True, "v": "1"}]),
+    "missing_key": _parts(pieces=[{"slope": "1"}]),
+    "bad_rational": _parts([_ZERO, {"x": "1", "v": "one"}]),
+    "order": _parts(
+        [_ZERO, {"x": "3/4", "v": "0"}, {"x": "1/2", "v": "0"}, _ONE],
+        [{"slope": "0", "intercept": "0"}] * 3,
+    ),
+    "endpoints": _parts([{"x": "1/4", "v": "0"}, _ONE]),
+    "count": _parts(pieces=_RISE * 2),
+    "list_entry": _parts([["0", "0"], _ONE]),
+    "string_breakpoints": json.dumps({"breakpoints": "01", "pieces": _RISE}),
+    "string_pieces": _parts(pieces="ab"),
+    "string_piece": _parts(pieces=["ab"]),
+    "double_fault": _parts([{"x": "1/2", "v": 0.5}, _ONE]),  # endpoints, float
+    "array": json.dumps([[_ZERO, _ONE], _RISE]),
+    "bad_json": '{"breakpoints": [',
+}
+INPUTS.update(FAULTY)
 LATIN1 = "latin1"  # a file whose bytes are not UTF-8
 
 
@@ -142,12 +172,20 @@ def _commands() -> list[list[str]]:
             ["eval", op, _f("twin"), _f("dip")],
             ["eval", op, _f("low_ramp"), _f("scrawl")],
         ]
+    for name in FAULTY:
+        commands += [
+            ["eval", "neg", _f(name)],
+            ["eval", "star", _f(name), _f("ind_a")],
+            ["plot", _f(name), "--out", f"{DIR}/out.svg"],
+        ]
     commands += [
         ["eval", "conv-meet:min:min", _f("fixture"), _f("ramp"), "--grid", "8"],
         ["eval", "conv-meet:product:product", _f("falling"), _f("ramp"), "--grid", "10"],
         ["eval", "conv-join:max:min", _f("ind_a"), _f("spike"), "--grid", "16", "--decimal"],
         ["eval", "conv-meet:product:product", _f("sevenths"), _f("ramp"), "--grid", "7", "--decimal"],
         ["eval", "conv-join:probabilistic-sum:product", _f("sevenths"), _f("falling"), "--grid", "6"],
+        ["eval", "conv-meet:product:projection", _f("drawn"), _f("ramp"), "--grid", "24"],
+        ["eval", "conv-join:max:projection", _f("fixture"), _f("dip"), "--grid", "30"],
         ["separation", "--grid", "10", "--tolerance", "1/100"],
         ["plot", _f("sevenths"), _f("ramp"), "--out", f"{DIR}/out.svg"],
         ["plot", _f("ind_a"), _f("fixture"), _f("twin"), "--out", f"{DIR}/out.svg"],
@@ -165,8 +203,6 @@ def _commands() -> list[list[str]]:
         ["separation", "--star", ","],
         ["plot", _f("ind_a"), "--labels", "a,b", "--out", f"{DIR}/out.svg"],
         # invalid input (exit 3)
-        ["eval", "star", _f("bad_json"), _f("ind_a")],
-        ["eval", "star", _f("out_of_range"), _f("ind_a")],
         ["eval", "star", _f(LATIN1), _f("ind_a")],
         ["eval", "star", _f("missing"), _f("ind_a")],
         ["eval", "star", _f("twin"), _f("ind_a")],

@@ -727,6 +727,10 @@ CLOSED = (4, "i/o error: cannot write stdout: it is closed\n")
         ),
         (["star", "{band}", "{tmp}/missing.json"], (3, "invalid input: cannot read ")),
         (["nope", "{band}", "{full}"], (2, "usage error: unknown op 'nope'")),
+        (
+            ["star", "{band}", "{full}", "--samples", "1"],
+            (3, "invalid input: need at least 2 sample points\n"),
+        ),
     ],
 )
 def test_a_closed_stdout_is_found_before_eval_starts(files, tmp_path, argv, expected):

@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError
-from t2algebra.convolution import (
-    _ROW_FORMS,
-    _SLOT_FORMS,
-    _banded_pairs,
-    _banded_window,
-    _bands,
-    _grid_values,
-)
+from t2algebra.connectives import _REGISTRY, _ROW_FORMS, _SLOT_FORMS
+from t2algebra.convolution import _banded_pairs, _banded_window, _bands, _grid_values
 
 from conftest import piecewise_fns
 from oracles import brute_convolution_grid
@@ -423,7 +417,7 @@ class TestExactPathChoice:
 
 
 @pytest.mark.parametrize("form", ["meet", "join"])
-@pytest.mark.parametrize("inner", t.builtin_connectives(), ids=lambda c: c.name)
+@pytest.mark.parametrize("inner", _REGISTRY.values(), ids=lambda c: c.name)
 class TestMonotoneFastPaths:
     """The fast paths for the library's connectives against the per-pair
     reference paths and the literal enumeration, on arbitrary functions."""
@@ -556,7 +550,7 @@ def _pool(count):
 def test_window_equals_the_per_pair_path(form, combiner, n):
     for f, g in _pool(3):
         for tol in (grid(n).tolerance, F(0), F(1, 5)):
-            assert_window_equals_pairs(f, g, combiner, BUILTINS, n, tol)
+            assert_window_equals_pairs(f, g, combiner, _REGISTRY.values(), n, tol)
 
 
 @ALL_COMBINERS
@@ -692,13 +686,13 @@ class TestExactPathMakesNoFractionCompare:
 
 
 class TestRowAndSlotForms:
-    """The integer forms of the builtin connectives: rows of combiner values
-    on grid indices, and inner connective values on integer slots."""
+    """The integer forms of the library's connectives: rows of combiner
+    values on grid indices for its t-norms and t-conorms, and inner
+    connective values on integer slots for every connective it names."""
 
     def test_keys_are_exactly_the_builtins(self):
-        builtins = {id(c) for c in t.builtin_connectives()}
-        assert set(_ROW_FORMS) == builtins
-        assert set(_SLOT_FORMS) == builtins
+        assert set(_ROW_FORMS) == {id(c) for c in t.builtin_connectives()}
+        assert set(_SLOT_FORMS) == {id(c) for c in _REGISTRY.values()}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40, 45])
     @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
@@ -709,7 +703,7 @@ class TestRowAndSlotForms:
             assert [F(p, q) for p in ps] == row, i
             assert ps == sorted(ps), i  # nondecreasing in j
 
-    @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+    @pytest.mark.parametrize("conn", _REGISTRY.values(), ids=lambda c: c.name)
     @given(
         x=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
         y=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
@@ -720,7 +714,20 @@ class TestRowAndSlotForms:
         assert q > 0
         assert F(p, q) == conn.fn(x, y)
 
-    @pytest.mark.parametrize("conn", t.builtin_connectives(), ids=lambda c: c.name)
+    @pytest.mark.parametrize("conn", _REGISTRY.values(), ids=lambda c: c.name)
+    @given(
+        xs=st.lists(st.fractions(0, 1, max_denominator=1000), min_size=2, max_size=2),
+        ys=st.lists(st.fractions(0, 1, max_denominator=1000), min_size=2, max_size=2),
+    )
+    def test_slot_is_nondecreasing_in_each_argument(self, conn, xs, ys):
+        # the fast paths' premise (T3): the lower pair's value is no greater
+        slot = _SLOT_FORMS[id(conn)]
+        (x1, x2), (y1, y2) = sorted(xs), sorted(ys)
+        assert F(*slot(*x1.as_integer_ratio(), *y1.as_integer_ratio())) <= F(
+            *slot(*x2.as_integer_ratio(), *y2.as_integer_ratio())
+        )
+
+    @pytest.mark.parametrize("conn", _REGISTRY.values(), ids=lambda c: c.name)
     @given(
         x=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
         y=st.fractions(min_value=0, max_value=1, max_denominator=10**6),

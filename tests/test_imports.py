@@ -325,3 +325,21 @@ def test_every_axiom_check_is_in_axioms():
 def test_the_check_sees_each_import():
     source = "import os.path\nfrom .report import falsify\nfrom . import star\n"
     assert imported_modules(source) == {"path", "report", "star"}
+
+
+# The scalar layer stands alone: rationals and connectives import no module of
+# the package but errors and rationals, and each builtin connective's integer
+# forms are declared beside it, in connectives, and nowhere else.
+def test_the_scalar_layer_imports_nothing_above_it():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    for module in ("rationals", "connectives"):
+        assert imported_modules(sources[module]) & set(sources) <= {"errors", "rationals"}
+    assigning = {
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("_ROW_FORMS", "_SLOT_FORMS")
+    }
+    assert assigning == {"connectives"}

@@ -9,15 +9,8 @@ from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import DomainError, ValidationError, axioms, cli, piecewise, rationals
-from t2algebra.piecewise import (
-    _affine_above,
-    _affine_ratio,
-    _lt,
-    _max,
-    _min,
-    _same,
-    _same_piece,
-)
+from t2algebra.piecewise import _affine_above, _affine_ratio, _same_piece
+from t2algebra.rationals import _lt, _max, _min, _same
 
 from conftest import clear_memos as _clear_memos
 from conftest import (
