@@ -6,10 +6,6 @@ tolerance, canonical forms) on seeded random samples plus exhaustive
 rational parameter lattices for the indicator-shaped axioms. A pass is
 evidence, not proof; a failure is a theorem-grade counterexample, and every
 failing report carries a replayable witness, shrunk when it was drawn.
-
-Axiom checking is finite-sample: passing a check over a rational sample is
-necessary, never sufficient, for the universally quantified axiom -- the
-role here is falsification of concrete instances, not proof.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from contextlib import ExitStack, suppress
+from fractions import Fraction
 
 from . import axioms as ax
 from .connectives import connective_by_name
@@ -27,11 +28,12 @@ from .piecewise import (
     dumps,
     envelope_left,
     envelope_right,
+    evaluate,
     loads,
     reflect,
-    sample_rows,
 )
 from .plotting import render_svg
+from .rationals import format_rational
 from .report import all_passed, format_report_table
 from .star import resolve_operation
 
@@ -177,8 +179,12 @@ def _cmd_eval(args) -> int:
     if args.out is None:  # before the operation
         _check_stdout()
     result = op(*functions)
-    rows = sample_rows(result, args.samples, decimal=args.decimal)
-    csv = "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
+    # a row at each evenly spaced sample and at each breakpoint, in order
+    xs = {Fraction(k, args.samples - 1) for k in range(args.samples)}.union(result.breakpoints)
+    rows = ((x, evaluate(result, x)) for x in sorted(xs))
+    csv = "x,value\n" + "".join(
+        f"{format_rational(x, args.decimal)},{format_rational(v, args.decimal)}\n" for x, v in rows
+    )
     # both texts are built before either is written: a failure writes nothing
     json_text = dumps(result, indent=2) + "\n" if args.json_out else None
     _write_text((args.out, csv), (args.json_out, json_text))

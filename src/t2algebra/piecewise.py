@@ -723,19 +723,3 @@ def loads(text: str) -> PiecewiseFn:
     except RecursionError:  # arrays or objects nested deeper than json can read
         raise ValidationError("invalid JSON: nested too deeply") from None
     return from_json_dict(data)
-
-
-def sample_rows(
-    f: PiecewiseFn, sample_count: int = 11, decimal: bool = False
-) -> list[tuple[str, str]]:
-    """(x, value) rows at evenly spaced samples plus all breakpoints."""
-    if type(sample_count) is not int:  # refuses bool as well
-        raise ValidationError("sample count must be an integer")
-    if sample_count < 2:
-        raise ValidationError("need at least 2 sample points")
-    xs = {Fraction(k, sample_count - 1) for k in range(sample_count)}
-    xs.update(f.breakpoints)
-    return [
-        (format_rational(x, decimal), format_rational(evaluate(f, x), decimal))
-        for x in sorted(xs)
-    ]

@@ -8,6 +8,8 @@ strings ("0.8") and ratio strings ("4/5") parse exactly. An integer or "p/q"
 string of ASCII digits, as ``dumps`` writes, is read by ``int()`` first if it
 is shorter than ``_MAX_DIGITS`` (its digit bound) with a nonzero denominator;
 any other value takes the type checks, the digit bound and ``Fraction(str)``.
+A string holding "_", or whitespace between non-space characters, is refused
+before ``Fraction(str)``, so every interpreter reads Python 3.10's grammar.
 
 The slot comparisons ``_lt``, ``_same``, ``_min`` and ``_max`` cross-multiply
 the integer slots ``_numerator`` and ``_denominator``, not ``Fraction``'s
@@ -51,8 +53,11 @@ def to_rational(value) -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and _digit_bound(value) >= _MAX_DIGITS:
-        raise ValidationError(f"rational too large: {_MAX_DIGITS} digits or more")
+    if isinstance(value, str):
+        if _digit_bound(value) >= _MAX_DIGITS:
+            raise ValidationError(f"rational too large: {_MAX_DIGITS} digits or more")
+        if "_" in value or len(value.split()) > 1:  # 3.11 reads "1_0", 3.12 "1 / 2"
+            raise ValidationError(f"not a rational number: {value!r}")
     # bool is an int subclass, but JSON true/false are not numbers
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:

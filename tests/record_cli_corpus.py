@@ -11,11 +11,18 @@ Run from the repository root, on a commit whose CLI output is trusted:
 
     PYTHONPATH=src python3 tests/record_cli_corpus.py
 
-Re-recording is a deliberate change of the CLI contract.
+Re-recording is a deliberate change of the CLI contract. With ``--check`` the
+corpus is replayed instead, under whichever interpreter runs this script and
+without pytest: each entry that differs is printed with the fields that
+differ, nothing is written (``-B`` keeps bytecode out too), and the exit code
+is 1 if any entry differs:
+
+    PYTHONPATH=src python3 -B tests/record_cli_corpus.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -115,6 +122,9 @@ FAULTY = {
     "double_fault": _parts([{"x": "1/2", "v": 0.5}, _ONE]),  # endpoints, float
     "array": json.dumps([[_ZERO, _ONE], _RISE]),
     "bad_json": '{"breakpoints": [',
+    # Fraction(str) reads these from Python 3.12 and 3.11 on; the CLI does not
+    "spaced_ratio": _parts([{"x": "0", "v": "1 / 2"}, _ONE]),
+    "underscore": _parts([{"x": "0", "v": "1_0/20"}, _ONE]),
 }
 INPUTS.update(FAULTY)
 LATIN1 = "latin1"  # a file whose bytes are not UTF-8
@@ -257,7 +267,29 @@ def record() -> list[dict]:
         return [run_entry(argv, directory) for argv in COMMANDS]
 
 
+def check() -> int:
+    """Replay the recorded corpus; print each entry that differs, field by
+    field, and return the number of such entries."""
+    corpus = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    differing = 0
+    with tempfile.TemporaryDirectory() as directory:
+        write_inputs(directory)
+        for entry in corpus:
+            replayed = run_entry(entry["argv"], directory)
+            fields = [key for key in entry if replayed[key] != entry[key]]
+            differing += bool(fields)
+            for key in fields:
+                print(f"{' '.join(entry['argv'])}: {key} was {entry[key]!r}, is {replayed[key]!r}")
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"{differing} of {len(corpus)} entries differ under Python {version}", file=sys.stderr)
+    return differing
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record or check the CLI byte corpus.")
+    parser.add_argument("--check", action="store_true", help="replay the corpus, write nothing")
+    if parser.parse_args().check:
+        sys.exit(1 if check() else 0)
     entries = record()
     codes = sorted({entry["exit"] for entry in entries})
     lines = ",\n".join(json.dumps(entry) for entry in entries)  # one entry a line

@@ -335,6 +335,84 @@ class TestSeparation:
             t.replicate_separation([], t.GridSpec(50))
 
 
+P = t.separation_fixture()  # 1 on [0, 3/4], 1/2 on (3/4, 1]
+RP = t.reflect(P)
+SPIKE, DUAL_SPIKE = t.unit_spike(F(4, 5)), t.unit_spike(F(1, 5))
+# every connective the CLI names, as the inner operation
+STARS = (*t.builtin_connectives(), t.PROJECTION)
+T_NORMS = [c for c in STARS if c.profile == "t-norm"]
+T_CONORMS = [c for c in STARS if c.profile == "t-conorm"]
+# a t-norm and an inner operation that are not builtins; |x - y| is not monotone
+HAMACHER = t.ScalarConnective(
+    "hamacher", lambda x, y: x * y / (x + y - x * y) if x or y else x, "t-norm"
+)
+ABS_DIFF = t.ScalarConnective("abs-diff", lambda x, y: abs(x - y))
+
+# per form: the convolution at one grid point, the certificate's f, the
+# neutral element and the spike, the points x0 and x1, and the product
+FORMS = {
+    "meet": (t.convolve_meet_at, P, t.TOP, SPIKE, F(1), F(4, 5), t.star),
+    "join": (t.convolve_join_at, RP, t.BOTTOM, DUAL_SPIKE, F(0), F(1, 5), t.costar),
+}
+
+
+def assert_certificate(form, combiner, star, grid):
+    """For a t-norm, y △ z = 1 only at y = z = 1, and 1 △ 4/5 = 4/5; for a
+    t-conorm, y ▽ z = 0 only at y = z = 0, and 0 ▽ 1/5 = 1/5. So the
+    convolution is f(x0) ∗ 1 at x0 and at least that at x1, where the
+    product is f(x0) = 1/2 and 0: the two differ at x0 or at x1."""
+    conv, f, neutral, spike, x0, x1, product = FORMS[form]
+    at_x0 = conv(f, neutral, star, combiner, grid, x0)
+    at_x1 = conv(f, spike, star, combiner, grid, x1)
+    assert at_x0 == star(t.evaluate(f, x0), 1)
+    assert at_x1 >= star(t.evaluate(f, x0), 1)
+    products = (t.evaluate(product(f, neutral), x0), t.evaluate(product(f, spike), x1))
+    assert (at_x0, at_x1) != products
+
+
+class TestCertificate:
+    """The main theorem: the tr-norm star and the tr-conorm costar are no
+    convolution, for any (t-norm or t-conorm, inner operation) pair."""
+
+    def test_meet_half(self):
+        assert t.star(P, t.TOP) == P
+        assert t.evaluate(P, 1) == F(1, 2)
+        assert t.evaluate(t.star(P, SPIKE), F(4, 5)) == 0
+
+    def test_join_half(self):
+        assert t.costar(RP, t.BOTTOM) == RP
+        assert t.evaluate(RP, 0) == F(1, 2)
+        assert t.evaluate(t.costar(RP, DUAL_SPIKE), F(1, 5)) == 0
+
+    def test_the_halves_are_dual(self):
+        dual = t.costar(RP, DUAL_SPIKE)
+        assert t.reflect(t.star(P, SPIKE)) == dual == t.dualize(t.STAR)(RP, DUAL_SPIKE)
+
+    def test_meet_and_join_are_not_separated(self):
+        assert t.evaluate(t.meet(P, SPIKE), F(4, 5)) == F(1, 2)
+        assert t.evaluate(t.join(RP, DUAL_SPIKE), F(1, 5)) == F(1, 2)
+
+    @pytest.mark.parametrize(
+        "form, combiners", [("meet", T_NORMS), ("join", T_CONORMS)], ids=["meet", "join"]
+    )
+    @pytest.mark.parametrize("star", STARS, ids=lambda c: c.name)
+    def test_grid_rows_agree_with_the_certificate(self, form, combiners, star):
+        for combiner in combiners:
+            assert_certificate(form, combiner, star, t.GridSpec(200, 0))
+
+    @pytest.mark.parametrize(
+        "form, user_built",
+        [("meet", HAMACHER), ("join", t.dual_connective(HAMACHER))],
+        ids=["meet", "join"],
+    )
+    def test_user_built_connectives(self, form, user_built):
+        builtins = T_NORMS if form == "meet" else T_CONORMS
+        pairs = [(user_built, star) for star in (*STARS, ABS_DIFF)]
+        pairs += [(combiner, ABS_DIFF) for combiner in builtins]
+        for combiner, star in pairs:
+            assert_certificate(form, combiner, star, t.GridSpec(20, 0))
+
+
 class TestNeutralityGap:
     def test_gap_confirmed_for_all_three(self):
         report = t.replicate_notnorm_conorm_gap(

@@ -84,6 +84,13 @@ class TestEval:
         assert code == 0
         assert "0.4,1" in out
 
+    def test_rows_at_the_samples_and_the_breakpoints(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(t.dumps(t.indicator(F(1, 3), F(1, 2))))
+        code, out, _ = run(capsys, ["eval", "meet", str(path), str(path), "--samples", "3"])
+        assert code == 0
+        assert out == "x,value\n0,0\n1/3,1\n1/2,1\n1,0\n"
+
     def test_conv_op_emits_grid_csv(self, capsys, files):
         code, out, _ = run(
             capsys,
@@ -209,6 +216,18 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert err == "invalid input: need at least 2 sample points\n"
+
+    # Fraction(str) reads "1_0/20" from Python 3.11 on and "1 / 2" from 3.12 on
+    @pytest.mark.parametrize("v", ["1 / 2", "1_0/20"])
+    def test_rational_outside_the_3_10_grammar_is_validation_error(self, capsys, tmp_path, v):
+        path = tmp_path / "f.json"
+        doc = t.to_json_dict(t.indicator(0, 1))
+        doc["breakpoints"][0]["v"] = v
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["eval", "neg", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == f"invalid input: not a rational number: {v!r}\n"
 
     def test_deeply_nested_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

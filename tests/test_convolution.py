@@ -511,11 +511,6 @@ class TestDominatedRowsAreSkipped:
         assert calls == 17 < reached
 
 
-def _pool(count):
-    fns = t.generate_lattice_functions(t.GeneratorConfig(seed=1908), 2 * count)
-    return list(zip(fns[::2], fns[1::2]))
-
-
 BUILTINS = t.builtin_connectives()
 ALL_COMBINERS = pytest.mark.parametrize(
     "form, combiner",

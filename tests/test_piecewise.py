@@ -138,7 +138,6 @@ class TestCanonicalize:
         half = t.PiecewiseFn((0, F(1, 2), 1), (1, 1, 1), ((0, 1), (0, 1)))
         assert half.breakpoints == (0, 1)
         assert t.dumps(half) == t.dumps(t.constant(1))
-        assert piecewise.sample_rows(half, 2) == [("0", "1"), ("1", "1")]
 
 
 class TestEquals:
@@ -1143,22 +1142,6 @@ class TestSpliceWalk:
 
         monkeypatch.setattr(piecewise, "_piece_index", refuse)
         assert [piecewise._splice(*case) for case in cases] == expected
-
-
-class TestSampleRows:
-    @pytest.mark.parametrize("count", [2.5, "5", None, True, F(5)])
-    def test_count_must_be_an_integer(self, count):
-        with pytest.raises(ValidationError, match="^sample count must be an integer$"):
-            piecewise.sample_rows(t.constant(0), count)
-
-    @pytest.mark.parametrize("count", [-1, 0, 1])
-    def test_count_below_two_rejected(self, count):
-        with pytest.raises(ValidationError, match="^need at least 2 sample points$"):
-            piecewise.sample_rows(t.constant(0), count)
-
-    def test_rows_at_the_samples_and_the_breakpoints(self):
-        rows = piecewise.sample_rows(t.indicator(F(1, 3), F(1, 2)), 3)
-        assert rows == [("0", "0"), ("1/3", "1"), ("1/2", "1"), ("1", "0")]
 
 
 class TestValidation:
