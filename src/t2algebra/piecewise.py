@@ -690,15 +690,17 @@ def to_json_dict(f: PiecewiseFn) -> dict:
 def from_json_dict(data) -> PiecewiseFn:
     if not isinstance(data, dict):
         raise ValidationError("function JSON must be an object")
-    try:
+    try:  # the slots as given: PiecewiseFn coerces each slot once
         bks = data["breakpoints"]
-        pcs = data["pieces"]
-        # the slots as given: PiecewiseFn coerces each slot once
         breaks = tuple(entry["x"] for entry in bks)
         values = tuple(entry["v"] for entry in bks)
-        pieces = tuple((p["slope"], p["intercept"]) for p in pcs)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed function JSON: {exc}") from exc
+    except (KeyError, TypeError):
+        raise ValidationError('"breakpoints" must be a list of objects with "x" and "v"') from None
+    try:
+        pieces = tuple((p["slope"], p["intercept"]) for p in data["pieces"])
+    except (KeyError, TypeError):
+        msg = '"pieces" must be a list of objects with "slope" and "intercept"'
+        raise ValidationError(msg) from None
     return PiecewiseFn(breaks, values, pieces)
 
 

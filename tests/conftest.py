@@ -11,6 +11,11 @@ import t2algebra as t
 from t2algebra import piecewise
 
 HALF = Fraction(1, 2)
+# a t-norm and an inner operation that are not builtins; |x - y| is not monotone
+HAMACHER = t.ScalarConnective(
+    "hamacher", lambda x, y: x * y / (x + y - x * y) if x or y else x, "t-norm"
+)
+ABS_DIFF = t.ScalarConnective("abs-diff", lambda x, y: abs(x - y))
 
 
 @pytest.fixture

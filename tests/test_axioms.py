@@ -17,7 +17,7 @@ from t2algebra.axioms import (
     _interpolate_through,
     _shrink_points,
 )
-from conftest import lattice_fns, piecewise_fns
+from conftest import ABS_DIFF, HAMACHER, lattice_fns, piecewise_fns
 
 F = Fraction
 
@@ -342,11 +342,6 @@ SPIKE, DUAL_SPIKE = t.unit_spike(F(4, 5)), t.unit_spike(F(1, 5))
 STARS = (*t.builtin_connectives(), t.PROJECTION)
 T_NORMS = [c for c in STARS if c.profile == "t-norm"]
 T_CONORMS = [c for c in STARS if c.profile == "t-conorm"]
-# a t-norm and an inner operation that are not builtins; |x - y| is not monotone
-HAMACHER = t.ScalarConnective(
-    "hamacher", lambda x, y: x * y / (x + y - x * y) if x or y else x, "t-norm"
-)
-ABS_DIFF = t.ScalarConnective("abs-diff", lambda x, y: abs(x - y))
 
 # per form: the convolution at one grid point, the certificate's f, the
 # neutral element and the spike, the points x0 and x1, and the product

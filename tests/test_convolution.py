@@ -10,7 +10,7 @@ from t2algebra import DomainError, ValidationError
 from t2algebra.connectives import _REGISTRY, _ROW_FORMS, _SLOT_FORMS
 from t2algebra.convolution import _banded_pairs, _banded_window, _bands, _grid_values
 
-from conftest import piecewise_fns
+from conftest import ABS_DIFF, HAMACHER, piecewise_fns
 from oracles import brute_convolution_grid
 
 F = Fraction
@@ -82,6 +82,23 @@ class TestExactMeetForm:
         for conn in t.builtin_connectives():
             got = t.convolve_meet_at(f, g, conn, t.MINIMUM, grid(64), 1)
             assert got == conn(F(3, 10), F(1, 2))
+
+    @pytest.mark.parametrize(
+        "star",
+        [HAMACHER, ABS_DIFF, reference_copy(t.PRODUCT)],
+        ids=["hamacher", "abs-diff", "user-built-product"],
+    )
+    @given(
+        f=piecewise_fns(),
+        g=piecewise_fns(),
+        n=st.sampled_from((2, 3, 16)),
+        tol=st.sampled_from((None, F(1, 5), F(0))),
+    )
+    def test_endpoint_identity_of_user_built_connectives(self, star, f, g, n, tol):
+        # fact (a), which verify_star_forced_properties reads without the oracle:
+        # y min z = 1 only at y = z = 1, whatever the grid and its tolerance
+        got = t.convolve_meet_at(f, g, star, t.MINIMUM, grid(n, tol), 1)
+        assert got == star(t.evaluate(f, 1), t.evaluate(g, 1))
 
     def test_requires_tnorm_combiner(self):
         with pytest.raises(DomainError):
@@ -205,6 +222,9 @@ class TestGridEquivalenceWithExactOps:
         assert [t.evaluate(exact_join, x) for x in pts] == list(got_join.values)
 
 
+SECOND = t.ScalarConnective("second", lambda x, y: y)
+
+
 class TestForcedProperties:
     def test_min_passes(self):
         assert t.verify_star_forced_properties(t.MINIMUM, grid(40)).passed
@@ -213,7 +233,10 @@ class TestForcedProperties:
         for conn in (t.MINIMUM, t.PRODUCT, t.LUKASIEWICZ, t.DRASTIC):
             assert t.verify_star_forced_properties(conn, grid(40)).passed
 
-    @pytest.mark.parametrize("conn", [t.MINIMUM, t.PRODUCT, t.MAXIMUM, t.PROJECTION, t.DRASTIC])
+    @pytest.mark.parametrize(  # the last three are user-built; SECOND is not commutative
+        "conn",
+        [t.MINIMUM, t.PRODUCT, t.MAXIMUM, t.PROJECTION, t.DRASTIC, HAMACHER, ABS_DIFF, SECOND],
+    )
     def test_the_report_is_the_same_on_every_grid(self, conn):
         # at x = 1 the only pair with y min z = 1 is (1, 1), a point of every grid
         reports = [t.verify_star_forced_properties(conn, grid(n)) for n in (2, 3, 5, 8, 40)]

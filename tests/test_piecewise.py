@@ -1551,6 +1551,41 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError):
             t.loads('{"breakpoints": [{"x": "0", "v": "0"}], "pieces": []}')
 
+    ENDS = [{"x": "0", "v": "0"}, {"x": "1", "v": "1"}]
+    RISE = [{"slope": "1", "intercept": "0"}]
+    BREAKS = '"breakpoints" must be a list of objects with "x" and "v"'
+    PIECES = '"pieces" must be a list of objects with "slope" and "intercept"'
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"breakpoints": ENDS, "pieces": [{"slope": "1"}]}, PIECES),
+            ({"breakpoints": [["0", "0"], ENDS[1]], "pieces": RISE}, BREAKS),
+            ({"breakpoints": "01", "pieces": RISE}, BREAKS),
+            ({"breakpoints": ENDS, "pieces": "ab"}, PIECES),
+            ({"breakpoints": ENDS, "pieces": ["ab"]}, PIECES),
+            ({"pieces": RISE}, BREAKS),
+            ({"breakpoints": ENDS}, PIECES),
+            ({"breakpoints": "01", "pieces": "ab"}, BREAKS),  # breakpoints are read first
+        ],
+        ids=[
+            "missing_key",
+            "list_entry",
+            "string_breakpoints",
+            "string_pieces",
+            "string_piece",
+            "no_breakpoints",
+            "no_pieces",
+            "both",
+        ],
+    )
+    def test_each_fault_is_named_in_the_programs_words(self, data, message):
+        # the same text on every interpreter: none of CPython's own is chained
+        with pytest.raises(ValidationError) as info:
+            t.from_json_dict(data)
+        assert str(info.value) == message
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_nesting_past_the_recursion_limit_rejected(self):
         with pytest.raises(ValidationError, match="nested too deeply"):
             t.loads("[" * 100_000 + "]" * 100_000)
