@@ -273,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         "separation", help="replicate the non-convolution separation"
     )
     p_sep.add_argument("--grid", type=int, default=200)
-    p_sep.add_argument("--tolerance", default=None)
+    p_sep.add_argument(
+        "--tolerance",
+        default=None,
+        help="inert: separation convolves with min, whose band is zero-width at every tolerance",
+    )
     p_sep.add_argument("--star", default="min,product,lukasiewicz")
     p_sep.set_defaults(run=_cmd_separation)
 

@@ -43,24 +43,24 @@ class AxiomReport:
 def falsify(
     axiom: str,
     cases: Iterable[tuple],
-    holds: Callable[..., bool],
-    witness: Callable[..., dict],
+    failure: Callable[..., dict | None],
     shrink: Callable[[tuple], tuple] | None = None,
 ) -> AxiomReport:
-    """Check ``holds(*case)`` on each case in order, stopping at the first
-    counterexample.
+    """Try ``failure(*case)`` on each case in order, stopping at the first
+    case that fails. ``failure`` computes the case's sides or result once and
+    returns None if the case holds, else its witness.
 
-    A report counts the cases tried, the failing one included. On failure
-    the case is first passed through ``shrink``, if given, and the report's
-    witness is ``witness(*case)`` of the case that results.
-    """
+    A report counts the cases tried, the failing one included. Given
+    ``shrink``, the failing case is first passed through it, and the witness
+    is the failure of the case that results."""
     trials = 0
     for case in cases:
         trials += 1
-        if not holds(*case):
+        witness = failure(*case)
+        if witness is not None:
             if shrink is not None:
-                case = shrink(case)
-            return AxiomReport(axiom, False, trials, witness(*case))
+                witness = failure(*shrink(case))
+            return AxiomReport(axiom, False, trials, witness)
     return AxiomReport(axiom, True, trials)
 
 

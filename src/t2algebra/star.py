@@ -67,12 +67,12 @@ def _lattice_shapes(what: str, f: PiecewiseFn, g: PiecewiseFn):
 def star(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Threshold product of two normal convex functions."""
     sf, sg = _lattice_shapes("star", f, g)
+    if sf.indicator and sg.indicator:  # two interval indicators, TOP among them: the closed form
+        return _interval_op(_min, sf, sg)
     if f == TOP:
         return g
     if g == TOP:
         return f
-    if sf.indicator and sg.indicator:  # two interval indicators: the closed form
-        return _interval_op(_min, sf, sg)
     return _star_splice(sf, sg)
 
 
@@ -87,12 +87,12 @@ def costar(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Dual of the threshold product, built directly from the inputs' own
     envelopes and thresholds; ``dualize(STAR)`` is its reference."""
     sf, sg = _lattice_shapes("costar", f, g)
+    if sf.indicator and sg.indicator:
+        return _interval_op(_max, sf, sg)
     if f == BOTTOM:
         return g
     if g == BOTTOM:
         return f
-    if sf.indicator and sg.indicator:
-        return _interval_op(_max, sf, sg)
     return _costar_splice(sf, sg)
 
 

@@ -225,6 +225,7 @@ def test_criterion_7_forced_inner_connective_properties():
     projection_report = t.verify_star_forced_properties(t.PROJECTION, grid)
     assert not projection_report.passed
     assert projection_report.witness["check"] == "commutativity"
+    assert list(projection_report.witness) == ["check", "u", "v", "lhs", "rhs", "fixtures"]
     assert (projection_report.witness["u"], projection_report.witness["v"]) == (
         "1/5",
         "4/5",
@@ -237,6 +238,7 @@ def test_criterion_7_forced_inner_connective_properties():
     max_report = t.verify_star_forced_properties(t.MAXIMUM, grid)
     assert not max_report.passed
     assert max_report.witness["check"] == "boundary"
+    assert list(max_report.witness) == ["check", "x", "y", "lhs", "rhs", "fixtures"]
     assert (max_report.witness["x"], max_report.witness["y"]) == ("0", "1")
 
     # endpoint identities of the convolution forms, all built-ins, 20 pairs

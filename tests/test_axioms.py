@@ -13,7 +13,7 @@ import t2algebra as t
 from t2algebra import ValidationError
 from t2algebra.axioms import (
     _affine_between,
-    _check_equation,
+    _check_sides,
     _interpolate_through,
     _shrink_points,
 )
@@ -285,7 +285,7 @@ class TestWitnessShrinking:
                 raise t.DomainError("not the drawn pair")
             return a
 
-        report = _check_equation("O1", [(f, g)], first, lambda a, b: first(b, a))
+        report = _check_sides("O1", [(f, g)], lambda a, b: (first(a, b), first(b, a)))
         assert (report.passed, report.trials) == (False, 1)
         assert [t.from_json_dict(d) for d in report.witness["inputs"]] == [f, g]
         assert report.witness["lhs"] == t.to_json_dict(f)

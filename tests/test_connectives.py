@@ -124,6 +124,7 @@ def test_projection_fails_commutativity_with_boundary_witness():
     assert t1.axiom == "T1"
     assert not t1.passed
     assert t1.witness == {"x": "0", "y": "1", "lhs": "0", "rhs": "1"}
+    assert list(t1.witness) == ["x", "y", "lhs", "rhs"]
 
 
 def test_monotonicity_witness_shows_the_failing_argument_position():
@@ -132,6 +133,7 @@ def test_monotonicity_witness_shows_the_failing_argument_position():
     t3 = t.check_connective_axioms(falling, FIVE_POINT)[2]
     assert (t3.axiom, t3.passed) == ("T3", False)
     assert t3.witness == {"x": "0", "y": "1/4", "z": "1/4", "lhs": "1/4", "rhs": "3/16"}
+    assert list(t3.witness) == ["x", "y", "z", "lhs", "rhs"]
     assert F(t3.witness["lhs"]) > F(t3.witness["rhs"])
 
 
@@ -141,6 +143,7 @@ def test_neutrality_witness_shows_the_failing_argument_position():
     t4 = t.check_connective_axioms(second, FIVE_POINT)[3]
     assert (t4.axiom, t4.passed) == ("T4", False)
     assert t4.witness == {"x": "0", "lhs": "1", "rhs": "0"}
+    assert list(t4.witness) == ["x", "lhs", "rhs"]
 
 
 def test_user_built_result_escaping_unit_interval_raises():
@@ -222,6 +225,7 @@ class TestBoundaryCharacterization:
         report = t.check_boundary_characterization(fake, FIVE_POINT)
         assert not report.passed
         assert report.witness == {"x": "0", "y": "0", "value": "1"}
+        assert list(report.witness) == ["x", "y", "value"]
 
 
 class TestFailingReportContract:
@@ -251,6 +255,12 @@ class TestFailingReportContract:
                 "witness": {"x": "0", "lhs": "1/2", "rhs": "0"},
             },
         ]
+        assert [list(r.witness or ()) for r in reports] == [
+            [],
+            ["x", "y", "z", "lhs", "rhs"],
+            [],
+            ["x", "lhs", "rhs"],
+        ]
         report = t.check_boundary_characterization(self.MEAN, FIVE_POINT)
         assert report == t.AxiomReport("boundary", True, 25)
 
@@ -272,7 +282,14 @@ class TestFailingReportContract:
             },
             {"axiom": "T4'", "status": "pass", "trials": 5},
         ]
+        assert [list(r.witness or ()) for r in reports] == [
+            [],
+            ["x", "y", "z", "lhs", "rhs"],
+            ["x", "y", "z", "lhs", "rhs"],
+            [],
+        ]
         report = t.check_boundary_characterization(self.GAP, FIVE_POINT)
         assert report == t.AxiomReport(
             "boundary", False, 7, {"x": "1/4", "y": "1/4", "value": "0"}
         )
+        assert list(report.witness) == ["x", "y", "value"]

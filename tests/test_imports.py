@@ -156,6 +156,17 @@ PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
 MEMOS = {"_indicator", "_shape"}
 
 
+# the longest line of the package when the cap was set: a line count of the
+# package cannot then fall by joining lines
+MAX_LINE = 99
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_line_is_longer_than_the_cap(path):
+    lines = enumerate(path.read_text().splitlines(), 1)
+    assert [n for n, line in lines if len(line) > MAX_LINE] == []
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_every_memo_is_sized_by_cache(path):
     assert unsized_memos(path.read_text()) == []

@@ -124,7 +124,10 @@ class TestSealedSplice:
                 p = op(f, g)
                 assert type(p) is t.PiecewiseFn
                 if neutral in (f, g):
-                    assert p is (g if f == neutral else f)
+                    other = g if f == neutral else f
+                    # an interval indicator's product with it takes the closed
+                    # form: an equal function, not always the same object
+                    assert p == other and (p is other or t.is_interval_indicator(other))
                     continue
                 q = spliced(op, f, g)
                 assert (p.breakpoints, p.values, p.pieces) == (q.breakpoints, q.values, q.pieces)
@@ -144,6 +147,17 @@ class TestSealedSplice:
             for g in indicators:
                 for op in (t.star, t.costar):
                     assert op(f, g) == spliced(op, f, g)
+
+    def test_the_neutral_element_hands_back_the_other_operand(self):
+        # indicators take the closed form, [min(1, a), min(1, b)] = [a, b] for
+        # TOP and its mirror for BOTTOM, even a loaded indicator, a separate object
+        loaded = piecewise.loads(piecewise.dumps(t.indicator(F(1, 4), F(1, 2))))
+        assert loaded is not t.indicator(F(1, 4), F(1, 2))
+        plain = t.step(F(3, 4), 1, F(1, 2))
+        for op, neutral in ((t.star, t.TOP), (t.costar, t.BOTTOM)):
+            for g in EIGHTHS_INDICATORS + [loaded]:
+                assert op(neutral, g) == g and op(g, neutral) == g
+            assert op(plain, neutral) is plain and op(neutral, plain) is plain
 
     def test_equals_the_sealed_splice_on_generator_functions(self):
         fns = seeded_lattice(20, seed=3)
