@@ -69,7 +69,7 @@ from .connectives import (
 )
 from .errors import DomainError, ValidationError
 from .piecewise import PiecewiseFn
-from .rationals import ZERO, _lt, _max, format_rational, to_rational, to_unit
+from .rationals import ZERO, _lt, _max, _ratio, format_rational, to_rational, to_unit
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ def _grid_values(f: PiecewiseFn, n: int) -> list[Fraction]:
     Piece i holds the points after breaks[i] up to ceil(breaks[i+1] * n) - 1;
     a breakpoint b is the grid point k when b.num * n == k * b.den, and takes
     its stored value. A constant piece repeats its intercept object; a sloped
-    one builds one Fraction per point. The values lie in [0, 1] unchecked: a
-    built PiecewiseFn stays there."""
+    one builds one Fraction per point, by ``_ratio``. The values lie in [0, 1]
+    unchecked: a built PiecewiseFn stays there."""
     breaks, values = f.breakpoints, f.values
     out = [values[0]]  # breaks[0] = 0 is the grid point 0
     for b, v, (s, c) in zip(breaks[1:], values[1:], f.pieces):
@@ -153,7 +153,7 @@ def _grid_values(f: PiecewiseFn, n: int) -> list[Fraction]:
             # s * k/n + c = (sn * cd * k + cn * sd * n) / (sd * cd * n)
             sn, sd, cn, cd = s._numerator, s._denominator, c._numerator, c._denominator
             num0, den = cn * sd * n, sd * cd * n
-            out += [Fraction(sn * cd * k + num0, den) for k in range(start, end)]
+            out += [_ratio(sn * cd * k + num0, den) for k in range(start, end)]
         else:
             out += [c] * (end - start)
         if b._numerator * n == end * b._denominator:
@@ -249,7 +249,7 @@ def _banded_window(fv, gv, slot, row_form, tol):
                 p, q = slot(x._numerator, x._denominator, levels[r], cd)
                 if p * dens[k] > nums[k] * q:
                     nums[k], dens[k] = p, q
-    return [Fraction(p, q) if p >= 0 else None for p, q in zip(nums, dens)]
+    return [_ratio(p, q) if p >= 0 else None for p, q in zip(nums, dens)]
 
 
 # per form: the profile its combiner must declare, the combiner whose solution

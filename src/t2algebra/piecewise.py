@@ -40,8 +40,8 @@ This module compares rationals in their integer slots, by the slot
 comparisons of ``rationals`` (``_lt``, ``_same``, ``_min``, ``_max``) and by
 ``_same_piece`` for two pieces. Arguments and results stay ``Fraction`` at
 the API. The kernel compares in integer slots first and builds a
-``Fraction`` only for a value kept in a result: a piece limit or a crossing
-stays an unreduced integer ratio until it wins.
+``Fraction``, by ``rationals._ratio``, only for a value kept in a result: a
+piece limit or a crossing stays an unreduced integer ratio until it wins.
 """
 
 from __future__ import annotations
@@ -55,15 +55,11 @@ from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .rationals import (
-    ONE, UNPRINTABLE, ZERO, _lt, _max, _min, _same, format_rational, to_rational, to_unit
+    _CACHE, ONE, UNPRINTABLE, ZERO, _lt, _max, _min, _ratio, _same, format_rational,
+    to_rational, to_unit,
 )
 
 Affine = tuple[Fraction, Fraction]
-
-# The least power of two at least twice one bench job's misses: at most 1,742 in
-# _shape and 218 in _indicator over 6 seeds. At --trials 10,000 nearly every miss
-# is a new function, and 2**20 entries ran slower at twice the memory.
-_CACHE = 4096
 
 
 def _flat(v: Fraction):
@@ -93,7 +89,7 @@ def _cmp(q: Fraction, num: int, den: int) -> int:
 
 def _raised(q: Fraction, num: int, den: int) -> Fraction:
     # max(q, num/den), building a Fraction only where num/den is larger
-    return Fraction(num, den) if _cmp(q, num, den) < 0 else q
+    return _ratio(num, den) if _cmp(q, num, den) < 0 else q
 
 
 def _affine_above(p1: Affine, p2: Affine, x: Fraction) -> bool:
@@ -190,13 +186,13 @@ class PiecewiseFn:
         """Limit from below at breakpoint i (1 <= i <= len-1)."""
         if not 1 <= i < len(self.breakpoints):
             raise DomainError(f"no limit from below at breakpoint {i}")
-        return Fraction(*_affine_ratio(self.pieces[i - 1], self.breakpoints[i]))
+        return _ratio(*_affine_ratio(self.pieces[i - 1], self.breakpoints[i]))
 
     def right_limit(self, i: int) -> Fraction:
         """Limit from above at breakpoint i (0 <= i <= len-2)."""
         if not 0 <= i < len(self.pieces):
             raise DomainError(f"no limit from above at breakpoint {i}")
-        return Fraction(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
+        return _ratio(*_affine_ratio(self.pieces[i], self.breakpoints[i]))
 
 
 def _piece_index(breaks, x: Fraction) -> int:
@@ -208,7 +204,7 @@ def _piece_index(breaks, x: Fraction) -> int:
 def _value_at(f: PiecewiseFn, i: int, q: Fraction) -> Fraction:
     # f(q) for breakpoint i <= q short of breakpoint i + 1
     on_break = _same(f.breakpoints[i], q)
-    return f.values[i] if on_break else Fraction(*_affine_ratio(f.pieces[i], q))
+    return f.values[i] if on_break else _ratio(*_affine_ratio(f.pieces[i], q))
 
 
 def evaluate(f: PiecewiseFn, x) -> Fraction:
@@ -267,7 +263,7 @@ def from_affine(slope, intercept) -> PiecewiseFn:
 
 @lru_cache(maxsize=_CACHE)
 def _indicator(ln: int, ld: int, hn: int, hd: int) -> PiecewiseFn:  # of [ln/ld, hn/hd], by slots
-    return _splice(_ZERO_PARTS, Fraction(ln, ld), ONE, Fraction(hn, hd), ONE, _ZERO_PARTS)
+    return _splice(_ZERO_PARTS, _ratio(ln, ld), ONE, _ratio(hn, hd), ONE, _ZERO_PARTS)
 
 
 def _interval_op(first, sf, sg) -> PiecewiseFn:  # star (first _min) and costar (_max)
@@ -373,7 +369,7 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, s
             if _cmp(a, xn, xd) < 0:
                 piece = p2 if after is p1 else p1
                 if _cmp(b, xn, xd) > 0:
-                    x = Fraction(xn, xd)
+                    x = _ratio(xn, xd)
         # a is removable where the piece left of it runs on through a's value v
         v = values[-1]
         if pieces and _same_piece(pieces[-1], piece) and not _cmp(v, *_affine_ratio(piece, a)):
@@ -382,13 +378,13 @@ def _combine_parts(f: PiecewiseFn, g: PiecewiseFn, take_min: bool, start=ZERO, s
             pieces.append(piece)
         if x is not None:
             breaks.append(x)
-            values.append(Fraction(*_affine_ratio(p1, x)))
+            values.append(_ratio(*_affine_ratio(p1, x)))
             pieces.append(after)
         breaks.append(b)
         # the first of equals, as _min and _max: g only where it strictly wins
         dv = gx[0] * fx[1] - fx[0] * gx[1]
         win = gx if (dv < 0 if take_min else dv > 0) else fx
-        values.append(win[2] if win[2] is not None else Fraction(win[0], win[1]))
+        values.append(win[2] if win[2] is not None else _ratio(win[0], win[1]))
     return breaks, values, pieces
 
 
@@ -442,11 +438,15 @@ def pointwise_leq(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 
 
 def reflect(f: PiecewiseFn) -> PiecewiseFn:
-    """The complementation x -> f(1-x); an involution."""
-    breaks = tuple(ONE - b for b in reversed(f.breakpoints))
-    values = tuple(reversed(f.values))
-    pieces = tuple((-s, s + c) for (s, c) in reversed(f.pieces))
-    return _sealed(breaks, values, pieces)
+    """The complementation x -> f(1-x); an involution. In slots, 1 - p/q is
+    (q - p)/q and -s is -p/q, in lowest terms, and s + c is the piece at 1."""
+    breaks = [_ratio(b._denominator - b._numerator, b._denominator, True) for b in f.breakpoints]
+    pieces = [
+        (_ratio(-p[0]._numerator, p[0]._denominator, True), _ratio(*_affine_ratio(p, ONE)))
+        if p[0]._numerator else p  # a flat piece is its own image
+        for p in f.pieces[::-1]
+    ]
+    return _sealed(breaks[::-1], f.values[::-1], pieces)
 
 
 # ---------------------------------------------------------------------------

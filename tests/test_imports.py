@@ -151,9 +151,10 @@ PACKAGE = sorted(Path(t2algebra.__file__).parent.glob("*.py"))
 # _indicator, keyed by the integer slots of its ends, serves indicator(), which
 # the axiom battery calls for every interval, and star/costar of two interval
 # indicators; _shape holds each function's envelopes, threshold ends and
-# lattice membership. canonicalize hands back its argument and holds nothing.
-# A new memo is a deliberate edit here.
-MEMOS = {"_indicator", "_shape"}
+# lattice membership; _ascii_ratio holds the value of each integer or "p/q" slot
+# string that to_rational reads, as loads passes them. canonicalize hands back
+# its argument and holds nothing. A new memo is a deliberate edit here.
+MEMOS = {"_indicator", "_shape", "_ascii_ratio"}
 
 
 # the longest line of the package when the cap was set: a line count of the

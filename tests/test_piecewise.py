@@ -531,6 +531,19 @@ class TestReflect:
         assert t.equals(t.reflect(t.reflect(f)), f)
 
     @given(piecewise_fns())
+    def test_parts_match_the_fraction_operators(self, f):
+        # reflect builds its slots in integers; Fraction's operators are the reference
+        reference = t.PiecewiseFn(
+            tuple(F(1) - b for b in reversed(f.breakpoints)),
+            tuple(reversed(f.values)),
+            tuple((-s, s + c) for s, c in reversed(f.pieces)),
+        )
+        g = t.reflect(f)
+        assert g == reference and hash(g) == hash(reference)  # the same slots
+        slots = [*g.breakpoints, *g.values, *(q for piece in g.pieces for q in piece)]
+        assert all(type(q) is F for q in slots)
+
+    @given(piecewise_fns())
     def test_pointwise_mirror(self, f):
         g = t.reflect(f)
         for x in probe_points(f, splits=3):

@@ -60,6 +60,18 @@ def fraction_calls(text):
     return calls
 
 
+def ratio_calls(text):
+    """The arguments of each _ratio call that to_rational(text) makes, read
+    afresh: the slot memo is emptied first."""
+    calls = []
+    build = rationals._ratio
+    rationals._ascii_ratio.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rationals, "_ratio", lambda *args: calls.append(args) or build(*args))
+        outcome(text)
+    return calls
+
+
 class TestIntegerPathParity:
     """Integer and "p/q" strings are built from int() slots; every string
     gives the value or the error text that 3.10's Fraction(str) gives."""
@@ -95,7 +107,7 @@ class TestIntegerPathParity:
         "text, ints", [("3/4", (3, 4)), ("-12", (-12, 1)), ("0", (0, 1)), ("2/4", (2, 4))]
     )
     def test_ratio_strings_take_the_integer_path(self, text, ints):
-        assert fraction_calls(text) == [ints]
+        assert ratio_calls(text) == [ints]
 
     def test_ratio_strings_skip_the_digit_bound(self, monkeypatch):
         calls = []
@@ -122,3 +134,52 @@ def test_no_version_bound_fraction_internals(name):
     # 3.12 on, and Fraction._from_coprime_ints exists only from 3.12 on
     users = [p.name for p in sorted(SRC.rglob("*.py")) if name in p.read_text()]
     assert users == []
+
+
+def assert_same_fraction(q, reference):
+    assert type(q) is Fraction
+    assert q == reference and hash(q) == hash(reference) and str(q) == str(reference)
+    assert (q._numerator, q._denominator) == (reference._numerator, reference._denominator)
+
+
+class TestSlotBuilder:
+    """_ratio writes Fraction's two slots itself; Fraction(n, d) is its reference."""
+
+    def test_fraction_keeps_its_two_slots(self):
+        # _ratio assigns exactly these on object.__new__(Fraction): a layout
+        # change on some interpreter fails here, not in a broken value
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    @given(st.integers(), st.integers(1), st.integers(1, 10**30))
+    @example(0, 1, 1)
+    @example(0, 7, 10**20)
+    @example(-6, 4, 1)
+    @example(-(2**70), 3**40, 12_345_678_901)
+    def test_matches_the_fraction_constructor(self, n, d, g):
+        for num, den in ((n, d), (n * g, d * g)):  # g: a gcd of many digits
+            assert_same_fraction(rationals._ratio(num, den), Fraction(num, den))
+
+    @given(st.integers(), st.integers(1))
+    def test_a_reduced_pair_is_taken_as_given(self, n, d):
+        q = Fraction(n, d)
+        assert_same_fraction(rationals._ratio(q.numerator, q.denominator, True), q)
+
+
+class TestSlotMemo:
+    """_ascii_ratio holds each value read, and no error: a refused string raises
+    on every read."""
+
+    def test_a_second_read_is_a_memo_hit(self):
+        rationals._ascii_ratio.cache_clear()
+        first = to_rational("-12/34")
+        before = rationals._ascii_ratio.cache_info()
+        second = to_rational("".join(["-12", "/34"]))  # an equal string, not the same one
+        after = rationals._ascii_ratio.cache_info()
+        assert first == second == Fraction(-6, 17)
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("text", ["1/0", "1_0"])
+    def test_a_refused_string_raises_on_every_read(self, text):
+        rationals._ascii_ratio.cache_clear()
+        error = ("error", f"not a rational number: {text!r}")
+        assert [outcome(text) for _ in range(3)] == [error] * 3
