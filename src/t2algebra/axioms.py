@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from operator import eq, le
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -43,7 +44,7 @@ from .piecewise import (
     to_json_dict,
     unit_spike,
 )
-from .rationals import ONE, ZERO, to_unit
+from .rationals import ONE, ZERO, _ratio, to_unit
 from .report import AxiomReport, falsify
 from .star import TruthValueOp, star
 
@@ -81,39 +82,25 @@ class GeneratorConfig:
 
 # ---------------------------------------------------------------------------
 # sampling
+#
+# Each drawn coordinate and value is k/den for an integer k, den being denominator_bound:
+# the samplers draw and interpolate the k and build each kept slot once, by _ratio. Their
+# rng calls, in order and arguments, are pinned: every seeded draw and report depends on them.
 
 
-def _coord(rng: Random, den: int, lo: Fraction = ZERO, hi: Fraction = ONE) -> Fraction:
-    lo_k = lo._numerator * den // lo._denominator
-    hi_k = hi._numerator * den // hi._denominator
-    return Fraction(rng.randint(lo_k, hi_k), den)
+def _coord(rng: Random, den: int, lo: int = 0, hi: int | None = None) -> Fraction:
+    """k/den for a k drawn from [lo, hi], where hi is den unless given."""
+    return _ratio(rng.randint(lo, den if hi is None else hi), den)
 
 
-def _interior_coords(
-    rng: Random, den: int, count: int, lo: Fraction, hi: Fraction
-) -> list[Fraction]:
-    lo_k = lo._numerator * den // lo._denominator + 1
-    hi_k = hi._numerator * den // hi._denominator - 1
-    avail = hi_k - lo_k + 1
-    if avail <= 0 or count <= 0:
-        return []
-    picks = rng.sample(range(lo_k, hi_k + 1), min(count, avail))
-    return [Fraction(k, den) for k in sorted(picks)]
+def _interior_coords(rng: Random, count: int, lo: int, hi: int) -> list[int]:
+    """count distinct ints strictly between lo and hi, or all of them, sorted."""
+    between = range(lo + 1, hi)
+    return sorted(rng.sample(between, min(count, len(between))))
 
 
-def _ladder(rng: Random, den: int, count: int, descending: bool) -> list[Fraction]:
-    vals = sorted(rng.randint(0, den) for _ in range(count))
-    fracs = [Fraction(v, den) for v in vals]
-    return list(reversed(fracs)) if descending else fracs
-
-
-def _affine_between(x0, y0, x1, y1) -> tuple[Fraction, Fraction]:
-    # slope (y1 - y0) / (x1 - x0) and intercept (y0 x1 - y1 x0) / (x1 - x0)
-    a, b, c, d = x0._numerator, x0._denominator, y0._numerator, y0._denominator
-    e, f, g, h = x1._numerator, x1._denominator, y1._numerator, y1._denominator
-    den = d * h * (e * b - a * f)
-    slope = Fraction((g * d - c * h) * b * f, den)
-    return slope, Fraction(c * e * h * b - g * a * d * f, den)
+def _ladder(rng: Random, den: int, count: int, descending: bool) -> list[int]:
+    return sorted((rng.randint(0, den) for _ in range(count)), reverse=descending)
 
 
 def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
@@ -122,8 +109,8 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     if kind == 0:
         return unit_spike(_coord(rng, den))
     if kind == 1:
-        a = _coord(rng, den)
-        return indicator(a, _coord(rng, den, a))
+        a = rng.randint(0, den)
+        return indicator(_ratio(a, den), _coord(rng, den, a))
     if kind == 2:
         # high plateau then a lower tail
         return step(_coord(rng, den), ONE, _coord(rng, den))
@@ -137,12 +124,12 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
         return falling_ramp(_coord(rng, den))
     if kind == 6:
         # supremum 1 approached at the right endpoint, not attained there
-        floor = _coord(rng, den, hi=Fraction(den - 1, den))
+        floor = _coord(rng, den, hi=den - 1)
         drop = _coord(rng, den)
         return _sealed((ZERO, ONE), (floor, drop), ((ONE - floor, floor),))
     if kind == 7:
         # supremum 1 approached at the left endpoint
-        end = _coord(rng, den, hi=Fraction(den - 1, den))
+        end = _coord(rng, den, hi=den - 1)
         start = _coord(rng, den)
         return _sealed((ZERO, ONE), (start, end), ((end - ONE, ONE),))
     if kind == 8:
@@ -150,44 +137,47 @@ def _fixture(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     return TOP if rng.random() < HALF else BOTTOM
 
 
-def _rungs(pos: list[Fraction], rungs: list[Fraction]):
-    """Parts through the breakpoints pos, with rungs[::3] at them, whose
-    piece i runs from rungs[3i + 1] to rungs[3i + 2]."""
-    ends = zip(pos, rungs[1::3], pos[1:], rungs[2::3])
-    return pos, rungs[::3], [_affine_between(*end) for end in ends]
+def _rungs(den: int, pos: list[int], rungs: list[int]):
+    """Parts through the breakpoints k/den for k in pos, with r/den at them for
+    r in rungs[::3], whose piece i runs from rungs[3i + 1]/den to rungs[3i + 2]/den.
+    pos strictly increases; the den factors of the slope cancel."""
+    ends = {0: ZERO, den: ONE}  # shared: every drawn function keeps its ends
+    breaks = [ends[k] if k in ends else _ratio(k, den) for k in pos]
+    pieces = [
+        (_ratio(r2 - r1, k1 - k0), _ratio(r1 * k1 - r2 * k0, den * (k1 - k0)))
+        for k0, r1, k1, r2 in zip(pos, rungs[1::3], pos[1:], rungs[2::3])
+    ]
+    return breaks, [_ratio(r, den) for r in rungs[::3]], pieces
 
 
 def _draw_lattice(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     if rng.random() < 0.3:
         return _fixture(rng, cfg)
     den = cfg.denominator_bound
-    peak_lo = _coord(rng, den)
-    peak_hi = peak_lo if rng.random() < 0.3 else _coord(rng, den, lo=peak_lo)
+    lo = rng.randint(0, den)
+    hi = lo if rng.random() < 0.3 else rng.randint(lo, den)
     budget = cfg.max_breakpoints - 2
     left_count = rng.randint(0, budget // 2)
     right_count = rng.randint(0, budget - left_count)
     # the head is drawn before the tail: every seeded output depends on the order
     head = tail = _ZERO_PARTS
-    if peak_lo > ZERO:
-        pos = [ZERO] + _interior_coords(rng, den, left_count, ZERO, peak_lo) + [peak_lo]
-        head = _rungs(pos, _ladder(rng, den, 3 * (len(pos) - 1), descending=False) + [ONE])
-    if peak_hi < ONE:
-        pos = [peak_hi] + _interior_coords(rng, den, right_count, peak_hi, ONE) + [ONE]
-        tail = _rungs(pos, [ONE] + _ladder(rng, den, 3 * (len(pos) - 1), descending=True))
-    return _splice(head, peak_lo, ONE, peak_hi, ONE, tail)
+    if lo > 0:
+        pos = [0] + _interior_coords(rng, left_count, 0, lo) + [lo]
+        head = _rungs(den, pos, _ladder(rng, den, 3 * (len(pos) - 1), descending=False) + [den])
+    if hi < den:
+        pos = [hi] + _interior_coords(rng, right_count, hi, den) + [den]
+        tail = _rungs(den, pos, [den] + _ladder(rng, den, 3 * (len(pos) - 1), descending=True))
+    return _splice(head, _ratio(lo, den), ONE, _ratio(hi, den), ONE, tail)
 
 
 def _draw_arbitrary(rng: Random, cfg: GeneratorConfig) -> PiecewiseFn:
     den = cfg.denominator_bound
-    interior = _interior_coords(
-        rng, den, rng.randint(0, cfg.max_breakpoints - 2), ZERO, ONE
-    )
-    breaks = [ZERO] + interior + [ONE]
-    values = [_coord(rng, den) for _ in breaks]
-    pieces = []
-    for a, b in zip(breaks, breaks[1:]):
-        pieces.append(_affine_between(a, _coord(rng, den), b, _coord(rng, den)))
-    return _sealed(breaks, values, pieces)
+    pos = [0] + _interior_coords(rng, rng.randint(0, cfg.max_breakpoints - 2), 0, den) + [den]
+    rungs = [0] * (3 * len(pos) - 2)
+    rungs[::3] = [rng.randint(0, den) for _ in pos]  # the values, then each piece's ends
+    ends = [rng.randint(0, den) for _ in range(2 * len(pos) - 2)]
+    rungs[1::3], rungs[2::3] = ends[::2], ends[1::2]
+    return _sealed(*_rungs(den, pos, rungs))
 
 
 def random_normal_convex(config: GeneratorConfig, rng: Random | None = None) -> PiecewiseFn:
@@ -256,8 +246,10 @@ def comparable_pair(
 
 
 def _interpolate_through(points: list[tuple[Fraction, Fraction]]) -> PiecewiseFn:
-    pos, vs = zip(*points)  # piece i runs from vs[i] to vs[i + 1]
-    return _sealed(*_rungs(pos, [v for rung in zip(vs, vs, vs[1:]) for v in rung] + [vs[-1]]))
+    den = lcm(*(q._denominator for point in points for q in point))
+    pos, vs = ([q._numerator * (den // q._denominator) for q in qs] for qs in zip(*points))
+    # piece i runs from vs[i] to vs[i + 1]
+    return _sealed(*_rungs(den, pos, [v for rung in zip(vs, vs, vs[1:]) for v in rung] + vs[-1:]))
 
 
 def _shrink_points(f: PiecewiseFn) -> Iterable[list[tuple[Fraction, Fraction]]]:

@@ -17,7 +17,8 @@ the integer slots ``_numerator`` and ``_denominator``, not ``Fraction``'s
 rich comparisons, which dispatch through the ``numbers`` ABCs on every call:
 a ``Fraction`` holds lowest terms over a positive denominator, so p < q
 exactly when p.num * q.den < q.num * p.den, and p == q when both slots agree.
-``_ratio``, the one integer slot builder, writes them without that dispatch.
+``_ratio``, the one integer slot builder, writes them without that dispatch, for
+the kernel, the JSON reader, the grid oracle, the generators and ``eval``'s rows.
 """
 
 from __future__ import annotations

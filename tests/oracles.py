@@ -35,6 +35,13 @@ beyond, with every envelope value an ``exact_sup`` and the thresholds from
 walks in from the near ends, and builds the result through the checked
 constructor.
 
+``reference_draw_lattice`` and ``reference_draw_arbitrary`` are the
+generators' draws built in ``Fraction`` arithmetic: each coordinate is
+``Fraction(k, den)`` and each piece the line through its two end points, and
+each function goes through the checked constructor and ``reference_splice``.
+They make the same rng calls as the library's integer samplers, so from one
+seed both must draw the same function and leave the rng in the same state.
+
 ``raw_value`` evaluates raw (breakpoints, values, pieces) parts, canonical
 or not, without building a ``PiecewiseFn``: the constructor's canonical form
 is checked against it.
@@ -44,7 +51,19 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import ge, le
 
-from t2algebra import PiecewiseFn, envelope_right, evaluate
+from t2algebra import (
+    BOTTOM,
+    FULL,
+    TOP,
+    PiecewiseFn,
+    envelope_right,
+    evaluate,
+    falling_ramp,
+    indicator,
+    rising_ramp,
+    step,
+    unit_spike,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -357,6 +376,99 @@ def reference_splice(head, a, at_a, b, at_b, tail) -> PiecewiseFn:
         (*hv[:i], *values, *tv[k + 1 :]),
         (*hp[:i], *pieces, *tp[k:]),
     )
+
+
+def _coord(rng, den: int, lo: Fraction = ZERO, hi: Fraction = ONE) -> Fraction:
+    lo_k = lo.numerator * den // lo.denominator
+    hi_k = hi.numerator * den // hi.denominator
+    return Fraction(rng.randint(lo_k, hi_k), den)
+
+
+def _interior_coords(rng, den: int, count: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    lo_k = lo.numerator * den // lo.denominator + 1
+    hi_k = hi.numerator * den // hi.denominator - 1
+    avail = hi_k - lo_k + 1
+    if avail <= 0 or count <= 0:
+        return []
+    picks = rng.sample(range(lo_k, hi_k + 1), min(count, avail))
+    return [Fraction(k, den) for k in sorted(picks)]
+
+
+def _ladder(rng, den: int, count: int, descending: bool) -> list[Fraction]:
+    fracs = [Fraction(v, den) for v in sorted(rng.randint(0, den) for _ in range(count))]
+    return list(reversed(fracs)) if descending else fracs
+
+
+def _line(x0, y0, x1, y1) -> tuple[Fraction, Fraction]:
+    slope = (y1 - y0) / (x1 - x0)
+    return slope, y0 - slope * x0
+
+
+def _reference_fixture(rng, cfg) -> PiecewiseFn:
+    den = cfg.denominator_bound
+    kind = rng.randrange(10)
+    if kind == 0:
+        return unit_spike(_coord(rng, den))
+    if kind == 1:
+        a = _coord(rng, den)
+        return indicator(a, _coord(rng, den, a))
+    if kind == 2:
+        return step(_coord(rng, den), ONE, _coord(rng, den))
+    if kind == 3:
+        a = _coord(rng, den)
+        c = _coord(rng, den)
+        zero = ((ZERO, ONE), (ZERO, ZERO), ((ZERO, ZERO),))
+        return reference_splice(((ZERO, ONE), (c, c), ((ZERO, c),)), a, ONE, ONE, ONE, zero)
+    if kind == 4:
+        return rising_ramp(_coord(rng, den))
+    if kind == 5:
+        return falling_ramp(_coord(rng, den))
+    if kind == 6:
+        floor = _coord(rng, den, hi=Fraction(den - 1, den))
+        drop = _coord(rng, den)
+        return PiecewiseFn((ZERO, ONE), (floor, drop), ((ONE - floor, floor),))
+    if kind == 7:
+        end = _coord(rng, den, hi=Fraction(den - 1, den))
+        start = _coord(rng, den)
+        return PiecewiseFn((ZERO, ONE), (start, end), ((end - ONE, ONE),))
+    if kind == 8:
+        return FULL
+    return TOP if rng.random() < Fraction(1, 2) else BOTTOM
+
+
+def _reference_rungs(pos: list[Fraction], rungs: list[Fraction]):
+    ends = zip(pos, rungs[1::3], pos[1:], rungs[2::3])
+    return pos, rungs[::3], [_line(*end) for end in ends]
+
+
+def reference_draw_lattice(rng, cfg) -> PiecewiseFn:
+    """The library's ``_draw_lattice``, in ``Fraction`` arithmetic."""
+    if rng.random() < 0.3:
+        return _reference_fixture(rng, cfg)
+    den = cfg.denominator_bound
+    peak_lo = _coord(rng, den)
+    peak_hi = peak_lo if rng.random() < 0.3 else _coord(rng, den, lo=peak_lo)
+    budget = cfg.max_breakpoints - 2
+    left_count = rng.randint(0, budget // 2)
+    right_count = rng.randint(0, budget - left_count)
+    head = tail = ((ZERO, ONE), (ZERO, ZERO), ((ZERO, ZERO),))
+    if peak_lo > ZERO:
+        pos = [ZERO] + _interior_coords(rng, den, left_count, ZERO, peak_lo) + [peak_lo]
+        head = _reference_rungs(pos, _ladder(rng, den, 3 * (len(pos) - 1), False) + [ONE])
+    if peak_hi < ONE:
+        pos = [peak_hi] + _interior_coords(rng, den, right_count, peak_hi, ONE) + [ONE]
+        tail = _reference_rungs(pos, [ONE] + _ladder(rng, den, 3 * (len(pos) - 1), True))
+    return reference_splice(head, peak_lo, ONE, peak_hi, ONE, tail)
+
+
+def reference_draw_arbitrary(rng, cfg) -> PiecewiseFn:
+    """The library's ``_draw_arbitrary``, in ``Fraction`` arithmetic."""
+    den = cfg.denominator_bound
+    interior = _interior_coords(rng, den, rng.randint(0, cfg.max_breakpoints - 2), ZERO, ONE)
+    breaks = [ZERO] + interior + [ONE]
+    values = [_coord(rng, den) for _ in breaks]
+    pieces = [_line(a, _coord(rng, den), b, _coord(rng, den)) for a, b in zip(breaks, breaks[1:])]
+    return PiecewiseFn(breaks, values, pieces)
 
 
 def brute_convolution_grid(

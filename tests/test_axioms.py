@@ -6,18 +6,21 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import t2algebra as t
 from t2algebra import ValidationError
 from t2algebra.axioms import (
-    _affine_between,
     _check_sides,
+    _draw_arbitrary,
+    _draw_lattice,
     _interpolate_through,
+    _rungs,
     _shrink_points,
 )
 from conftest import ABS_DIFF, HAMACHER, lattice_fns, piecewise_fns
+from oracles import reference_draw_arbitrary, reference_draw_lattice
 
 F = Fraction
 
@@ -116,11 +119,43 @@ class TestGenerator:
                 digest.update(t.dumps(f).encode() + b"\n")
         assert digest.hexdigest() == self.DRAW_DIGEST
 
-    @given(st.fractions(), st.fractions(), st.fractions(), st.fractions())
-    def test_integer_affine_between(self, x0, y0, x1, y1):
-        assume(x0 != x1)
-        slope = (y1 - y0) / (x1 - x0)
-        assert _affine_between(x0, y0, x1, y1) == (slope, y0 - slope * x0)
+    @given(
+        st.integers(1, 10**30),
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8, unique=True),
+        st.data(),
+    )
+    def test_integer_rungs(self, den, ks, data):
+        # each slot of _rungs' parts equals its Fraction arithmetic on k/den
+        pos = sorted(ks)
+        rs = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=3 * len(pos) - 2,
+                                max_size=3 * len(pos) - 2))
+        xs, ys = [F(k, den) for k in pos], [F(r, den) for r in rs]
+        pieces = []
+        for x0, y0, x1, y1 in zip(xs, ys[1::3], xs[1:], ys[2::3]):
+            slope = (y1 - y0) / (x1 - x0)
+            pieces.append((slope, y0 - slope * x0))
+        breaks, values, got = _rungs(den, pos, rs)
+        # Fraction's == compares both slots, so equal slots are in lowest terms
+        assert (breaks, values, got) == (xs, ys[::3], pieces)
+        assert all(type(q) is F for q in [*breaks, *values, *(c for p in got for c in p)])
+
+    # the integer samplers against the Fraction-built reference: the same
+    # function from the same seed, and the same rng state after it
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 30),
+        st.one_of(st.integers(2, 100), st.integers(2, sys.maxsize), st.just(sys.maxsize)),
+    )
+    def test_draws_match_the_fraction_reference(self, seed, breakpoints, den):
+        cfg = t.GeneratorConfig(seed, breakpoints, den)
+        for draw, reference in [
+            (_draw_lattice, reference_draw_lattice),
+            (_draw_arbitrary, reference_draw_arbitrary),
+        ]:
+            rng, ref_rng = Random(seed), Random(seed)
+            for _ in range(5):
+                assert draw(rng, cfg) == reference(ref_rng, cfg)
+                assert rng.getstate() == ref_rng.getstate()
 
     def test_largest_denominator_bound_draws(self):
         # past it, sampling coordinates raises OverflowError
@@ -310,6 +345,25 @@ class TestWitnessShrinking:
         # whether or not it would be admitted
         for points in _shrink_points(f):
             _interpolate_through(points)
+
+    @given(
+        st.lists(
+            st.fractions(0, 1, max_denominator=60).filter(lambda q: 0 < q < 1),
+            max_size=6,
+            unique=True,
+        ),
+        st.data(),
+    )
+    def test_interpolate_through_mixed_denominators(self, interior, data):
+        # points over unrelated denominators, put over their lcm by the shrinker
+        xs = [F(0), *sorted(interior), F(1)]
+        vs = data.draw(st.lists(st.fractions(0, 1, max_denominator=60),
+                                min_size=len(xs), max_size=len(xs)))
+        pieces = []
+        for x0, v0, x1, v1 in zip(xs, vs, xs[1:], vs[1:]):
+            slope = (v1 - v0) / (x1 - x0)
+            pieces.append((slope, v0 - slope * x0))
+        assert _interpolate_through(list(zip(xs, vs))) == t.PiecewiseFn(xs, vs, pieces)
 
 
 class TestSeparation:

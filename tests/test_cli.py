@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import t2algebra as t
 from t2algebra.cli import MAX_GRID, MAX_SAMPLES, MAX_TRIALS, main
 from t2algebra.rationals import UNPRINTABLE
+from conftest import piecewise_fns
 
 F = Fraction
 
@@ -90,6 +91,21 @@ class TestEval:
         code, out, _ = run(capsys, ["eval", "meet", str(path), str(path), "--samples", "3"])
         assert code == 0
         assert out == "x,value\n0,0\n1/3,1\n1/2,1\n1,0\n"
+
+    @given(piecewise_fns(den=12, max_interior=6), st.integers(2, 40))
+    def test_rows_match_the_sorted_union(self, f, samples):
+        # the merge walk against the sorted set of samples and breakpoints
+        g = t.reflect(f)
+        xs = sorted({F(k, samples - 1) for k in range(samples)}.union(g.breakpoints))
+        expected = "x,value\n" + "".join(f"{x},{t.evaluate(g, x)}\n" for x in xs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(t.dumps(f))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["eval", "neg", path, "--samples", str(samples)]) == 0
+        assert out.getvalue() == expected
 
     def test_conv_op_emits_grid_csv(self, capsys, files):
         code, out, _ = run(
